@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import curve_fit
 
+from .chain import EDGE_TOL_NS
 from .events import EventStream
 from .quantum import VisibilityRangeError
 
@@ -54,8 +55,6 @@ __all__ = [
 # A sinusoidal two-photon fringe violates the CHSH bound S = 2 exactly when
 # its visibility exceeds 1/sqrt(2).
 BELL_THRESHOLD_VISIBILITY = 1.0 / math.sqrt(2.0)
-
-_EDGE_TOL_NS = 1e-9
 
 
 class AnalysisError(ValueError):
@@ -110,7 +109,7 @@ class CoincidenceHistogram:
             raise ValueError("histogram range must have range_min < range_max")
         for name, value in (("range_min_ns", self.range_min_ns), ("range_max_ns", self.range_max_ns)):
             k = round(value / self.bin_width_ns)
-            if abs(k * self.bin_width_ns - value) > _EDGE_TOL_NS:
+            if abs(k * self.bin_width_ns - value) > EDGE_TOL_NS:
                 raise ValueError(
                     f"{name}={value!r} is not an integer multiple of the bin width"
                 )
@@ -389,7 +388,7 @@ def count_window(hist: CoincidenceHistogram, window: tuple[float, float]) -> int
     lo, hi = float(window[0]), float(window[1])
     if lo > hi:
         raise ValueError(f"window ({lo!r}, {hi!r}) is reversed")
-    if lo < hist.range_min_ns - _EDGE_TOL_NS or hi > hist.range_max_ns + _EDGE_TOL_NS:
+    if lo < hist.range_min_ns - EDGE_TOL_NS or hi > hist.range_max_ns + EDGE_TOL_NS:
         raise OutOfRange(
             f"window ({lo}, {hi}) ns exceeds histogram range "
             f"({hist.range_min_ns}, {hist.range_max_ns}) ns"

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 __all__ = [
+    "EDGE_TOL_NS",
     "SPEED_OF_LIGHT_M_PER_S",
     "ChainConfig",
     "DetectorParams",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
+
+# How far a histogram edge may sit from the bin grid and still count as on it.
+EDGE_TOL_NS = 1e-9
 
 
 class ZeroBandwidthError(ValueError):
@@ -207,6 +211,18 @@ class ChainConfig:
             )
         if self.histogram_bin_ns <= 0.0 or self.histogram_half_range_ns <= 0.0:
             raise ValueError("histogram_bin_ns and histogram_half_range_ns must be positive")
+        half, width = self.histogram_half_range_ns, self.histogram_bin_ns
+        if abs(round(half / width) * width - half) > EDGE_TOL_NS:
+            raise ValueError(
+                f"histogram_half_range_ns={half!r} is not an integer multiple of "
+                f"histogram_bin_ns={width!r}"
+            )
+        if self.sfg is not None:
+            prob = _sfg_budget(self.sfg)
+            if not prob <= 1.0:
+                raise ValueError(
+                    f"chain.sfg gives a transfer probability of {prob:.4g}; it must not exceed 1"
+                )
         names = {self.start_detector, self.stop_detector}
         if names != {"alice", "bob"}:
             raise ValueError(
@@ -341,6 +357,16 @@ def franson_validity(
 # ---------------------------------------------------------------------------
 
 
+def _sfg_budget(p: SfgParams) -> float:
+    return (
+        p.efficiency_per_watt
+        * p.reservoir_power_w
+        * p.coupling_qubit
+        * p.coupling_reservoir
+        * (p.output_wavelength_nm / p.input_wavelength_nm)
+    )
+
+
 def sfg_transfer_probability(p: SfgParams) -> float:
     """Success probability of the wavelength transfer from the power budget.
 
@@ -350,13 +376,7 @@ def sfg_transfer_probability(p: SfgParams) -> float:
     0.0486, the few-percent operating point.  Beyond 0.5 the linear budget
     stops being trustworthy (sin^2 saturates), so that region warns.
     """
-    prob = (
-        p.efficiency_per_watt
-        * p.reservoir_power_w
-        * p.coupling_qubit
-        * p.coupling_reservoir
-        * (p.output_wavelength_nm / p.input_wavelength_nm)
-    )
+    prob = _sfg_budget(p)
     if prob > 0.5:
         warnings.warn(
             f"transfer probability {prob:.3f} exceeds 0.5; the linear power "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 from . import chain as ch
 from .events import InvalidConfigError, SimConfig
@@ -31,6 +32,12 @@ def _build(cls, data: dict, section: str):
     unknown = sorted(set(data) - known)
     if unknown:
         raise InvalidConfigError(f"unknown field(s) {', '.join(unknown)} in section {section!r}")
+    for name, value in data.items():
+        # NaN, +-Infinity and integers beyond the float range
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+            raise InvalidConfigError(
+                f"field {name} in section {section!r} must be a finite number"
+            )
     try:
         return cls(**data)
     except InvalidConfigError:
@@ -83,6 +90,8 @@ def load_config(path) -> SimConfig:
         raise InvalidConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal beyond the digit limit
+        raise InvalidConfigError(f"config {path} cannot be parsed: {exc}") from exc
     if not isinstance(document, dict):
         raise InvalidConfigError(f"config {path} must contain a JSON object at top level")
     return sim_config_from_dict(document)

@@ -47,7 +47,6 @@ __all__ = [
     "EventStream",
     "InvalidConfigError",
     "SimConfig",
-    "apply_transfer_thinning",
     "config_hash",
     "merge",
     "read_events",
@@ -82,9 +81,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.visibility <= 1.0:
             raise InvalidConfigError(f"visibility must lie in [0, 1], got {self.visibility!r}")
-        if self.duration_s <= 0.0:
-            raise InvalidConfigError(f"duration_s must be positive, got {self.duration_s!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise InvalidConfigError(
+                f"duration_s must be positive and finite, got {self.duration_s!r}"
+            )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
             raise InvalidConfigError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
         if (
             self.chain.alice_detector.role == "gated"
@@ -188,19 +191,6 @@ class EventStream:
         return self.times_ns[mask]
 
 
-def apply_transfer_thinning(p_transfer: float) -> float:
-    """Survival multiplier the transfer stage applies on Bob's arm.
-
-    The stage either converts a photon (it survives at the new wavelength)
-    or the photon is lost; there is no partial outcome.  simulate() folds
-    the returned factor into Bob's Bernoulli keep probability.
-    """
-    p = float(p_transfer)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"transfer probability must lie in [0, 1], got {p_transfer!r}")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -238,16 +228,22 @@ def simulate(config: SimConfig) -> EventStream:
     before Bob) and finally gated darks.  Photon draws are consumed
     unconditionally so the photon record depends only on the source,
     analyzer, transfer, and detector-efficiency parameters.
+
+    Assembly: the four source groups (Alice photons, Bob photons, Alice
+    darks, Bob darks) each carry one (detector, origin) code pair.  Each
+    group's times are sorted on their own, then one stable merge orders the
+    stream, so equal times from different groups keep that group order.
+    Within a group equal times carry equal codes, so the in-group sort
+    cannot change a byte of the stream.
     """
     chain = config.chain
     rng = np.random.default_rng(config.seed)
     duration_ns = config.duration_s * 1e9
 
-    p_transfer = apply_transfer_thinning(chain.transfer_probability())
     keep_alice = chain.alice_interferometer.transmission * chain.alice_detector.quantum_efficiency
     keep_bob = (
         chain.bob_interferometer.transmission
-        * p_transfer
+        * chain.transfer_probability()
         * chain.bob_detector.quantum_efficiency
     )
     delay_alice = chain.alice_interferometer.delay_ns()
@@ -286,33 +282,33 @@ def simulate(config: SimConfig) -> EventStream:
     # Shared path bit: ss/ll label for central-class pairs (the two paths
     # are indistinguishable, the label only places absolute timestamps) and
     # the unobservable short/long choice for one-sided classes.
-    path_bit = rng.integers(0, 2, size=n_pairs).astype(np.float64)
+    path_bit = rng.integers(0, 2, size=n_pairs)
 
     thin_a = rng.random(n_pairs)
     thin_b = rng.random(n_pairs)
     jitter_a = rng.normal(0.0, 1.0, n_pairs)
     jitter_b = rng.normal(0.0, 1.0, n_pairs)
 
-    alice_offset = np.select(
-        [category == 0, category == 1, category == 2, category == 3],
-        [path_bit * delay_alice, 0.0, delay_alice, path_bit * delay_alice],
-        default=0.0,
-    )
-    bob_offset = np.select(
-        [category == 0, category == 1, category == 2, category == 4],
-        [path_bit * delay_bob, delay_bob, 0.0, path_bit * delay_bob],
-        default=0.0,
-    )
+    # Per-class lookup tables over outcome classes 0..5: which detectors the
+    # pair reaches, and each arrival offset as path_bit * scale + shift.
+    reach_a = np.array([True, True, True, True, False, False])
+    reach_b = np.array([True, True, True, False, True, False])
+    scale_a = np.array([delay_alice, 0.0, 0.0, delay_alice, 0.0, 0.0])
+    shift_a = np.array([0.0, 0.0, delay_alice, 0.0, 0.0, 0.0])
+    scale_b = np.array([delay_bob, 0.0, 0.0, 0.0, delay_bob, 0.0])
+    shift_b = np.array([0.0, delay_bob, 0.0, 0.0, 0.0, 0.0])
 
-    alice_reaches = np.isin(category, (0, 1, 2, 3))
-    bob_reaches = np.isin(category, (0, 1, 2, 4))
-    alice_kept = alice_reaches & (thin_a < keep_alice)
-    bob_kept = bob_reaches & (thin_b < keep_bob)
+    alice_kept = reach_a[category] & (thin_a < keep_alice)
+    bob_kept = reach_b[category] & (thin_b < keep_bob)
 
     sigma = chain.jitter_ns
-    alice_photon_times = emission[alice_kept] + alice_offset[alice_kept]
+    cat_a = category[alice_kept]
+    alice_offset = path_bit[alice_kept] * scale_a[cat_a] + shift_a[cat_a]
+    alice_photon_times = emission[alice_kept] + alice_offset
     alice_photon_times = alice_photon_times + jitter_a[alice_kept] * sigma
-    bob_photon_times = emission[bob_kept] + bob_offset[bob_kept]
+    cat_b = category[bob_kept]
+    bob_offset = path_bit[bob_kept] * scale_b[cat_b] + shift_b[cat_b]
+    bob_photon_times = emission[bob_kept] + bob_offset
     bob_photon_times = bob_photon_times + jitter_b[bob_kept] * sigma
 
     # ---- dark counts -------------------------------------------------
@@ -336,27 +332,15 @@ def simulate(config: SimConfig) -> EventStream:
         )
 
     # ---- assemble the stream -----------------------------------------
-    parts_t = [
-        alice_photon_times,
-        bob_photon_times,
-        dark_times["alice"],
-        dark_times["bob"],
-    ]
-    parts_d = [
-        np.zeros(alice_photon_times.size, dtype=np.uint8),
-        np.ones(bob_photon_times.size, dtype=np.uint8),
-        np.zeros(dark_times["alice"].size, dtype=np.uint8),
-        np.ones(dark_times["bob"].size, dtype=np.uint8),
-    ]
-    parts_o = [
-        np.zeros(alice_photon_times.size, dtype=np.uint8),
-        np.zeros(bob_photon_times.size, dtype=np.uint8),
-        np.ones(dark_times["alice"].size, dtype=np.uint8),
-        np.ones(dark_times["bob"].size, dtype=np.uint8),
-    ]
-    times = np.concatenate(parts_t)
-    dets = np.concatenate(parts_d)
-    origs = np.concatenate(parts_o)
+    # One (detector, origin) code pair per group; each group is sorted on
+    # its own, so the stable argsort below only merges four sorted runs.
+    groups = (alice_photon_times, bob_photon_times, dark_times["alice"], dark_times["bob"])
+    for part in groups:
+        part.sort()
+    sizes = [part.size for part in groups]
+    times = np.concatenate(groups)
+    dets = np.repeat(np.array([0, 1, 0, 1], dtype=np.uint8), sizes)
+    origs = np.repeat(np.array([0, 0, 1, 1], dtype=np.uint8), sizes)
 
     inside = (times >= 0.0) & (times < duration_ns)
     times, dets, origs = times[inside], dets[inside], origs[inside]

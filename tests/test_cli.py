@@ -205,6 +205,47 @@ def test_histogram_duration_flag_is_applied(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# bad inputs: exit 2 naming the field, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["budget", "histogram", "sweep"])
+def test_transfer_probability_above_one_is_a_config_error(tmp_path, capsys, command):
+    doc = fast_chain()
+    doc["chain"]["sfg"] = {"reservoir_power_w": 20.0}  # budget 1.39
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert "chain.sfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("duration_s",), float("nan")),
+        (("duration_s",), float("inf")),
+        (("chain", "source", "pair_rate_per_s"), float("nan")),
+        (("chain", "source", "pair_rate_per_s"), 10**400),  # beyond the float range
+        (("chain", "jitter_ns"), float("nan")),
+        (("seed",), 1.5),
+        (("chain", "histogram_bin_ns"), 0.07),  # +-3 ns is off a 0.07 ns grid
+    ],
+)
+def test_bad_field_is_a_config_error(tmp_path, capsys, keys, value):
+    doc = fast_chain()
+    section = doc
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    assert cli.main(["histogram", "--config", write_config(tmp_path, doc)]) == 2
+    assert keys[-1] in capsys.readouterr().err
+
+
+def test_non_finite_duration_flag_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, fast_chain())
+    assert cli.main(["histogram", "--config", cfg, "--duration", "nan"]) == 2
+    assert "duration_s" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
 

@@ -69,6 +69,13 @@ def test_load_config_rejects_non_object(tmp_path):
         pc.load_config(path)
 
 
+def test_load_config_rejects_integer_beyond_digit_limit(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"duration_s": 1' + "0" * 5000 + "}\n")
+    with pytest.raises(InvalidConfigError, match="cannot be parsed"):
+        pc.load_config(path)
+
+
 def test_preset_names_and_unknown_preset():
     assert preset_names() == ("fig2-baseline", "fig3-transfer")
     with pytest.raises(KeyError, match="available"):

@@ -194,6 +194,24 @@ def test_phase_averaged_one_two_one_law():
     assert central / late == pytest.approx(2.0, rel=0.05)
 
 
+def test_equal_times_keep_group_order():
+    # Jitter-free with matched analyzers: the Alice and Bob photons of a
+    # central-class pair land at exactly the same time.  The stream must be
+    # ordered by (time, group) with Alice photon < Bob photon < Alice dark
+    # < Bob dark, which fixes it completely given the drawn events.
+    chain_cfg = ideal_chain(
+        alice_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=1e-3),
+        bob_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=1e-3),
+    )
+    stream = ev.simulate(ev.SimConfig(chain=chain_cfg, duration_s=0.05, seed=113))
+    group = stream.detectors + 2 * stream.origins
+    tied = np.diff(stream.times_ns) == 0.0
+    assert np.any(tied & (group[:-1] == 0) & (group[1:] == 1))
+    np.testing.assert_array_equal(
+        np.lexsort((group, stream.times_ns)), np.arange(len(stream))
+    )
+
+
 def test_visibility_scales_the_fringe_not_the_sides():
     import dataclasses
 
@@ -217,16 +235,6 @@ def test_visibility_scales_the_fringe_not_the_sides():
 # ---------------------------------------------------------------------------
 # thinning
 # ---------------------------------------------------------------------------
-
-
-def test_apply_transfer_thinning_is_validated_identity():
-    assert ev.apply_transfer_thinning(1.0) == 1.0
-    assert ev.apply_transfer_thinning(0.0) == 0.0
-    assert ev.apply_transfer_thinning(0.0486) == pytest.approx(0.0486)
-    with pytest.raises(ValueError):
-        ev.apply_transfer_thinning(1.2)
-    with pytest.raises(ValueError):
-        ev.apply_transfer_thinning(-0.01)
 
 
 def test_transfer_stage_thins_bob_only():
