@@ -17,7 +17,7 @@ and is therefore fixed here rather than configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -49,7 +49,6 @@ __all__ = [
     "write_histogram_csv",
     "write_fringe_csv",
     "fit_to_dict",
-    "format_fit_report",
 ]
 
 # A sinusoidal two-photon fringe violates the CHSH bound S = 2 exactly when
@@ -141,38 +140,27 @@ class CoincidenceHistogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
+    def _axis(self) -> tuple:
+        """Grid and detector roles: what two histograms must share to compare or add."""
+        return (
+            self.bin_width_ns,
+            self.range_min_ns,
+            self.range_max_ns,
+            self.start_detector,
+            self.stop_detector,
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoincidenceHistogram):
             return NotImplemented
-        return (
-            self.bin_width_ns == other.bin_width_ns
-            and self.range_min_ns == other.range_min_ns
-            and self.range_max_ns == other.range_max_ns
-            and self.start_detector == other.start_detector
-            and self.stop_detector == other.stop_detector
-            and np.array_equal(self.counts, other.counts)
-        )
+        return self._axis() == other._axis() and np.array_equal(self.counts, other.counts)
 
     def __add__(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
         if not isinstance(other, CoincidenceHistogram):
             return NotImplemented
-        same_axis = (
-            self.bin_width_ns == other.bin_width_ns
-            and self.range_min_ns == other.range_min_ns
-            and self.range_max_ns == other.range_max_ns
-            and self.start_detector == other.start_detector
-            and self.stop_detector == other.stop_detector
-        )
-        if not same_axis:
+        if self._axis() != other._axis():
             raise ValueError("cannot add histograms with different grids or detector roles")
-        return CoincidenceHistogram(
-            bin_width_ns=self.bin_width_ns,
-            range_min_ns=self.range_min_ns,
-            range_max_ns=self.range_max_ns,
-            counts=self.counts + other.counts,
-            start_detector=self.start_detector,
-            stop_detector=self.stop_detector,
-        )
+        return replace(self, counts=self.counts + other.counts)
 
 
 def build_histogram(
@@ -190,29 +178,23 @@ def build_histogram(
     stream yields an all-zero histogram.
     """
     lo, hi = float(range_ns[0]), float(range_ns[1])
-    if not bin_width_ns > 0.0:
+    width = float(bin_width_ns)
+    if not width > 0.0:
         raise ValueError(f"bin width must be positive, got {bin_width_ns!r}")
-    hist = CoincidenceHistogram(
-        bin_width_ns=float(bin_width_ns),
-        range_min_ns=lo,
-        range_max_ns=hi,
-        counts=np.zeros(max(int(round((hi - lo) / bin_width_ns)), 1), dtype=np.int64),
-        start_detector=start_detector,
-        stop_detector=stop_detector,
-    )
+    n_bins = max(int(round((hi - lo) / width)), 1)
+    counts = np.zeros(n_bins, dtype=np.int64)
     starts = events.detector_times(start_detector)
     stops = events.detector_times(stop_detector)
-    if starts.size == 0 or stops.size == 0:
-        return hist
-    first = np.searchsorted(stops, starts + lo, side="left")
-    valid = first < stops.size
-    tau = stops[first[valid]] - starts[valid]
-    tau = tau[tau < hi]
-    indices = np.floor((tau - lo) / hist.bin_width_ns).astype(np.int64)
-    indices = np.minimum(indices, hist.n_bins - 1)  # guard float roundoff at hi
-    counts = np.bincount(indices, minlength=hist.n_bins)
+    if starts.size and stops.size:
+        first = np.searchsorted(stops, starts + lo, side="left")
+        valid = first < stops.size
+        tau = stops[first[valid]] - starts[valid]
+        tau = tau[tau < hi]
+        indices = np.floor((tau - lo) / width).astype(np.int64)
+        indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
+        counts = np.bincount(indices, minlength=n_bins)
     return CoincidenceHistogram(
-        bin_width_ns=hist.bin_width_ns,
+        bin_width_ns=width,
         range_min_ns=lo,
         range_max_ns=hi,
         counts=counts,
@@ -262,15 +244,22 @@ def _bin_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> tuple[int, i
     return i, max(j, i)
 
 
-def locate_peaks(
-    hist: CoincidenceHistogram,
-    expected_spacing_ns: float,
-    window_half_ns: float | None = None,
-) -> PeakWindows:
+def _background_tally(hist: CoincidenceHistogram, intervals) -> tuple[int, int]:
+    """(number of complete bins, total counts) over (low, high) background intervals."""
+    n_bins = 0
+    total = 0
+    for lo, hi in intervals:
+        i, j = _bin_slice(hist, lo, hi)
+        n_bins += j - i
+        total += int(hist.counts[i:j].sum())
+    return n_bins, total
+
+
+def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> PeakWindows:
     """Find the three coincidence peaks near 0 and +-expected_spacing_ns.
 
     Each peak is the largest bin within a quarter spacing of its expected
-    position.  The shared window half-width defaults to 3 sigma of the
+    position.  The shared window half-width is 3 sigma of the
     central peak (second moment above baseline), capped at 0.45 spacing so
     the three windows stay disjoint even for wide peaks.  Background
     intervals are everything at least two window-widths away from every
@@ -305,30 +294,20 @@ def locate_peaks(
     gap = min(peak_centers[1] - peak_centers[0], peak_centers[2] - peak_centers[1])
     if gap <= hist.bin_width_ns:
         raise PeaksNotFound("located peak maxima are not separated")
-    if window_half_ns is None:
-        # Width of the central peak from its background-subtracted second
-        # moment; the baseline is the median bin, which sits in the flat
-        # background for any peaked histogram.
-        c0 = peak_centers[1]
-        sel = np.abs(centers - c0) <= 0.45 * spacing
-        weights = counts[sel].astype(float) - float(np.median(counts))
-        weights = np.clip(weights, 0.0, None)
-        if weights.sum() > 0.0:
-            mu = np.average(centers[sel], weights=weights)
-            sigma = math.sqrt(float(np.average((centers[sel] - mu) ** 2, weights=weights)))
-        else:
-            sigma = hist.bin_width_ns
-        half = min(3.0 * sigma, 0.45 * spacing, 0.49 * gap)
-        half = max(half, hist.bin_width_ns)
+    # Width of the central peak from its background-subtracted second
+    # moment; the baseline is the median bin, which sits in the flat
+    # background for any peaked histogram.
+    c0 = peak_centers[1]
+    sel = np.abs(centers - c0) <= 0.45 * spacing
+    weights = counts[sel].astype(float) - float(np.median(counts))
+    weights = np.clip(weights, 0.0, None)
+    if weights.sum() > 0.0:
+        mu = np.average(centers[sel], weights=weights)
+        sigma = math.sqrt(float(np.average((centers[sel] - mu) ** 2, weights=weights)))
     else:
-        half = float(window_half_ns)
-        if not 0.0 < half < 0.5 * spacing:
-            raise ValueError("window half-width must lie in (0, spacing/2)")
-        if half >= 0.5 * gap:
-            raise ValueError(
-                f"window half-width {half} ns overlaps neighbouring peaks "
-                f"located {gap:.4f} ns apart"
-            )
+        sigma = hist.bin_width_ns
+    half = min(3.0 * sigma, 0.45 * spacing, 0.49 * gap)
+    half = max(half, hist.bin_width_ns)
 
     windows = [
         (max(c - half, hist.range_min_ns), min(c + half, hist.range_max_ns))
@@ -356,12 +335,7 @@ def locate_peaks(
             "widen the histogram range or narrow the windows"
         )
 
-    n_bg_bins = 0
-    bg_total = 0
-    for lo, hi in background:
-        i, j = _bin_slice(hist, lo, hi)
-        n_bg_bins += j - i
-        bg_total += int(counts[i:j].sum())
+    n_bg_bins, bg_total = _background_tally(hist, background)
     bg_mean = bg_total / n_bg_bins
     threshold = max(5.0 * bg_mean, 5.0)
     weak = [
@@ -404,12 +378,7 @@ def estimate_accidentals(hist: CoincidenceHistogram, windows: PeakWindows) -> fl
     scaled by the central window's width.  Because all three peak windows
     share one width, the same number applies to the side windows.
     """
-    n_bins = 0
-    total = 0
-    for lo, hi in windows.background:
-        i, j = _bin_slice(hist, lo, hi)
-        n_bins += j - i
-        total += int(hist.counts[i:j].sum())
+    n_bins, total = _background_tally(hist, windows.background)
     if n_bins == 0:
         raise NoBackground("background intervals contain no complete bins")
     per_ns = total / (n_bins * hist.bin_width_ns)
@@ -608,8 +577,3 @@ def write_fringe_csv(points, path) -> None:
 
 def fit_to_dict(fit: FringeFit) -> dict:
     return {f.name: getattr(fit, f.name) for f in fields(fit)}
-
-
-def format_fit_report(fit: FringeFit) -> str:
-    """Flat key=value rendering of a fit, one field per line."""
-    return "\n".join(f"{k}={v!r}" for k, v in fit_to_dict(fit).items()) + "\n"

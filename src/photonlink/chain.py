@@ -223,6 +223,11 @@ class ChainConfig:
                 raise ValueError(
                     f"chain.sfg gives a transfer probability of {prob:.4g}; it must not exceed 1"
                 )
+        if self.alice_detector.role == "gated" and self.bob_detector.role == "gated":
+            raise ValueError(
+                "alice_detector.role and bob_detector.role are both 'gated': "
+                "each detector would wait for the other's click"
+            )
         names = {self.start_detector, self.stop_detector}
         if names != {"alice", "bob"}:
             raise ValueError(
@@ -489,9 +494,7 @@ def expected_rates(chain: ChainConfig) -> RateReport:
 
     # Free-running dark rates do not depend on the partner; gated ones do.
     # Resolve free-running detectors first so a gated partner sees the full
-    # trigger rate.
-    if chain.alice_detector.role == "gated" and chain.bob_detector.role == "gated":
-        raise ValueError("both detectors gated: no free-running trigger available")
+    # trigger rate (ChainConfig guarantees at least one is free-running).
     if chain.bob_detector.role == "free_running":
         bob_dark = _dark_singles(chain, "bob", 0.0)
         bob_singles = bob_photon + bob_dark

@@ -1,22 +1,28 @@
-"""Config files: JSON documents mirroring the simulation dataclasses.
+"""Simulation configuration: the SimConfig record and its JSON documents.
 
 A config document has the same shape as ``dataclasses.asdict(SimConfig)``:
 top-level simulation fields plus a ``chain`` section whose sub-sections map
 one-to-one onto the parameter records in :mod:`photonlink.chain`.  Missing
-fields fall back to the dataclass defaults; unknown fields are rejected
-with the offending section named, so typos fail loudly.
+fields fall back to the dataclass defaults; unknown fields, and values whose
+type does not match the field's default, are rejected with the offending
+field and section named, so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import chain as ch
-from .events import InvalidConfigError, SimConfig
 
 __all__ = [
+    "InvalidConfigError",
+    "SimConfig",
     "chain_from_dict",
     "sim_config_from_dict",
     "sim_config_to_dict",
@@ -25,19 +31,57 @@ __all__ = [
 ]
 
 
+class InvalidConfigError(ValueError):
+    """Simulation configuration is internally inconsistent."""
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Everything simulate() needs: the chain, the state, and the run window."""
+
+    chain: ch.ChainConfig = field(default_factory=ch.ChainConfig)
+    visibility: float = 0.97
+    duration_s: float = 1.0
+    seed: int = 0
+    phase_averaged: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.visibility <= 1.0:
+            raise InvalidConfigError(f"visibility must lie in [0, 1], got {self.visibility!r}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise InvalidConfigError(
+                f"duration_s must be positive and finite, got {self.duration_s!r}"
+            )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfigError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
+
+
+def _field_error(default, value) -> str | None:
+    """What a supplied value must be, judged by its field's default; None when it is."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a boolean"
+    if isinstance(default, (int, float)):
+        # rejects bools and strings, and NaN, +-Infinity and integers beyond the float range
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return None if number and abs(value) <= sys.float_info.max else "a finite number"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
+    return None  # nested sections are built and checked on their own
+
+
 def _build(cls, data: dict, section: str):
     if not isinstance(data, dict):
         raise InvalidConfigError(f"section {section!r} must be an object, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise InvalidConfigError(f"unknown field(s) {', '.join(unknown)} in section {section!r}")
     for name, value in data.items():
-        # NaN, +-Infinity and integers beyond the float range
-        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-            raise InvalidConfigError(
-                f"field {name} in section {section!r} must be a finite number"
-            )
+        expected = _field_error(defaults[name], value)
+        if expected is not None:
+            raise InvalidConfigError(f"field {name} in section {section!r} must be {expected}")
     try:
         return cls(**data)
     except InvalidConfigError:
@@ -47,6 +91,8 @@ def _build(cls, data: dict, section: str):
 
 
 def chain_from_dict(data: dict) -> ch.ChainConfig:
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"section 'chain' must be an object, got {type(data).__name__}")
     data = dict(data)
     converted: dict = {}
     sections = {

@@ -32,21 +32,17 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainConfig
+from .config import SimConfig
 
 __all__ = [
     "DETECTORS",
     "ORIGINS",
     "ConfigMismatchError",
-    "DetectionEvent",
     "EventStream",
-    "InvalidConfigError",
-    "SimConfig",
     "config_hash",
     "merge",
     "read_events",
@@ -60,40 +56,8 @@ ORIGINS = ("photon", "dark")
 _FORMAT_LINE = "# photonlink-events 1"
 
 
-class InvalidConfigError(ValueError):
-    """Simulation configuration is internally inconsistent."""
-
-
 class ConfigMismatchError(ValueError):
     """Streams with different configurations (or clashing seeds) cannot merge."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Everything simulate() needs: the chain, the state, and the run window."""
-
-    chain: ChainConfig = field(default_factory=ChainConfig)
-    visibility: float = 0.97
-    duration_s: float = 1.0
-    seed: int = 0
-    phase_averaged: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.visibility <= 1.0:
-            raise InvalidConfigError(f"visibility must lie in [0, 1], got {self.visibility!r}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise InvalidConfigError(
-                f"duration_s must be positive and finite, got {self.duration_s!r}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfigError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
-        if (
-            self.chain.alice_detector.role == "gated"
-            and self.chain.bob_detector.role == "gated"
-        ):
-            raise InvalidConfigError("both detectors gated: each would wait for the other's click")
 
 
 def config_hash(config: SimConfig) -> str:
@@ -108,25 +72,13 @@ def config_hash(config: SimConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One click: timestamp in ns, which detector, and the ground-truth origin.
-
-    The origin tag exists for simulation diagnostics only; analysis code
-    never reads it, exactly like a real counter card.
-    """
-
-    time_ns: float
-    detector: str
-    origin: str
-
-
 class EventStream:
     """Time-ordered click record held as columnar numpy arrays.
 
     ``times_ns`` is float64, ``detectors`` and ``origins`` are uint8 codes
-    into DETECTORS / ORIGINS.  Iteration yields DetectionEvent objects for
-    convenience; bulk consumers should read the arrays directly.
+    into DETECTORS / ORIGINS.  The origin tag (photon or dark) exists for
+    simulation diagnostics only; analysis code never reads it, exactly like
+    a real counter card.
     """
 
     def __init__(
@@ -166,10 +118,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return int(self.times_ns.size)
-
-    def __iter__(self):
-        for t, d, o in zip(self.times_ns, self.detectors, self.origins):
-            yield DetectionEvent(float(t), DETECTORS[d], ORIGINS[o])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):

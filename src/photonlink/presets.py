@@ -23,10 +23,22 @@ phase sweep collects a few hundred coincidences per point.
 
 from __future__ import annotations
 
-from .config import sim_config_from_dict
-from .events import SimConfig
+from .config import SimConfig, sim_config_from_dict
 
-__all__ = ["PRESETS", "preset_names", "preset_config"]
+__all__ = ["PRESETS", "PEAK_RATIO_TARGET", "REPORT_TARGETS", "preset_names", "preset_config"]
+
+# Reference targets the report command checks measured values against.
+# Visibility intervals are the reproduction tolerances; the fidelity
+# interval follows from the net-visibility interval through (1 + v) / 2.
+REPORT_TARGETS = {
+    "fig2-baseline": {"v_raw": (0.85, 0.90), "v_net": (0.95, 0.99)},
+    "fig3-transfer": {
+        "v_raw": (0.84, 0.89),
+        "v_net": (0.95, 1.00),
+        "transfer_probability": (0.0485, 0.0487),
+    },
+}
+PEAK_RATIO_TARGET = (1.90, 2.10)
 
 
 PRESETS: dict[str, dict] = {

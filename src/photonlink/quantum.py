@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "B_DIM",
     "DIM",
     "SIDE_PEAK_PROBABILITY",
-    "BinLabel",
     "CouplingPair",
     "DegenerateError",
     "EmptySectorError",
@@ -89,13 +87,6 @@ class VisibilityRangeError(ValueError):
 
 class DegenerateError(ValueError):
     """Fringe extrema carry no counts, visibility undefined."""
-
-
-class BinLabel(IntEnum):
-    """Time-bin index of the entangled pair; BIN1 is the early (short-path) bin."""
-
-    BIN1 = 1
-    BIN2 = 2
 
 
 def basis_index(a: int, b: int, bp: int) -> int:

@@ -20,6 +20,7 @@ from photonlink import chain as ch
 from photonlink import cli
 from photonlink import events as ev
 from photonlink import quantum as q
+from photonlink.config import SimConfig
 from photonlink.presets import preset_config
 
 
@@ -233,7 +234,7 @@ def test_10_fit_oracle():
 
 def test_11_determinism(tmp_path):
     with criterion(11, "same (config, seed) gives byte-identical streams and files"):
-        cfg = ev.SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=0.2, seed=7)
+        cfg = SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=0.2, seed=7)
         path_a, path_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         ev.write_events(ev.simulate(cfg), path_a)
         ev.write_events(ev.simulate(cfg), path_b)

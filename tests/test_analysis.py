@@ -9,6 +9,7 @@ import pytest
 from photonlink import analysis as an
 from photonlink import chain as ch
 from photonlink import events as ev
+from photonlink.config import SimConfig
 
 
 DETECTOR_CODE = {name: i for i, name in enumerate(ev.DETECTORS)}
@@ -167,14 +168,6 @@ def test_locate_peaks_needs_range_covering_sides():
         an.locate_peaks(hist, 0.66713)
 
 
-def test_locate_peaks_explicit_half_width():
-    hist = synthetic_three_peak()
-    windows = an.locate_peaks(hist, 0.66713, window_half_ns=0.2)
-    assert windows.central[1] - windows.central[0] == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        an.locate_peaks(hist, 0.66713, window_half_ns=0.4)  # >= spacing/2
-
-
 def test_phase_averaged_simulation_shows_one_two_one_areas():
     chain_cfg = ch.ChainConfig(
         source=ch.SourceParams(pair_rate_per_s=200_000.0),
@@ -184,7 +177,7 @@ def test_phase_averaged_simulation_shows_one_two_one_areas():
         bob_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=0.0),
         jitter_ns=0.1,
     )
-    cfg = ev.SimConfig(chain=chain_cfg, visibility=1.0, duration_s=1.0, seed=77, phase_averaged=True)
+    cfg = SimConfig(chain=chain_cfg, visibility=1.0, duration_s=1.0, seed=77, phase_averaged=True)
     hist = an.build_histogram(ev.simulate(cfg))
     windows = an.locate_peaks(hist, chain_cfg.bob_interferometer.delay_ns())
     central = an.count_window(hist, windows.central)
@@ -250,7 +243,7 @@ def test_estimate_accidentals_zero_dark_run_is_zero():
         bob_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=0.0),
         jitter_ns=0.1,
     )
-    cfg = ev.SimConfig(chain=chain_cfg, visibility=1.0, duration_s=0.5, seed=78, phase_averaged=True)
+    cfg = SimConfig(chain=chain_cfg, visibility=1.0, duration_s=0.5, seed=78, phase_averaged=True)
     hist = an.build_histogram(ev.simulate(cfg))
     windows = an.locate_peaks(hist, chain_cfg.bob_interferometer.delay_ns())
     # Without darks the only background is foreign-pair pile-up, a fraction
@@ -419,7 +412,7 @@ def run_small_sweep(alice_dark_per_ns, seed0):
     total = None
     per_point = []
     for i, phi in enumerate(phis):
-        cfg = ev.SimConfig(
+        cfg = SimConfig(
             chain=dataclasses.replace(
                 chain_cfg,
                 alice_interferometer=dataclasses.replace(

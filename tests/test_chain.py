@@ -213,12 +213,11 @@ def test_accidental_fraction_and_predicted_ratio():
 
 
 def test_both_detectors_gated_rejected():
-    cfg = ch.ChainConfig(
-        alice_detector=ch.DetectorParams(quantum_efficiency=0.14, role="gated"),
-        bob_detector=ch.DetectorParams(quantum_efficiency=0.10, role="gated"),
-    )
-    with pytest.raises(ValueError):
-        ch.expected_rates(cfg)
+    with pytest.raises(ValueError, match="alice_detector.role and bob_detector.role"):
+        ch.ChainConfig(
+            alice_detector=ch.DetectorParams(quantum_efficiency=0.14, role="gated"),
+            bob_detector=ch.DetectorParams(quantum_efficiency=0.10, role="gated"),
+        )
 
 
 # ---------------------------------------------------------------------------

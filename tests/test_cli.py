@@ -227,6 +227,12 @@ def test_transfer_probability_above_one_is_a_config_error(tmp_path, capsys, comm
         (("chain", "jitter_ns"), float("nan")),
         (("seed",), 1.5),
         (("chain", "histogram_bin_ns"), 0.07),  # +-3 ns is off a 0.07 ns grid
+        (("duration_s",), "abc"),
+        (("chain", "jitter_ns"), "abc"),
+        (("chain", "source", "pair_rate_per_s"), [1]),
+        (("phase_averaged",), "yes"),
+        (("visibility",), True),
+        (("chain", "alice_detector", "role"), 5),
     ],
 )
 def test_bad_field_is_a_config_error(tmp_path, capsys, keys, value):

@@ -3,10 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from photonlink import analysis as an
 from photonlink import chain as ch
 from photonlink import config as pc
-from photonlink.events import InvalidConfigError, SimConfig
+from photonlink.config import InvalidConfigError, SimConfig
+from photonlink.events import simulate
 from photonlink.presets import PRESETS, preset_config, preset_names
 
 
@@ -41,6 +45,14 @@ def test_invalid_value_names_the_section():
     doc = {"chain": {"source": {"pair_rate_per_s": -5.0}}}
     with pytest.raises(InvalidConfigError, match="chain.source"):
         pc.sim_config_from_dict(doc)
+
+
+def test_both_detectors_gated_is_a_config_error(tmp_path):
+    path = tmp_path / "gated.json"
+    roles = {"alice_detector": {"role": "gated"}, "bob_detector": {"role": "gated"}}
+    path.write_text(json.dumps({"chain": roles}))
+    with pytest.raises(InvalidConfigError, match="role"):
+        pc.load_config(path)
 
 
 def test_sfg_section_optional_and_nullable():
@@ -105,3 +117,107 @@ def test_transfer_preset_operating_point():
     assert cfg.chain.transfer_probability() == pytest.approx(0.0486, abs=1e-4)
     assert cfg.chain.source.alice_filter_bandwidth_nm == 1.5
     assert cfg.chain.bob_detector.quantum_efficiency == 0.60
+
+
+# ---------------------------------------------------------------------------
+# property: every document is rejected at the boundary or runs cleanly
+# ---------------------------------------------------------------------------
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Valid-looking values, bounded so that one run stays tiny: at most 1e5
+# pairs/s, 1e-3 darks/ns and 1 ms of acquisition.
+SIM_FIELDS = {
+    "visibility": _floats(0.0, 1.0),
+    "duration_s": _floats(1e-9, 1e-3),
+    "seed": st.integers(0, 2**64 - 1),
+    "phase_averaged": st.booleans(),
+}
+CHAIN_FIELDS = {
+    "jitter_ns": _floats(0.0, 1.0),
+    "coincidence_window_ns": _floats(0.01, 2.0),
+    "start_detector": st.sampled_from(["alice", "bob"]),
+    "stop_detector": st.sampled_from(["alice", "bob"]),
+    "histogram_bin_ns": st.sampled_from([0.05, 0.07, 0.1]),
+    "histogram_half_range_ns": st.sampled_from([1.0, 2.0, 3.0]),
+}
+SOURCE_FIELDS = {
+    "pair_rate_per_s": _floats(0.0, 1e5),
+    "raw_bandwidth_nm": _floats(0.1, 50.0),
+    "alice_filter_bandwidth_nm": _floats(0.1, 50.0),
+}
+INTERFEROMETER_FIELDS = {
+    "path_imbalance_m": _floats(0.01, 1.0),
+    "phase_rad": _floats(-10.0, 10.0),
+    "transmission": _floats(0.01, 1.0),
+}
+DETECTOR_FIELDS = {
+    "quantum_efficiency": _floats(0.01, 1.0),
+    "dark_prob_per_ns": _floats(0.0, 1e-3),
+    "role": st.sampled_from(["free_running", "gated"]),
+    "gate_width_ns": _floats(0.1, 10.0),
+}
+SFG_FIELDS = {
+    "reservoir_power_w": _floats(0.0, 2.0),
+    "efficiency_per_watt": _floats(0.01, 1.0),
+    "coupling_qubit": _floats(0.01, 1.0),
+}
+CHAIN_SECTIONS = {
+    "source": SOURCE_FIELDS,
+    "alice_interferometer": INTERFEROMETER_FIELDS,
+    "bob_interferometer": INTERFEROMETER_FIELDS,
+    "alice_detector": DETECTOR_FIELDS,
+    "bob_detector": DETECTOR_FIELDS,
+    "sfg": SFG_FIELDS,
+}
+GARBAGE = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -1.0, 10**400, "abc", True, None, [1], {}]
+)
+
+
+def _sections(doc: dict):
+    yield doc
+    for value in doc.values():
+        if isinstance(value, dict):
+            yield from _sections(value)
+
+
+@st.composite
+def config_documents(draw):
+    """A bounded document, then at most one wrong value or unknown key."""
+    doc = draw(st.fixed_dictionaries({}, optional=SIM_FIELDS))
+    if draw(st.booleans()):
+        chain = draw(st.fixed_dictionaries({}, optional=CHAIN_FIELDS))
+        for name, fields in CHAIN_SECTIONS.items():
+            if draw(st.booleans()):
+                chain[name] = draw(st.fixed_dictionaries({}, optional=fields))
+        doc["chain"] = chain
+    mutation = draw(st.sampled_from(["none", "value", "unknown"]))
+    if mutation != "none":
+        section = draw(st.sampled_from(list(_sections(doc))))
+        if mutation == "unknown" or not section:
+            section["bogus"] = 1.0
+        else:
+            section[draw(st.sampled_from(sorted(section)))] = draw(GARBAGE)
+    return json.loads(json.dumps(doc))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config_documents())
+def test_any_document_is_rejected_or_runs(doc):
+    try:
+        cfg = pc.sim_config_from_dict(doc)
+    except InvalidConfigError:
+        return
+    chain = cfg.chain
+    half = chain.histogram_half_range_ns
+    an.build_histogram(
+        simulate(cfg),
+        start_detector=chain.start_detector,
+        stop_detector=chain.stop_detector,
+        bin_width_ns=chain.histogram_bin_ns,
+        range_ns=(-half, half),
+    )
