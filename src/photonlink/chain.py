@@ -34,7 +34,6 @@ __all__ = [
     "expected_rates",
     "franson_validity",
     "reservoir_coherence_ok",
-    "sfg_acceptance",
     "sfg_transfer_probability",
 ]
 
@@ -66,7 +65,6 @@ class SourceParams:
     the interferometers.
     """
 
-    pump_wavelength_nm: float = 711.6
     pump_coherence_length_m: float = 300.0
     signal_wavelength_nm: float = 1555.0  # travels to Alice
     idler_wavelength_nm: float = 1312.0  # travels to Bob / the transfer stage
@@ -76,7 +74,6 @@ class SourceParams:
 
     def __post_init__(self) -> None:
         for name in (
-            "pump_wavelength_nm",
             "pump_coherence_length_m",
             "signal_wavelength_nm",
             "idler_wavelength_nm",
@@ -128,7 +125,6 @@ class SfgParams:
     input_wavelength_nm: float = 1312.0
     output_wavelength_nm: float = 712.4
     reservoir_coherence_length_m: float = 1000.0
-    acceptance_halving_nm: float = 1.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -137,7 +133,6 @@ class SfgParams:
             "input_wavelength_nm",
             "output_wavelength_nm",
             "reservoir_coherence_length_m",
-            "acceptance_halving_nm",
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -390,13 +385,6 @@ def sfg_transfer_probability(p: SfgParams) -> float:
             stacklevel=2,
         )
     return prob
-
-
-def sfg_acceptance(detuning_nm: float, halving_nm: float) -> float:
-    """Spectral acceptance 2^(-(detuning/halving)^2), halving at +-1 unit."""
-    if halving_nm <= 0.0:
-        raise ValueError(f"halving_nm must be positive, got {halving_nm!r}")
-    return 2.0 ** (-((detuning_nm / halving_nm) ** 2))
 
 
 @dataclass(frozen=True)

@@ -352,49 +352,62 @@ def _interval_row(name: str, measured: float, interval: tuple[float, float]) -> 
     }
 
 
-def _rows_for_fit(doc: dict) -> list[dict]:
-    label = doc.get("label", "custom")
+def _number(section: dict, key: str, prefix: str = "") -> float:
+    """A numeric field of a report input; a missing or non-numeric one is a usage error."""
+    if key not in section:
+        raise InvalidConfigError(f"field {prefix}{key} is missing")
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfigError(f"field {prefix}{key} must be a number, got {value!r}")
+    if abs(value) > sys.float_info.max:  # +-Infinity or a huge integer; NaN just fails its row
+        raise InvalidConfigError(f"field {prefix}{key} lies beyond the float range")
+    return float(value)
+
+
+def _rows_for_fit(doc: dict, label: str) -> list[dict]:
     fit = doc["fit"]
+    if not isinstance(fit, dict):
+        raise InvalidConfigError(f"field fit must be an object, got {fit!r}")
     targets = REPORT_TARGETS.get(label, {})
     rows = []
     if "v_raw" in targets:
-        rows.append(_interval_row(f"v_raw ({label})", fit["v_raw"], targets["v_raw"]))
+        v_raw = _number(fit, "v_raw", "fit.")
+        rows.append(_interval_row(f"v_raw ({label})", v_raw, targets["v_raw"]))
     v_net_interval = targets.get("v_net")
     if v_net_interval is None and "configured_visibility" in doc:
-        v0 = doc["configured_visibility"]
+        v0 = _number(doc, "configured_visibility")
         v_net_interval = (v0 - 0.02, min(v0 + 0.02, 1.0))
     if v_net_interval is not None:
-        rows.append(_interval_row(f"v_net ({label})", fit["v_net"], v_net_interval))
+        v_net = _number(fit, "v_net", "fit.")
+        rows.append(_interval_row(f"v_net ({label})", v_net, v_net_interval))
         f_lo = an.fidelity_from_visibility(v_net_interval[0])
         f_hi = an.fidelity_from_visibility(v_net_interval[1])
-        rows.append(_interval_row(f"fidelity ({label})", doc["fidelity"], (f_lo, f_hi)))
+        rows.append(_interval_row(f"fidelity ({label})", _number(doc, "fidelity"), (f_lo, f_hi)))
     return rows
 
 
-def _rows_for_budget(doc: dict) -> list[dict]:
-    label = doc.get("label", "custom")
+def _rows_for_budget(doc: dict, label: str) -> list[dict]:
+    passed = doc.get("franson_passed")
+    if not isinstance(passed, bool):
+        raise InvalidConfigError(f"field franson_passed must be true or false, got {passed!r}")
     rows = [
         {
             "quantity": f"franson validity ({label})",
-            "measured": "pass" if doc["franson_passed"] else "fail",
+            "measured": "pass" if passed else "fail",
             "target": "pass",
-            "passed": bool(doc["franson_passed"]),
+            "passed": passed,
         }
     ]
-    transfer = doc.get("transfer_probability")
     interval = REPORT_TARGETS.get(label, {}).get("transfer_probability")
-    if transfer is not None and interval is not None:
+    if doc.get("transfer_probability") is not None and interval is not None:
+        transfer = _number(doc, "transfer_probability")
         rows.append(_interval_row(f"transfer probability ({label})", transfer, interval))
     return rows
 
 
-def _rows_for_peaks(doc: dict) -> list[dict]:
-    label = doc.get("label", "custom")
-    return [
-        _interval_row(
-            f"central:side ratio ({label})", doc["area_ratio_central_to_side"], PEAK_RATIO_TARGET
-        )
-    ]
+def _rows_for_peaks(doc: dict, label: str) -> list[dict]:
+    ratio = _number(doc, "area_ratio_central_to_side")
+    return [_interval_row(f"central:side ratio ({label})", ratio, PEAK_RATIO_TARGET)]
 
 
 def cmd_report(args) -> int:
@@ -407,18 +420,27 @@ def cmd_report(args) -> int:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"report input {path} is not valid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # e.g. an integer literal beyond the digit limit
+            raise InvalidConfigError(f"report input {path} cannot be parsed: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidConfigError(f"report input {path} must hold a JSON object")
         if "fit" in doc:
-            rows.extend(_rows_for_fit(doc))
+            rows_for = _rows_for_fit
         elif "franson" in doc:
-            rows.extend(_rows_for_budget(doc))
+            rows_for = _rows_for_budget
         elif "area_ratio_central_to_side" in doc:
-            rows.extend(_rows_for_peaks(doc))
+            rows_for = _rows_for_peaks
         else:
             raise InvalidConfigError(
                 f"report input {path} is not a recognized fit/budget/peaks document"
             )
+        label = doc.get("label", "custom")
+        try:
+            if not isinstance(label, str):
+                raise InvalidConfigError(f"field label must be a string, got {label!r}")
+            rows.extend(rows_for(doc, label))
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"report input {path}: {exc}") from exc
     if not rows:
         raise InvalidConfigError("report inputs produced no comparable quantities")
 

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import chain as ch
 
 __all__ = [
+    "MAX_EXPECTED_EVENTS",
     "InvalidConfigError",
     "SimConfig",
     "chain_from_dict",
@@ -29,6 +31,13 @@ __all__ = [
     "load_config",
     "dump_config",
 ]
+
+
+# Largest expected duration_s x (pair rate + Alice singles + Bob singles) one
+# simulate() call may draw.  The dense phase-averaged source peaks at about
+# 85 bytes per expected event (422 MB for 4 M), so the cap bounds one run
+# near 2.6 GB; a full-length fig3-transfer point expects about 11 M events.
+MAX_EXPECTED_EVENTS = 3.0e7
 
 
 class InvalidConfigError(ValueError):
@@ -56,6 +65,18 @@ class SimConfig:
             raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfigError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
+        with warnings.catch_warnings():  # the budget warns on its own, not at config load
+            warnings.simplefilter("ignore", ch.SaturationWarning)
+            rates = ch.expected_rates(self.chain)
+        singles = rates.alice_singles_per_s + rates.bob_singles_per_s
+        estimate = self.duration_s * (self.chain.source.pair_rate_per_s + singles)
+        if not estimate <= MAX_EXPECTED_EVENTS:  # also refuses NaN, e.g. inf x 0 gated darks
+            raise InvalidConfigError(
+                f"duration_s x (chain.source.pair_rate_per_s + expected singles) = "
+                f"{estimate:.3g} events exceeds MAX_EXPECTED_EVENTS = {MAX_EXPECTED_EVENTS:.3g}; "
+                "lower duration_s, pair_rate_per_s, or the detectors' dark_prob_per_ns "
+                "and gate_width_ns"
+            )
 
 
 def _field_error(default, value) -> str | None:

@@ -28,48 +28,16 @@ rates never perturbs the photon events.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .config import SimConfig
 
-__all__ = [
-    "DETECTORS",
-    "ORIGINS",
-    "ConfigMismatchError",
-    "EventStream",
-    "config_hash",
-    "merge",
-    "read_events",
-    "simulate",
-    "write_events",
-]
+__all__ = ["DETECTORS", "ORIGINS", "EventStream", "simulate"]
 
 DETECTORS = ("alice", "bob")
 ORIGINS = ("photon", "dark")
-
-_FORMAT_LINE = "# photonlink-events 1"
-
-
-class ConfigMismatchError(ValueError):
-    """Streams with different configurations (or clashing seeds) cannot merge."""
-
-
-def config_hash(config: SimConfig) -> str:
-    """SHA-256 over the canonical JSON form of the configuration.
-
-    The seed is excluded: it identifies a shard, not a physical setup, and
-    streams that differ only in seed are exactly the ones merge() accepts.
-    """
-    record = dataclasses.asdict(config)
-    record.pop("seed", None)
-    payload = json.dumps(record, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class EventStream:
@@ -88,9 +56,6 @@ class EventStream:
         origins: np.ndarray,
         *,
         duration_ns: float,
-        seeds: tuple[int, ...],
-        config: SimConfig | None = None,
-        config_digest: str | None = None,
     ) -> None:
         times = np.asarray(times_ns, dtype=np.float64)
         dets = np.asarray(detectors, dtype=np.uint8)
@@ -109,12 +74,6 @@ class EventStream:
         self.detectors = dets
         self.origins = origs
         self.duration_ns = float(duration_ns)
-        self.seeds = tuple(int(s) for s in seeds)
-        self.config = config
-        if config is not None:
-            self.config_digest = config_hash(config)
-        else:
-            self.config_digest = config_digest or ""
 
     def __len__(self) -> int:
         return int(self.times_ns.size)
@@ -127,8 +86,6 @@ class EventStream:
             and np.array_equal(self.detectors, other.detectors)
             and np.array_equal(self.origins, other.origins)
             and self.duration_ns == other.duration_ns
-            and self.seeds == other.seeds
-            and self.config_digest == other.config_digest
         )
 
     def detector_times(self, name: str, origin: str | None = None) -> np.ndarray:
@@ -293,100 +250,4 @@ def simulate(config: SimConfig) -> EventStream:
     inside = (times >= 0.0) & (times < duration_ns)
     times, dets, origs = times[inside], dets[inside], origs[inside]
     order = np.argsort(times, kind="stable")
-    return EventStream(
-        times[order],
-        dets[order],
-        origs[order],
-        duration_ns=duration_ns,
-        seeds=(config.seed,),
-        config=config,
-    )
-
-
-# ---------------------------------------------------------------------------
-# merging and serialization
-# ---------------------------------------------------------------------------
-
-
-def merge(a: EventStream, b: EventStream) -> EventStream:
-    """Time-ordered union of two streams of the same configuration.
-
-    Streams must share their configuration and must not share a seed (the
-    same seed would duplicate every event).  Note first-stop histogram
-    pairing is exactly additive over a merge only when the two streams do
-    not interleave within the histogram range; for sparse independent-seed
-    shards the difference vanishes.
-    """
-    if a.config_digest != b.config_digest:
-        raise ConfigMismatchError("streams come from different configurations")
-    if set(a.seeds) & set(b.seeds):
-        raise ConfigMismatchError(f"streams share seeds {set(a.seeds) & set(b.seeds)}")
-    times = np.concatenate([a.times_ns, b.times_ns])
-    dets = np.concatenate([a.detectors, b.detectors])
-    origs = np.concatenate([a.origins, b.origins])
-    order = np.argsort(times, kind="stable")
-    return EventStream(
-        times[order],
-        dets[order],
-        origs[order],
-        duration_ns=max(a.duration_ns, b.duration_ns),
-        seeds=tuple(sorted(set(a.seeds) | set(b.seeds))),
-        config=a.config if a.config is not None else b.config,
-        config_digest=a.config_digest,
-    )
-
-
-def write_events(stream: EventStream, path: str | Path) -> None:
-    """Write the line-oriented text form: header comments, then one event
-    per line as time_ns<TAB>detector<TAB>origin with round-trip floats."""
-    lines = [
-        _FORMAT_LINE,
-        f"# config_hash={stream.config_digest or '-'}",
-        "# seeds=" + ",".join(str(s) for s in stream.seeds),
-        f"# duration_ns={stream.duration_ns!r}",
-    ]
-    for t, d, o in zip(stream.times_ns, stream.detectors, stream.origins):
-        lines.append(f"{float(t)!r}\t{DETECTORS[d]}\t{ORIGINS[o]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_events(path: str | Path) -> EventStream:
-    """Parse a file written by write_events; write(read(p)) is byte-identical."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != _FORMAT_LINE:
-        raise ValueError(f"{path}: not a photonlink event file")
-    digest = ""
-    seeds: tuple[int, ...] = ()
-    duration_ns = 0.0
-    body_start = 0
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        body_start = i + 1
-        if line.startswith("# config_hash="):
-            value = line.split("=", 1)[1]
-            digest = "" if value == "-" else value
-        elif line.startswith("# seeds="):
-            value = line.split("=", 1)[1]
-            seeds = tuple(int(s) for s in value.split(",") if s)
-        elif line.startswith("# duration_ns="):
-            duration_ns = float(line.split("=", 1)[1])
-    times = []
-    dets = []
-    origs = []
-    for line in lines[body_start:]:
-        t_str, d_str, o_str = line.split("\t")
-        times.append(float(t_str))
-        dets.append(DETECTORS.index(d_str))
-        origs.append(ORIGINS.index(o_str))
-    return EventStream(
-        np.array(times, dtype=np.float64),
-        np.array(dets, dtype=np.uint8),
-        np.array(origs, dtype=np.uint8),
-        duration_ns=duration_ns,
-        seeds=seeds,
-        config=None,
-        config_digest=digest,
-    )
+    return EventStream(times[order], dets[order], origs[order], duration_ns=duration_ns)

@@ -49,7 +49,6 @@ PRESETS: dict[str, dict] = {
         "phase_averaged": False,
         "chain": {
             "source": {
-                "pump_wavelength_nm": 711.6,
                 "pump_coherence_length_m": 300.0,
                 "signal_wavelength_nm": 1555.0,
                 "idler_wavelength_nm": 1312.0,
@@ -94,7 +93,6 @@ PRESETS: dict[str, dict] = {
         "phase_averaged": False,
         "chain": {
             "source": {
-                "pump_wavelength_nm": 711.6,
                 "pump_coherence_length_m": 300.0,
                 "signal_wavelength_nm": 1555.0,
                 "idler_wavelength_nm": 1312.0,
@@ -135,7 +133,6 @@ PRESETS: dict[str, dict] = {
                 "input_wavelength_nm": 1312.0,
                 "output_wavelength_nm": 712.4,
                 "reservoir_coherence_length_m": 1000.0,
-                "acceptance_halving_nm": 1.0,
             },
             "jitter_ns": 0.1,
             "coincidence_window_ns": 0.6,

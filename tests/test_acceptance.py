@@ -235,10 +235,11 @@ def test_10_fit_oracle():
 def test_11_determinism(tmp_path):
     with criterion(11, "same (config, seed) gives byte-identical streams and files"):
         cfg = SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=0.2, seed=7)
-        path_a, path_b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        ev.write_events(ev.simulate(cfg), path_a)
-        ev.write_events(ev.simulate(cfg), path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()
+        a, b = ev.simulate(cfg), ev.simulate(cfg)
+        assert a.times_ns.tobytes() == b.times_ns.tobytes()
+        assert a.detectors.tobytes() == b.detectors.tobytes()
+        assert a.origins.tobytes() == b.origins.tobytes()
+        assert a.duration_ns == b.duration_ns
 
         document = {
             "visibility": 0.95,

@@ -15,13 +15,13 @@ from photonlink.config import SimConfig
 DETECTOR_CODE = {name: i for i, name in enumerate(ev.DETECTORS)}
 
 
-def hand_stream(clicks, duration_ns=1e6, seeds=(1,)):
+def hand_stream(clicks, duration_ns=1e6):
     """Build a stream from (time_ns, detector) tuples, photons only."""
     clicks = sorted(clicks)
     times = np.array([t for t, _ in clicks], dtype=float)
     dets = np.array([DETECTOR_CODE[d] for _, d in clicks], dtype=np.uint8)
     origs = np.zeros(len(clicks), dtype=np.uint8)
-    return ev.EventStream(times, dets, origs, duration_ns=duration_ns, seeds=seeds)
+    return ev.EventStream(times, dets, origs, duration_ns=duration_ns)
 
 
 def synthetic_three_peak(
@@ -98,23 +98,25 @@ def test_histogram_grid_must_align_with_bin_width():
         an.build_histogram(stream, start_detector="bob", stop_detector="bob")
 
 
-def test_histogram_addition_matches_merge_for_disjoint_streams():
-    # Streams occupying disjoint time spans cannot steal each other's
-    # first stop, so the histogram of the merge equals the bin-wise sum.
+def test_histogram_addition_matches_union_for_disjoint_streams():
+    # Click sets occupying disjoint time spans cannot steal each other's
+    # first stop, so the histogram of their union equals the bin-wise sum.
     rng = np.random.default_rng(9)
 
-    def shard(offset_ns, seed):
-        clicks = []
+    def clicks(offset_ns):
+        out = []
         for k in range(200):
             t = offset_ns + 1000.0 * k + rng.uniform(0, 500)
-            clicks.append((t, "bob"))
-            clicks.append((t + rng.uniform(-2.5, 2.5), "alice"))
-        return hand_stream(clicks, duration_ns=1e9, seeds=(seed,))
+            out.append((t, "bob"))
+            out.append((t + rng.uniform(-2.5, 2.5), "alice"))
+        return out
 
-    a = shard(0.0, 1)
-    b = shard(5e5, 2)
-    merged = ev.merge(a, b)
-    assert an.build_histogram(merged) == an.build_histogram(a) + an.build_histogram(b)
+    first = clicks(0.0)
+    second = clicks(5e5)
+    a = hand_stream(first, duration_ns=1e9)
+    b = hand_stream(second, duration_ns=1e9)
+    union = hand_stream(first + second, duration_ns=1e9)
+    assert an.build_histogram(union) == an.build_histogram(a) + an.build_histogram(b)
 
 
 def test_histogram_addition_rejects_different_grids():

@@ -130,15 +130,6 @@ def test_sfg_transfer_probability_warns_past_half():
     assert prob > 0.5
 
 
-def test_sfg_acceptance_curve():
-    assert ch.sfg_acceptance(0.0, 1.0) == pytest.approx(1.0)
-    assert ch.sfg_acceptance(1.0, 1.0) == pytest.approx(0.5)
-    assert ch.sfg_acceptance(-1.0, 1.0) == pytest.approx(0.5)
-    assert ch.sfg_acceptance(2.0, 1.0) == pytest.approx(0.0625)
-    with pytest.raises(ValueError):
-        ch.sfg_acceptance(0.0, 0.0)
-
-
 def test_reservoir_coherence_margins():
     bob = ch.InterferometerParams(path_imbalance_m=0.20)
     ok = ch.reservoir_coherence_ok(ch.SfgParams(reservoir_coherence_length_m=1000.0), bob)

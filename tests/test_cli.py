@@ -233,10 +233,15 @@ def test_transfer_probability_above_one_is_a_config_error(tmp_path, capsys, comm
         (("phase_averaged",), "yes"),
         (("visibility",), True),
         (("chain", "alice_detector", "role"), 5),
+        # expected event counts beyond MAX_EXPECTED_EVENTS, refused before any draw
+        (("duration_s",), 1e300),
+        (("chain", "source", "pair_rate_per_s"), 1e300),
+        (("chain", "alice_detector", "gate_width_ns"), 1e300),
     ],
 )
 def test_bad_field_is_a_config_error(tmp_path, capsys, keys, value):
-    doc = fast_chain()
+    doc = fast_chain(darks=True)
+    doc["chain"]["alice_detector"]["role"] = "gated"  # so gate_width_ns sets a dark rate
     section = doc
     for key in keys[:-1]:
         section = section[key]
@@ -249,6 +254,16 @@ def test_non_finite_duration_flag_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, fast_chain())
     assert cli.main(["histogram", "--config", cfg, "--duration", "nan"]) == 2
     assert "duration_s" in capsys.readouterr().err
+
+
+def test_hour_long_sweep_is_refused_before_simulating(monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("simulate ran on an oversized config")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    assert cli.main(["sweep", "--preset", "fig2-baseline", "--duration", "3600"]) == 2
+    err = capsys.readouterr().err
+    assert "duration_s" in err and "MAX_EXPECTED_EVENTS" in err
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +322,31 @@ def test_report_unrecognized_document(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"x": 1}')
     assert cli.main(["report", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"fit": {}, "configured_visibility": 0.9}, "fit.v_net"),
+        ({"franson": []}, "franson_passed"),
+        ({"area_ratio_central_to_side": "x"}, "area_ratio_central_to_side"),
+        ({"fit": {"v_net": "a"}, "configured_visibility": 0.9, "fidelity": 1}, "fit.v_net"),
+        ({"area_ratio_central_to_side": 10**400}, "area_ratio_central_to_side"),
+    ],
+)
+def test_report_incomplete_document_is_a_usage_error(tmp_path, capsys, doc, field):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+
+
+def test_report_integer_beyond_digit_limit_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"area_ratio_central_to_side": ' + "1" * 5000 + "}")
+    assert cli.main(["report", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_report_requires_inputs():

@@ -1,6 +1,8 @@
 """Tests for JSON config loading and the shipped presets."""
 
+import dataclasses
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,37 @@ def test_both_detectors_gated_is_a_config_error(tmp_path):
     path.write_text(json.dumps({"chain": roles}))
     with pytest.raises(InvalidConfigError, match="role"):
         pc.load_config(path)
+
+
+def test_hour_long_fig2_run_exceeds_the_event_cap():
+    cfg = preset_config("fig2-baseline")
+    with pytest.raises(InvalidConfigError, match="MAX_EXPECTED_EVENTS"):
+        dataclasses.replace(cfg, duration_s=3600.0)
+
+
+def test_undefined_event_estimate_is_refused():
+    # Bob's dark rate overflows to inf; Alice's gated darks are then inf x 0 = NaN.
+    doc = {
+        "chain": {
+            "alice_detector": {"role": "gated", "dark_prob_per_ns": 0.0},
+            "bob_detector": {"dark_prob_per_ns": 1e300},
+        }
+    }
+    with pytest.raises(InvalidConfigError, match="nan events"):
+        pc.sim_config_from_dict(doc)
+
+
+def test_preset_points_fit_the_event_cap_twice_over():
+    for name in preset_names():
+        cfg = preset_config(name)
+        dataclasses.replace(cfg, duration_s=2.0 * cfg.duration_s)
+
+
+def test_event_estimate_does_not_warn_at_load():
+    # transfer probability ~0.70: the budget warns, loading the config must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pc.sim_config_from_dict({"chain": {"sfg": {"reservoir_power_w": 10.0}}})
 
 
 def test_sfg_section_optional_and_nullable():

@@ -319,60 +319,3 @@ def test_gated_detector_without_triggers_stays_silent():
     stream = ev.simulate(SimConfig(chain=chain_cfg, duration_s=0.05, seed=111))
     assert len(stream) == 0
 
-
-# ---------------------------------------------------------------------------
-# merge
-# ---------------------------------------------------------------------------
-
-
-def test_merge_combines_and_sorts():
-    cfg1 = SimConfig(chain=ideal_chain(pair_rate=5000.0), duration_s=0.1, seed=21)
-    cfg2 = SimConfig(chain=ideal_chain(pair_rate=5000.0), duration_s=0.1, seed=22)
-    a = ev.simulate(cfg1)
-    b = ev.simulate(cfg2)
-    both = ev.merge(a, b)
-    assert len(both) == len(a) + len(b)
-    assert np.all(np.diff(both.times_ns) >= 0.0)
-    assert both.seeds == (21, 22)
-    assert ev.merge(b, a) == both
-
-
-def test_merge_rejects_config_mismatch():
-    a = ev.simulate(SimConfig(chain=ideal_chain(), duration_s=0.05, seed=31))
-    b = ev.simulate(
-        SimConfig(chain=ideal_chain(), visibility=0.5, duration_s=0.05, seed=32)
-    )
-    with pytest.raises(ev.ConfigMismatchError):
-        ev.merge(a, b)
-
-
-def test_merge_rejects_shared_seed():
-    a = ev.simulate(SimConfig(chain=ideal_chain(), duration_s=0.05, seed=33))
-    with pytest.raises(ev.ConfigMismatchError):
-        ev.merge(a, a)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_roundtrip_is_bit_exact(tmp_path):
-    cfg = SimConfig(chain=ch.ChainConfig(), duration_s=0.02, seed=55)
-    stream = ev.simulate(cfg)
-    path1 = tmp_path / "events.tsv"
-    path2 = tmp_path / "events2.tsv"
-    ev.write_events(stream, path1)
-    restored = ev.read_events(path1)
-    ev.write_events(restored, path2)
-    assert path1.read_bytes() == path2.read_bytes()
-    assert restored == stream  # arrays, seeds, and config digest all agree
-    assert restored.config is None
-    assert restored.config_digest == stream.config_digest
-
-
-def test_read_events_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.tsv"
-    path.write_text("time,detector\n1.0,alice\n")
-    with pytest.raises(ValueError):
-        ev.read_events(path)
