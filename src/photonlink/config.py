@@ -34,9 +34,9 @@ __all__ = [
 
 
 # Largest expected duration_s x (pair rate + Alice singles + Bob singles) one
-# simulate() call may draw.  The dense phase-averaged source peaks at about
-# 85 bytes per expected event (422 MB for 4 M), so the cap bounds one run
-# near 2.6 GB; a full-length fig3-transfer point expects about 11 M events.
+# simulate() call may draw.  A dark-dominated sweep point peaks at about 42
+# bytes per expected event (a full-length fig2 point: 403 MB for 7.7 M), so
+# the cap bounds one run near 1.3 GB; a full fig3 point expects about 11 M.
 MAX_EXPECTED_EVENTS = 3.0e7
 
 

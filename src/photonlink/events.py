@@ -64,7 +64,7 @@ class EventStream:
             raise ValueError("times, detectors, and origins must be equal-length 1-d arrays")
         if times.size and (times[0] < 0.0 or times[-1] >= duration_ns):
             raise ValueError("event times must lie in [0, duration)")
-        if times.size and np.any(np.diff(times) < 0.0):
+        if times.size and np.any(times[1:] < times[:-1]):
             raise ValueError("event times must be sorted ascending")
         if dets.size and dets.max() >= len(DETECTORS):
             raise ValueError("detector code out of range")
@@ -103,17 +103,21 @@ class EventStream:
 
 def _gated_dark_times(
     rng: np.random.Generator,
-    trigger_times: np.ndarray,
+    partner_photons: np.ndarray,
+    partner_darks: np.ndarray,
     dark_prob_per_ns: float,
     gate_width_ns: float,
 ) -> np.ndarray:
     """Dark clicks of a gated detector, uniform inside partner-centered gates.
 
-    The gate is centered on the trigger click (the cable delays of the real
-    setup align the gate with the coincidence window), so gated darks form
-    a flat background across the time-difference range the gate covers.
+    Every partner click opens one gate, photons first: gate ``i`` is
+    ``partner_darks[i - partner_photons.size]`` past the photons.  The gate
+    is centered on the trigger click (the cable delays of the real setup
+    align the gate with the coincidence window), so gated darks form a flat
+    background across the time-difference range the gate covers.
     """
-    n_gates = trigger_times.size
+    n_photons = partner_photons.size
+    n_gates = n_photons + partner_darks.size
     if n_gates == 0 or dark_prob_per_ns <= 0.0:
         return np.empty(0, dtype=np.float64)
     n_darks = rng.poisson(dark_prob_per_ns * gate_width_ns * n_gates)
@@ -121,7 +125,74 @@ def _gated_dark_times(
         return np.empty(0, dtype=np.float64)
     gate_idx = rng.integers(0, n_gates, size=n_darks)
     offsets = (rng.random(n_darks) - 0.5) * gate_width_ns
-    return trigger_times[gate_idx] + offsets
+    on_photon = gate_idx < n_photons
+    triggers = np.empty(n_darks)
+    triggers[on_photon] = partner_photons[gate_idx[on_photon]]
+    triggers[~on_photon] = partner_darks[gate_idx[~on_photon] - n_photons]
+    return triggers + offsets
+
+
+def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """Alice's and Bob's photon clicks, unsorted, in pair order.
+
+    Each pair-sized draw is folded into a running buffer as soon as it is
+    drawn, so only the emission times, a one-byte code per pair and the two
+    kept masks outlive their own draw.
+    """
+    chain = config.chain
+    alice_arm, bob_arm = chain.alice_interferometer, chain.bob_interferometer
+    n_pairs = int(rng.poisson(chain.source.pair_rate_per_s * config.duration_s))
+    emission = rng.random(n_pairs)
+    emission *= config.duration_s * 1e9
+
+    if config.phase_averaged:
+        v_cos = rng.random(n_pairs)
+        v_cos *= 2.0 * math.pi
+    else:
+        v_cos = np.full(n_pairs, alice_arm.phase_rad + bob_arm.phase_rad)
+    np.cos(v_cos, out=v_cos)
+    v_cos *= config.visibility
+
+    # Outcome class 0..5: the number of cumulative thresholds u passes.
+    u = rng.random(n_pairs)
+    threshold = 1.0 + v_cos
+    threshold *= 0.125  # central coincidence
+    p_single = np.subtract(2.0, v_cos, out=v_cos)
+    p_single *= 0.125  # same weight for Alice-only and Bob-only
+    code = (u >= threshold).astype(np.int8)
+    for p in (0.0625, 0.0625, p_single, p_single):  # two sides, two singles
+        threshold += p
+        code += u >= threshold
+    del u, threshold, p_single, v_cos, p  # p still holds p_single
+
+    # Shared path bit: ss/ll label for central-class pairs (the two paths
+    # are indistinguishable, the label only places absolute timestamps) and
+    # the unobservable short/long choice for one-sided classes.
+    code *= 2
+    code += rng.integers(0, 2, size=n_pairs)
+
+    # Lookup tables over code = 2 * class + path bit (classes in the order of
+    # the module docstring), one row per detector (Alice, Bob): whether the
+    # pair reaches it, and the arrival offset path_bit * scale + shift.
+    delay = np.array([[alice_arm.delay_ns()], [bob_arm.delay_ns()]])
+    reach = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0]], dtype=bool).repeat(2, axis=1)
+    scale = delay * [[1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]]
+    shift = delay * [[0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
+    offset = (scale[..., None] * [0.0, 1.0] + shift[..., None]).reshape(2, 12)
+
+    keep = (
+        alice_arm.transmission * chain.alice_detector.quantum_efficiency,
+        bob_arm.transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
+    )
+    kept = [reach[side][code] & (rng.random(n_pairs) < keep[side]) for side in (0, 1)]
+    jitter = [rng.normal(0.0, 1.0, n_pairs)[mask] * chain.jitter_ns for mask in kept]
+    clicks = []
+    for side_offset, mask, side_jitter in zip(offset, kept, jitter):
+        times = side_offset[code[mask]]
+        times += emission[mask]
+        times += side_jitter
+        clicks.append(times)
+    return clicks
 
 
 def simulate(config: SimConfig) -> EventStream:
@@ -139,115 +210,44 @@ def simulate(config: SimConfig) -> EventStream:
     group's times are sorted on their own, then one stable merge orders the
     stream, so equal times from different groups keep that group order.
     Within a group equal times carry equal codes, so the in-group sort
-    cannot change a byte of the stream.
+    cannot change a byte of the stream.  Clicks outside [0, duration) are
+    cut from the two ends of the sorted stream.
     """
     chain = config.chain
     rng = np.random.default_rng(config.seed)
     duration_ns = config.duration_s * 1e9
-
-    keep_alice = chain.alice_interferometer.transmission * chain.alice_detector.quantum_efficiency
-    keep_bob = (
-        chain.bob_interferometer.transmission
-        * chain.transfer_probability()
-        * chain.bob_detector.quantum_efficiency
-    )
-    delay_alice = chain.alice_interferometer.delay_ns()
-    delay_bob = chain.bob_interferometer.delay_ns()
-
-    n_pairs = int(rng.poisson(chain.source.pair_rate_per_s * config.duration_s))
-    emission = rng.random(n_pairs) * duration_ns
-
-    if config.phase_averaged:
-        phi = rng.random(n_pairs) * (2.0 * math.pi)
-    else:
-        phi = np.full(
-            n_pairs,
-            chain.alice_interferometer.phase_rad + chain.bob_interferometer.phase_rad,
-        )
-
-    # outcome classes 0..5, cumulative thresholds per pair
-    v_cos = config.visibility * np.cos(phi)
-    p_central = 0.125 * (1.0 + v_cos)
-    p_side = 0.0625
-    p_single = 0.125 * (2.0 - v_cos)  # same weight for Alice-only and Bob-only
-    u = rng.random(n_pairs)
-    c0 = p_central
-    c1 = c0 + p_side
-    c2 = c1 + p_side
-    c3 = c2 + p_single
-    c4 = c3 + p_single
-    category = (
-        (u >= c0).astype(np.int8)
-        + (u >= c1)
-        + (u >= c2)
-        + (u >= c3)
-        + (u >= c4)
-    )
-
-    # Shared path bit: ss/ll label for central-class pairs (the two paths
-    # are indistinguishable, the label only places absolute timestamps) and
-    # the unobservable short/long choice for one-sided classes.
-    path_bit = rng.integers(0, 2, size=n_pairs)
-
-    thin_a = rng.random(n_pairs)
-    thin_b = rng.random(n_pairs)
-    jitter_a = rng.normal(0.0, 1.0, n_pairs)
-    jitter_b = rng.normal(0.0, 1.0, n_pairs)
-
-    # Per-class lookup tables over outcome classes 0..5: which detectors the
-    # pair reaches, and each arrival offset as path_bit * scale + shift.
-    reach_a = np.array([True, True, True, True, False, False])
-    reach_b = np.array([True, True, True, False, True, False])
-    scale_a = np.array([delay_alice, 0.0, 0.0, delay_alice, 0.0, 0.0])
-    shift_a = np.array([0.0, 0.0, delay_alice, 0.0, 0.0, 0.0])
-    scale_b = np.array([delay_bob, 0.0, 0.0, 0.0, delay_bob, 0.0])
-    shift_b = np.array([0.0, delay_bob, 0.0, 0.0, 0.0, 0.0])
-
-    alice_kept = reach_a[category] & (thin_a < keep_alice)
-    bob_kept = reach_b[category] & (thin_b < keep_bob)
-
-    sigma = chain.jitter_ns
-    cat_a = category[alice_kept]
-    alice_offset = path_bit[alice_kept] * scale_a[cat_a] + shift_a[cat_a]
-    alice_photon_times = emission[alice_kept] + alice_offset
-    alice_photon_times = alice_photon_times + jitter_a[alice_kept] * sigma
-    cat_b = category[bob_kept]
-    bob_offset = path_bit[bob_kept] * scale_b[cat_b] + shift_b[cat_b]
-    bob_photon_times = emission[bob_kept] + bob_offset
-    bob_photon_times = bob_photon_times + jitter_b[bob_kept] * sigma
+    photon = dict(zip(DETECTORS, _photon_times(config, rng)))
 
     # ---- dark counts -------------------------------------------------
-    dark_times: dict[str, np.ndarray] = {}
+    dark: dict[str, np.ndarray] = {}
     for name in DETECTORS:  # free-running first, fixed alice -> bob order
         det = chain.detector(name)
-        if det.role == "free_running" and det.dark_prob_per_ns > 0.0:
-            n_dark = rng.poisson(det.dark_prob_per_ns * duration_ns)
-            dark_times[name] = rng.random(n_dark) * duration_ns
-        elif det.role == "free_running":
-            dark_times[name] = np.empty(0, dtype=np.float64)
-
-    photon_times = {"alice": alice_photon_times, "bob": bob_photon_times}
+        if det.role == "free_running":
+            rate = det.dark_prob_per_ns
+            dark[name] = rng.random(rng.poisson(rate * duration_ns) if rate > 0.0 else 0)
+            dark[name] *= duration_ns
     for name, partner in (("alice", "bob"), ("bob", "alice")):
         det = chain.detector(name)
-        if det.role != "gated":
-            continue
-        triggers = np.concatenate([photon_times[partner], dark_times[partner]])
-        dark_times[name] = _gated_dark_times(
-            rng, triggers, det.dark_prob_per_ns, det.gate_width_ns
-        )
+        if det.role == "gated":
+            dark[name] = _gated_dark_times(
+                rng, photon[partner], dark[partner], det.dark_prob_per_ns, det.gate_width_ns
+            )
 
     # ---- assemble the stream -----------------------------------------
     # One (detector, origin) code pair per group; each group is sorted on
     # its own, so the stable argsort below only merges four sorted runs.
-    groups = (alice_photon_times, bob_photon_times, dark_times["alice"], dark_times["bob"])
+    groups = [photon["alice"], photon["bob"], dark["alice"], dark["bob"]]
+    del photon, dark
     for part in groups:
         part.sort()
     sizes = [part.size for part in groups]
     times = np.concatenate(groups)
+    del groups, part  # part still holds the last group
     dets = np.repeat(np.array([0, 1, 0, 1], dtype=np.uint8), sizes)
     origs = np.repeat(np.array([0, 0, 1, 1], dtype=np.uint8), sizes)
 
-    inside = (times >= 0.0) & (times < duration_ns)
-    times, dets, origs = times[inside], dets[inside], origs[inside]
     order = np.argsort(times, kind="stable")
-    return EventStream(times[order], dets[order], origs[order], duration_ns=duration_ns)
+    times = times[order]
+    lo, hi = np.searchsorted(times, [0.0, duration_ns])
+    order = order[lo:hi]
+    return EventStream(times[lo:hi], dets[order], origs[order], duration_ns=duration_ns)

@@ -218,9 +218,48 @@ def _sections(doc: dict):
             yield from _sections(value)
 
 
+# Valid documents that expect more events than MAX_EXPECTED_EVENTS: at least
+# 1e8 pairs, or at least 1 s of gated Alice darks at 1e9/s and up (gates of
+# 1e10 ns and up behind Bob's free-running darks at 1e4/s and up).
+PAST_CAP = (
+    st.fixed_dictionaries(
+        {
+            "duration_s": _floats(100.0, 1e6),
+            "chain": st.fixed_dictionaries(
+                {"source": st.fixed_dictionaries({"pair_rate_per_s": _floats(1e6, 1e300)})}
+            ),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "duration_s": _floats(1.0, 1e3),
+            "chain": st.fixed_dictionaries(
+                {
+                    "alice_detector": st.fixed_dictionaries(
+                        {
+                            "role": st.just("gated"),
+                            "dark_prob_per_ns": _floats(1e-5, 1e-3),
+                            "gate_width_ns": _floats(1e10, 1e300),
+                        }
+                    ),
+                    "bob_detector": st.fixed_dictionaries(
+                        {"role": st.just("free_running"), "dark_prob_per_ns": _floats(1e-5, 1e-3)}
+                    ),
+                }
+            )
+        }
+    ),
+)
+
+
 @st.composite
 def config_documents(draw):
-    """A bounded document, then at most one wrong value or unknown key."""
+    """(document, past_cap): either a valid document past the event cap, or a
+    bounded document, then at most one wrong value or unknown key."""
+    if draw(st.integers(0, 3)) == 0:
+        doc = draw(st.fixed_dictionaries({}, optional=SIM_FIELDS))
+        doc.update(draw(PAST_CAP[draw(st.integers(0, 1))]))
+        return json.loads(json.dumps(doc)), True
     doc = draw(st.fixed_dictionaries({}, optional=SIM_FIELDS))
     if draw(st.booleans()):
         chain = draw(st.fixed_dictionaries({}, optional=CHAIN_FIELDS))
@@ -235,12 +274,17 @@ def config_documents(draw):
             section["bogus"] = 1.0
         else:
             section[draw(st.sampled_from(sorted(section)))] = draw(GARBAGE)
-    return json.loads(json.dumps(doc))
+    return json.loads(json.dumps(doc)), False
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=135, deadline=None, derandomize=True, database=None)
 @given(config_documents())
-def test_any_document_is_rejected_or_runs(doc):
+def test_any_document_is_rejected_or_runs(drawn):
+    doc, past_cap = drawn
+    if past_cap:  # refused at load, so it never reaches simulate
+        with pytest.raises(InvalidConfigError, match="MAX_EXPECTED_EVENTS"):
+            pc.sim_config_from_dict(doc)
+        return
     try:
         cfg = pc.sim_config_from_dict(doc)
     except InvalidConfigError:

@@ -4,14 +4,19 @@ Statistical assertions run on fixed seeds with wide (>= 3 sigma) windows,
 so they are deterministic once verified.
 """
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from photonlink import analysis as an
 from photonlink import chain as ch
 from photonlink import events as ev
-from photonlink.config import InvalidConfigError, SimConfig
+from photonlink.config import InvalidConfigError, SimConfig, sim_config_from_dict
+from photonlink.presets import PRESETS
 
 
 def ideal_chain(**kw) -> ch.ChainConfig:
@@ -319,3 +324,110 @@ def test_gated_detector_without_triggers_stays_silent():
     stream = ev.simulate(SimConfig(chain=chain_cfg, duration_s=0.05, seed=111))
     assert len(stream) == 0
 
+
+
+# ---------------------------------------------------------------------------
+# golden counts and memory
+# ---------------------------------------------------------------------------
+
+
+def _preset_one_second(name: str, seed: int) -> dict:
+    doc = json.loads(json.dumps(PRESETS[name]))
+    doc.update(duration_s=1.0, seed=seed)
+    return doc
+
+
+LOSSLESS = {"alice_interferometer": {"transmission": 1.0}, "bob_interferometer": {"transmission": 1.0}}
+DENSE_DOCUMENT = {  # the criterion-09 source: phase-averaged, lossless, dark-free
+    "visibility": 1.0,
+    "duration_s": 0.25,
+    "seed": 271828,
+    "phase_averaged": True,
+    "chain": {
+        "source": {"pair_rate_per_s": 200_000.0},
+        **LOSSLESS,
+        "alice_detector": {"quantum_efficiency": 1.0, "dark_prob_per_ns": 0.0},
+        "bob_detector": {"quantum_efficiency": 1.0, "dark_prob_per_ns": 0.0},
+        "jitter_ns": 0.1,
+    },
+}
+GOLDEN_DOCUMENTS = {
+    "fig2-baseline": _preset_one_second("fig2-baseline", 3),
+    "fig3-transfer": _preset_one_second("fig3-transfer", 5),
+    "dense": DENSE_DOCUMENT,
+    "gated-bob": {  # Bob gated by Alice's photons and free-running darks
+        "visibility": 0.95,
+        "duration_s": 0.5,
+        "seed": 404,
+        "chain": {
+            "source": {"pair_rate_per_s": 20_000.0},
+            **LOSSLESS,
+            "alice_detector": {"quantum_efficiency": 1.0, "dark_prob_per_ns": 1e-5},
+            "bob_detector": {
+                "quantum_efficiency": 1.0,
+                "dark_prob_per_ns": 5e-3,
+                "role": "gated",
+                "gate_width_ns": 4.0,
+            },
+            "jitter_ns": 0.1,
+        },
+    },
+    "jitter-free-ties": {  # central-class photons tie exactly across detectors
+        "visibility": 0.97,
+        "duration_s": 0.05,
+        "seed": 113,
+        "chain": {
+            "source": {"pair_rate_per_s": 50_000.0},
+            **LOSSLESS,
+            "alice_detector": {"quantum_efficiency": 1.0, "dark_prob_per_ns": 1e-3},
+            "bob_detector": {"quantum_efficiency": 1.0, "dark_prob_per_ns": 1e-3},
+            "jitter_ns": 0.0,
+        },
+    },
+}
+# Recorded with the sampler of commit 7ec642c, before simulate folded each
+# draw into running buffers.  Integer counts, unlike raw float bytes, do not
+# move with last-ulp differences of np.cos between machines.
+GOLDEN = json.loads(Path(__file__).with_name("golden_counts.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_golden_counts(name):
+    cfg = sim_config_from_dict(GOLDEN_DOCUMENTS[name])
+    stream = ev.simulate(cfg)
+    clicks = {
+        f"{det}/{origin}": int(stream.detector_times(det, origin).size)
+        for det in ev.DETECTORS
+        for origin in ev.ORIGINS
+    }
+    chain = cfg.chain
+    half = chain.histogram_half_range_ns
+    hist = an.build_histogram(
+        stream,
+        start_detector=chain.start_detector,
+        stop_detector=chain.stop_detector,
+        bin_width_ns=chain.histogram_bin_ns,
+        range_ns=(-half, half),
+    )
+    assert clicks == GOLDEN[name]["clicks"]
+    assert hist.counts.tolist() == GOLDEN[name]["counts"]
+
+
+def test_simulate_peak_memory_per_event():
+    # numpy reports its buffers to tracemalloc.  Each per-pair draw is folded
+    # in as soon as it is drawn, so the dense source peaks near 34 bytes per
+    # event; a dozen live pair-sized temporaries cost 178.
+    cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 1.0})
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    try:
+        stream = ev.simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(stream) > 150_000
+    assert peak - before <= 64 * len(stream)
