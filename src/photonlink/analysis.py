@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .chain import EDGE_TOL_NS
-from .events import EventStream
+from .events import ORIGINS, EventStream
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -176,6 +176,10 @@ def build_histogram(
     minimum is taken; it contributes one count if the difference is below
     the range maximum, otherwise the start records nothing.  An empty
     stream yields an all-zero histogram.
+
+    Starts pair independently, so the start detector's photon and dark
+    groups are histogrammed apart and summed, and only starts within a few
+    ulps of (stop - max, stop - min] for some stop are paired at all.
     """
     lo, hi = float(range_ns[0]), float(range_ns[1])
     width = float(bin_width_ns)
@@ -183,16 +187,31 @@ def build_histogram(
         raise ValueError(f"bin width must be positive, got {bin_width_ns!r}")
     n_bins = max(int(round((hi - lo) / width)), 1)
     counts = np.zeros(n_bins, dtype=np.int64)
-    starts = events.detector_times(start_detector)
     stops = events.detector_times(stop_detector)
-    if starts.size and stops.size:
-        first = np.searchsorted(stops, starts + lo, side="left")
-        valid = first < stops.size
-        tau = stops[first[valid]] - starts[valid]
-        tau = tau[tau < hi]
+    for origin in ORIGINS:
+        starts = events.detector_times(start_detector, origin)
+        if not (starts.size and stops.size):
+            continue
+        # Candidate start ranges [first, last) of each stop, monotone in the
+        # stop; merged where they overlap so each block gets one +1 and one -1.
+        slack = 4.0 * np.spacing(max(starts[-1], stops[-1]) + abs(lo) + abs(hi))
+        first = np.searchsorted(starts, stops - (hi + slack), side="left")
+        last = np.searchsorted(starts, stops - (lo - slack), side="right")
+        opens = np.concatenate(([True], first[1:] > last[:-1]))
+        closes = np.concatenate((opens[1:], [True]))
+        marks = np.zeros(starts.size + 1, dtype=np.int8)
+        marks[first[opens]] = 1
+        marks[last[closes]] -= 1
+        candidates = starts[np.cumsum(marks[:-1], dtype=np.int8).view(bool)]
+        del first, last, opens, closes, marks
+
+        paired = np.searchsorted(stops, candidates + lo, side="left")
+        valid = paired < stops.size
+        tau = stops[paired[valid]] - candidates[valid]
+        tau = tau[(tau >= lo) & (tau < hi)]  # start + lo may round onto a stop
         indices = np.floor((tau - lo) / width).astype(np.int64)
         indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
-        counts = np.bincount(indices, minlength=n_bins)
+        counts += np.bincount(indices, minlength=n_bins)
     return CoincidenceHistogram(
         bin_width_ns=width,
         range_min_ns=lo,

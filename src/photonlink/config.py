@@ -29,14 +29,13 @@ __all__ = [
     "sim_config_from_dict",
     "sim_config_to_dict",
     "load_config",
-    "dump_config",
 ]
 
 
 # Largest expected duration_s x (pair rate + Alice singles + Bob singles) one
-# simulate() call may draw.  A dark-dominated sweep point peaks at about 42
-# bytes per expected event (a full-length fig2 point: 403 MB for 7.7 M), so
-# the cap bounds one run near 1.3 GB; a full fig3 point expects about 11 M.
+# simulate() call may draw.  The dense criterion-09 source peaks at about 17
+# bytes per expected event (338 MB for 16 M), a full-length fig2 point at
+# about 10 (150 MB for 7.7 M), so the cap bounds one run near 0.6 GB.
 MAX_EXPECTED_EVENTS = 3.0e7
 
 
@@ -162,10 +161,3 @@ def load_config(path) -> SimConfig:
     if not isinstance(document, dict):
         raise InvalidConfigError(f"config {path} must contain a JSON object at top level")
     return sim_config_from_dict(document)
-
-
-def dump_config(config: SimConfig, path) -> None:
-    """Write a config as sorted, indented JSON (round-trips via load_config)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sim_config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")

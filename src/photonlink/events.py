@@ -34,66 +34,68 @@ import numpy as np
 
 from .config import SimConfig
 
-__all__ = ["DETECTORS", "ORIGINS", "EventStream", "simulate"]
+__all__ = ["DETECTORS", "ORIGINS", "GROUPS", "EventStream", "simulate"]
 
 DETECTORS = ("alice", "bob")
 ORIGINS = ("photon", "dark")
+# The four click groups of a stream, in the order simulate assembles them.
+GROUPS = tuple((name, origin) for origin in ORIGINS for name in DETECTORS)
 
 
 class EventStream:
-    """Time-ordered click record held as columnar numpy arrays.
+    """Click record of one run: four ascending float64 time arrays.
 
-    ``times_ns`` is float64, ``detectors`` and ``origins`` are uint8 codes
-    into DETECTORS / ORIGINS.  The origin tag (photon or dark) exists for
-    simulation diagnostics only; analysis code never reads it, exactly like
-    a real counter card.
+    ``groups`` maps each (detector, origin) key of GROUPS to its click
+    times, sorted and inside [0, duration); a missing key is an empty
+    group.  The origin tag (photon or dark) exists for simulation
+    diagnostics only; analysis code never needs it, exactly like a real
+    counter card.  The arrays are read-only views.
     """
 
-    def __init__(
-        self,
-        times_ns: np.ndarray,
-        detectors: np.ndarray,
-        origins: np.ndarray,
-        *,
-        duration_ns: float,
-    ) -> None:
-        times = np.asarray(times_ns, dtype=np.float64)
-        dets = np.asarray(detectors, dtype=np.uint8)
-        origs = np.asarray(origins, dtype=np.uint8)
-        if not (times.shape == dets.shape == origs.shape) or times.ndim != 1:
-            raise ValueError("times, detectors, and origins must be equal-length 1-d arrays")
-        if times.size and (times[0] < 0.0 or times[-1] >= duration_ns):
-            raise ValueError("event times must lie in [0, duration)")
-        if times.size and np.any(times[1:] < times[:-1]):
-            raise ValueError("event times must be sorted ascending")
-        if dets.size and dets.max() >= len(DETECTORS):
-            raise ValueError("detector code out of range")
-        if origs.size and origs.max() >= len(ORIGINS):
-            raise ValueError("origin code out of range")
-        self.times_ns = times
-        self.detectors = dets
-        self.origins = origs
+    def __init__(self, groups: dict, *, duration_ns: float) -> None:
+        if not set(groups) <= set(GROUPS):
+            raise ValueError(f"group keys must be among {GROUPS}")
         self.duration_ns = float(duration_ns)
+        self.groups = {}
+        for key in GROUPS:
+            times = np.asarray(groups.get(key, ()), dtype=np.float64).view()
+            if times.ndim != 1:
+                raise ValueError(f"group {key} must be a 1-d array")
+            if times.size and not (0.0 <= times[0] and times[-1] < self.duration_ns):
+                raise ValueError(f"group {key}: event times must lie in [0, duration)")
+            if np.any(times[1:] < times[:-1]):
+                raise ValueError(f"group {key}: event times must be sorted ascending")
+            times.flags.writeable = False
+            self.groups[key] = times
 
     def __len__(self) -> int:
-        return int(self.times_ns.size)
+        return sum(times.size for times in self.groups.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return (
-            np.array_equal(self.times_ns, other.times_ns)
-            and np.array_equal(self.detectors, other.detectors)
-            and np.array_equal(self.origins, other.origins)
-            and self.duration_ns == other.duration_ns
+        return self.duration_ns == other.duration_ns and all(
+            np.array_equal(self.groups[key], other.groups[key]) for key in GROUPS
         )
 
+    @property
+    def origins(self) -> np.ndarray:
+        """uint8 code into ORIGINS of every click, in group order."""
+        codes = [ORIGINS.index(origin) for _, origin in GROUPS]
+        return np.repeat(np.array(codes, dtype=np.uint8), [t.size for t in self.groups.values()])
+
     def detector_times(self, name: str, origin: str | None = None) -> np.ndarray:
-        """Timestamps of one detector, optionally restricted to one origin."""
-        mask = self.detectors == DETECTORS.index(name)
+        """Ascending timestamps of one detector, optionally of one origin only."""
         if origin is not None:
-            mask &= self.origins == ORIGINS.index(origin)
-        return self.times_ns[mask]
+            return self.groups[name, origin]
+        photons, darks = (self.groups[name, origin] for origin in ORIGINS)
+        if not photons.size:
+            return darks
+        if not darks.size:
+            return photons
+        merged = np.concatenate((photons, darks))
+        merged.sort(kind="stable")  # merges two sorted runs
+        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +208,9 @@ def simulate(config: SimConfig) -> EventStream:
     analyzer, transfer, and detector-efficiency parameters.
 
     Assembly: the four source groups (Alice photons, Bob photons, Alice
-    darks, Bob darks) each carry one (detector, origin) code pair.  Each
-    group's times are sorted on their own, then one stable merge orders the
-    stream, so equal times from different groups keep that group order.
-    Within a group equal times carry equal codes, so the in-group sort
-    cannot change a byte of the stream.  Clicks outside [0, duration) are
-    cut from the two ends of the sorted stream.
+    darks, Bob darks) are kept apart, one per (detector, origin) key of
+    GROUPS.  Each is sorted in place and its clicks outside [0, duration)
+    are cut from its two ends; no group is merged with another.
     """
     chain = config.chain
     rng = np.random.default_rng(config.seed)
@@ -234,20 +233,10 @@ def simulate(config: SimConfig) -> EventStream:
             )
 
     # ---- assemble the stream -----------------------------------------
-    # One (detector, origin) code pair per group; each group is sorted on
-    # its own, so the stable argsort below only merges four sorted runs.
-    groups = [photon["alice"], photon["bob"], dark["alice"], dark["bob"]]
-    del photon, dark
-    for part in groups:
-        part.sort()
-    sizes = [part.size for part in groups]
-    times = np.concatenate(groups)
-    del groups, part  # part still holds the last group
-    dets = np.repeat(np.array([0, 1, 0, 1], dtype=np.uint8), sizes)
-    origs = np.repeat(np.array([0, 0, 1, 1], dtype=np.uint8), sizes)
-
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    lo, hi = np.searchsorted(times, [0.0, duration_ns])
-    order = order[lo:hi]
-    return EventStream(times[lo:hi], dets[order], origs[order], duration_ns=duration_ns)
+    groups = {}
+    for name, origin in GROUPS:
+        times = (photon if origin == "photon" else dark)[name]
+        times.sort()
+        lo, hi = np.searchsorted(times, [0.0, duration_ns])
+        groups[name, origin] = times[lo:hi]
+    return EventStream(groups, duration_ns=duration_ns)

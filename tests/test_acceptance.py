@@ -236,9 +236,8 @@ def test_11_determinism(tmp_path):
     with criterion(11, "same (config, seed) gives byte-identical streams and files"):
         cfg = SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=0.2, seed=7)
         a, b = ev.simulate(cfg), ev.simulate(cfg)
-        assert a.times_ns.tobytes() == b.times_ns.tobytes()
-        assert a.detectors.tobytes() == b.detectors.tobytes()
-        assert a.origins.tobytes() == b.origins.tobytes()
+        for key in ev.GROUPS:
+            assert a.groups[key].tobytes() == b.groups[key].tobytes(), key
         assert a.duration_ns == b.duration_ns
 
         document = {

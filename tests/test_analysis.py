@@ -2,26 +2,26 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photonlink import analysis as an
 from photonlink import chain as ch
 from photonlink import events as ev
 from photonlink.config import SimConfig
-
-
-DETECTOR_CODE = {name: i for i, name in enumerate(ev.DETECTORS)}
+from photonlink.presets import preset_config
 
 
 def hand_stream(clicks, duration_ns=1e6):
     """Build a stream from (time_ns, detector) tuples, photons only."""
-    clicks = sorted(clicks)
-    times = np.array([t for t, _ in clicks], dtype=float)
-    dets = np.array([DETECTOR_CODE[d] for _, d in clicks], dtype=np.uint8)
-    origs = np.zeros(len(clicks), dtype=np.uint8)
-    return ev.EventStream(times, dets, origs, duration_ns=duration_ns)
+    groups = {
+        (name, "photon"): sorted(t for t, d in clicks if d == name) for name in ev.DETECTORS
+    }
+    return ev.EventStream(groups, duration_ns=duration_ns)
 
 
 def synthetic_three_peak(
@@ -119,12 +119,144 @@ def test_histogram_addition_matches_union_for_disjoint_streams():
     assert an.build_histogram(union) == an.build_histogram(a) + an.build_histogram(b)
 
 
+def test_difference_rounded_below_range_records_nothing():
+    # At 1e18 ns one ulp is 128 ns, so start + 1 ns rounds back to the start
+    # and the tied stop is "paired" at a difference of 0 < range minimum.
+    stream = hand_stream([(1e18, "bob"), (1e18, "alice")], duration_ns=2e18)
+    assert an.build_histogram(stream, bin_width_ns=0.5, range_ns=(1.0, 4.0)).total == 0
+
+
 def test_histogram_addition_rejects_different_grids():
     stream = hand_stream([])
     h1 = an.build_histogram(stream)
     h2 = an.build_histogram(stream, bin_width_ns=0.1)
     with pytest.raises(ValueError):
         h1 + h2
+
+
+def reference_counts(starts, stops, bin_width_ns, range_ns):
+    """First-stop pairing over every start, one searchsorted per start.
+
+    The reference build_histogram must agree with: it scans all starts
+    instead of the candidates near some stop.  Differences that round
+    below the range minimum are dropped, as in build_histogram.
+    """
+    lo, hi = range_ns
+    n_bins = max(int(round((hi - lo) / bin_width_ns)), 1)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    if starts.size and stops.size:
+        first = np.searchsorted(stops, starts + lo, side="left")
+        valid = first < stops.size
+        tau = stops[first[valid]] - starts[valid]
+        tau = tau[(tau >= lo) & (tau < hi)]
+        indices = np.floor((tau - lo) / bin_width_ns).astype(np.int64)
+        indices = np.minimum(indices, n_bins - 1)
+        counts = np.bincount(indices, minlength=n_bins)
+    return counts
+
+
+# (bin width, range min, range max): grids on both sides of zero and on one.
+GRIDS = (
+    (0.05, -3.0, 3.0),
+    (0.25, -2.0, 1.5),
+    (0.25, 0.5, 2.0),
+    (0.5, 1.0, 4.0),
+    (1.0, -8.0, -2.0),
+    (2.0, -32.0, 32.0),
+)
+# Beyond 2**53 ns (about 9e15) one ulp of a time exceeds 1 ns.
+OFFSETS = (1e3, 2.0**53, 1e17, 2.0**57, 3.3e17, 1e18)
+
+
+@st.composite
+def group_records(draw):
+    """A start-stop stream with starts placed on and around the range edges."""
+    width, lo, hi = draw(st.sampled_from(GRIDS))
+    offset = draw(st.just(0.0) | st.sampled_from(OFFSETS) | st.floats(0.0, 1e18))
+    # Clicks spread over 10 ns overlap many start ranges, over 10 us few.
+    # Stops on |range edge| put starts at stop - edge right next to zero,
+    # where stop - start rounds although start + lo does not.
+    spread = draw(st.sampled_from((10.0, 100.0, 1e4)))
+    local = st.floats(0.0, spread) | st.sampled_from((abs(lo), abs(hi)))
+    stops = [offset + t for t in draw(st.lists(local, max_size=12))]
+    starts = [offset + t for t in draw(st.lists(local, max_size=6))]
+    if stops:
+        edges = st.tuples(
+            st.sampled_from(stops),
+            st.sampled_from(("tie", "hi", "lo", "inside")),
+            st.sampled_from((-2, -1, 0, 0, 1, 2)),  # ulps off the edge
+            st.floats(0.0, 1.0),
+        )
+        for stop, kind, ulps, u in draw(st.lists(edges, max_size=30)):
+            t = {"tie": stop, "hi": stop - hi, "lo": stop - lo, "inside": stop - lo - u * (hi - lo)}[kind]
+            for _ in range(abs(ulps)):
+                t = float(np.nextafter(t, math.copysign(math.inf, ulps)))
+            starts.append(t)
+    starts = [t for t in starts if t >= 0.0]
+    start_detector, stop_detector = draw(st.permutations(ev.DETECTORS))
+    # Each click is a photon or a dark; either group may end up empty.
+    groups = {}
+    for name, times in ((start_detector, starts), (stop_detector, stops)):
+        dark = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
+        for origin in ev.ORIGINS:
+            groups[name, origin] = sorted(t for t, d in zip(times, dark) if d == (origin == "dark"))
+    duration_ns = 2.0 * max(starts + stops, default=0.0) + 1.0
+    stream = ev.EventStream(groups, duration_ns=duration_ns)
+    return stream, start_detector, stop_detector, width, (lo, hi)
+
+
+# Start one ulp past zero, lone stop at range minimum 1 ns: 1 - 5e-324
+# rounds to 1 and pairs, while the unwidened candidate bound 1 - 1 = 0
+# lies below the start.
+NEAR_ZERO = (
+    ev.EventStream({("alice", "photon"): [1.0], ("bob", "dark"): [5e-324]}, duration_ns=10.0),
+    "bob",
+    "alice",
+    0.5,
+    (1.0, 4.0),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(group_records())
+@example(NEAR_ZERO)
+def test_histogram_matches_per_start_reference(record):
+    stream, start, stop, width, range_ns = record
+    hist = an.build_histogram(stream, start, stop, bin_width_ns=width, range_ns=range_ns)
+    expected = reference_counts(
+        stream.detector_times(start), stream.detector_times(stop), width, range_ns
+    )
+    assert hist.counts.tolist() == expected.tolist()
+
+
+def test_histogram_memory_per_start_on_dark_dominated_stream():
+    # Bob's free-running darks are ~99 % of a fig2 stream and almost none of
+    # them pair.  Marking candidates costs ~2 bytes per start; a pairing
+    # search over every start cost ~33.
+    chain = preset_config("fig2-baseline").chain
+    stream = ev.simulate(SimConfig(chain=chain, duration_s=3.0, seed=5))
+    n_starts = stream.detector_times(chain.start_detector).size
+    half = chain.histogram_half_range_ns
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    try:
+        hist = an.build_histogram(
+            stream,
+            start_detector=chain.start_detector,
+            stop_detector=chain.stop_detector,
+            bin_width_ns=chain.histogram_bin_ns,
+            range_ns=(-half, half),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert n_starts > 80_000
+    assert hist.total > 0
+    assert peak - before <= 8 * n_starts
 
 
 # ---------------------------------------------------------------------------

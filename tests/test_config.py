@@ -31,7 +31,7 @@ def test_round_trip_through_dict():
 def test_round_trip_through_file(tmp_path):
     cfg = preset_config("fig3-transfer")
     path = tmp_path / "cfg.json"
-    pc.dump_config(cfg, path)
+    path.write_text(json.dumps(pc.sim_config_to_dict(cfg)))
     assert pc.load_config(path) == cfg
 
 

@@ -16,7 +16,7 @@ from photonlink import analysis as an
 from photonlink import chain as ch
 from photonlink import events as ev
 from photonlink.config import InvalidConfigError, SimConfig, sim_config_from_dict
-from photonlink.presets import PRESETS
+from photonlink.presets import PRESETS, preset_config
 
 
 def ideal_chain(**kw) -> ch.ChainConfig:
@@ -71,11 +71,15 @@ def test_different_seeds_differ():
 
 
 def test_stream_is_sorted_and_bounded():
-    cfg = SimConfig(chain=ch.ChainConfig(), duration_s=0.3, seed=7)
+    # The fig2 chain gives every group clicks in 0.3 s (Alice darks: 2).
+    cfg = SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=0.3, seed=7)
     stream = ev.simulate(cfg)
-    assert np.all(np.diff(stream.times_ns) >= 0.0)
-    assert stream.times_ns[0] >= 0.0
-    assert stream.times_ns[-1] < cfg.duration_s * 1e9
+    assert set(stream.groups) == set(ev.GROUPS)
+    for key, times in stream.groups.items():
+        assert times.size, key
+        assert np.all(np.diff(times) >= 0.0), key
+        assert times[0] >= 0.0, key
+        assert times[-1] < cfg.duration_s * 1e9, key
 
 
 def test_empty_stream_is_allowed():
@@ -200,22 +204,39 @@ def test_phase_averaged_one_two_one_law():
     assert central / late == pytest.approx(2.0, rel=0.05)
 
 
-def test_equal_times_keep_group_order():
-    # Jitter-free with matched analyzers: the Alice and Bob photons of a
-    # central-class pair land at exactly the same time.  The stream must be
-    # ordered by (time, group) with Alice photon < Bob photon < Alice dark
-    # < Bob dark, which fixes it completely given the drawn events.
-    chain_cfg = ideal_chain(
-        alice_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=1e-3),
-        bob_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=1e-3),
+def test_event_stream_validates_each_group():
+    ok = {("alice", "photon"): [1.0, 2.0]}
+    assert len(ev.EventStream(ok, duration_ns=10.0)) == 2
+    bad = (
+        {("alice", "photon"): [2.0, 1.0]},  # not ascending
+        {("bob", "dark"): [-1.0, 2.0]},  # before the run
+        {("bob", "photon"): [1.0, 10.0]},  # at the end of the run
+        {("alice", "photon"): [[1.0, 2.0]]},  # not 1-d
+        {("carol", "photon"): [1.0]},  # unknown detector
     )
-    stream = ev.simulate(SimConfig(chain=chain_cfg, duration_s=0.05, seed=113))
-    group = stream.detectors + 2 * stream.origins
-    tied = np.diff(stream.times_ns) == 0.0
-    assert np.any(tied & (group[:-1] == 0) & (group[1:] == 1))
-    np.testing.assert_array_equal(
-        np.lexsort((group, stream.times_ns)), np.arange(len(stream))
+    for groups in bad:
+        with pytest.raises(ValueError):
+            ev.EventStream(groups, duration_ns=10.0)
+
+
+def test_detector_times_merges_the_two_origins():
+    photons = np.array([1.0, 4.0, 4.0])
+    stream = ev.EventStream(
+        {("bob", "photon"): photons, ("bob", "dark"): [0.5, 4.0, 9.0], ("alice", "dark"): [3.0]},
+        duration_ns=10.0,
     )
+    np.testing.assert_array_equal(stream.detector_times("bob"), [0.5, 1.0, 4.0, 4.0, 4.0, 9.0])
+    np.testing.assert_array_equal(stream.detector_times("bob", "photon"), photons)
+    assert stream.detector_times("alice").tolist() == [3.0]
+    assert stream.detector_times("alice", "photon").size == 0
+    # One empty origin: the other group itself, shared and read-only.
+    alice = stream.detector_times("alice")
+    assert np.shares_memory(alice, stream.detector_times("alice", "dark"))
+    assert not alice.flags.writeable
+    assert photons.flags.writeable  # the caller's array is left as it was
+    # One code per click in group order: Alice/Bob photons, Alice/Bob darks.
+    assert stream.origins.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    assert len(stream) == 7
 
 
 def test_visibility_scales_the_fringe_not_the_sides():
