@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .chain import EDGE_TOL_NS
 from .events import ORIGINS, EventStream
@@ -32,7 +31,6 @@ __all__ = [
     "OutOfRange",
     "NoBackground",
     "InsufficientData",
-    "NonConvergence",
     "BELL_THRESHOLD_VISIBILITY",
     "CoincidenceHistogram",
     "PeakWindows",
@@ -74,10 +72,6 @@ class NoBackground(AnalysisError):
 
 class InsufficientData(AnalysisError):
     """Too few fringe points, or the phase span is under one period."""
-
-
-class NonConvergence(AnalysisError):
-    """The fringe fit failed to converge; the message carries diagnostics."""
 
 
 # ---------------------------------------------------------------------------
@@ -465,53 +459,62 @@ class BellResult:
     violation: bool
 
 
-def _fit_sinusoid(
-    phases: np.ndarray, rates: np.ndarray, label: str
-) -> tuple[float, float, float, float]:
-    """Least-squares A(1 + v cos(phi - phi0)); returns (a, v, phi0, v_err)."""
-    a0 = float(np.mean(rates))
-    if a0 <= 0.0:
+def _fit_sinusoid(phases: np.ndarray, rates: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares A(1 + v cos(phi - phi0)) with a >= 0 and 0 <= v <= 1.
+
+    The model is the linear A + B cos(phi) + C sin(phi), so one linear
+    solve gives the exact optimum v = hypot(B, C)/A, phi0 = atan2(C, B).
+    Where that v exceeds 1 the bound is active and (a, phi0) are refitted
+    at v = 1.  ``v_err`` follows a bounded ``curve_fit``: the
+    pseudo-inverse of the Jacobian in (a, v, phi0), dropping singular
+    values below eps * max(shape) times the largest, scaled by
+    SSR / (n - 3).  Returns (a, v, phi0, v_err), phi0 on the principal branch.
+    """
+    basis = np.column_stack((np.ones_like(phases), np.cos(phases), np.sin(phases)))
+    (a, b, c), _, rank, _ = np.linalg.lstsq(basis, rates, rcond=None)
+    if rank < 3:
+        raise InsufficientData(
+            f"the {phases.size} phases hold fewer than three distinct values "
+            "modulo 2 pi, too few to fit a fringe"
+        )
+    if np.mean(rates) <= 0.0:
         # An all-zero (or negative after subtraction) scan carries no fringe.
         return 0.0, 0.0, 0.0, 0.0
-    # Seed the phase from the first Fourier component at the sweep frequency
-    # and the visibility from its magnitude; this keeps the optimizer away
-    # from the v = 0 saddle.
-    z = np.sum((rates - a0) * np.exp(-1j * phases))
-    phi0_seed = float(np.angle(z)) if abs(z) > 0.0 else 0.0
-    v_seed = float(np.clip(2.0 * abs(z) / (rates.size * a0), 1e-6, 0.999))
-
-    def model(phi, a, v, phi0):
-        return a * (1.0 + v * np.cos(phi - phi0))
-
-    try:
-        popt, pcov = curve_fit(
-            model,
-            phases,
-            rates,
-            p0=[a0, v_seed, phi0_seed],
-            bounds=([0.0, 0.0, -2.0 * math.pi], [np.inf, 1.0, 2.0 * math.pi]),
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise NonConvergence(
-            f"{label} fringe fit did not converge over {rates.size} points "
-            f"(mean rate {a0:.4g}/s): {exc}"
-        ) from exc
-    a, v, phi0 = (float(x) for x in popt)
-    var = float(pcov[1, 1]) if np.isfinite(pcov[1, 1]) else math.inf
-    v_err = math.sqrt(max(var, 0.0))
-    # Report the offset on the principal branch.
-    phi0 = math.atan2(math.sin(phi0), math.cos(phi0))
-    return a, v, phi0, v_err
+    a = float(a)
+    if a > 0.0 and math.hypot(b, c) <= a:
+        v, phi0 = math.hypot(b, c) / a, math.atan2(c, b)
+    else:
+        # At v = 1 an offset t sets a = P/N, with g = 1 + cos(phi - t),
+        # P = <r, g> and N = <g, g>.  The best t maximises P^2/N, so it
+        # solves 2 P' N = P N': in z = exp(i t), with P and N held as their
+        # coefficients of z^-1..z and z^-2..z^2, a polynomial of degree 6.
+        # Of its root angles, plus the linear offset in case it vanishes,
+        # the best with a > 0 is the optimum.
+        e = np.exp(1j * phases)
+        p = np.array([rates @ e / 2, rates.sum(), rates @ e.conj() / 2])
+        n = np.array([(e * e).sum() / 4, e.sum(), 1.5 * e.size, e.conj().sum(), (e * e).conj().sum() / 4])
+        q = np.convolve(2j * np.arange(-1, 2) * p, n) - np.convolve(p, 1j * np.arange(-2, 3) * n)
+        t = np.append(np.angle(np.roots(q[::-1])), math.atan2(c, b))
+        g = 1.0 + np.cos(phases - t[:, None])
+        proj, norm = g @ rates, np.einsum("ij,ij->i", g, g)
+        best = int(np.argmax(np.where(proj > 0.0, proj * proj / norm, -np.inf)))
+        a, v, phi0 = float(proj[best] / norm[best]), 1.0, float(t[best])
+    delta = phases - phi0
+    shape = 1.0 + v * np.cos(delta)
+    jac = np.column_stack((shape, a * np.cos(delta), a * v * np.sin(delta)))
+    pinv = np.linalg.pinv(jac, rcond=np.finfo(float).eps * max(jac.shape))
+    ssr = float(np.sum((rates - a * shape) ** 2))
+    v_err = math.sqrt(ssr / (rates.size - 3) * float(pinv[1] @ pinv[1]))
+    return a, v, math.atan2(math.sin(phi0), math.cos(phi0)), v_err
 
 
 def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
     """Fit raw and net visibilities to a phase scan.
 
-    Needs at least five points spanning a full period.  The net fit
+    Needs at least five points spanning a full period at no fewer than
+    three distinct phases modulo 2 pi.  Each fit is the least-squares
+    optimum under 0 <= v <= 1 from ``_fit_sinusoid``: a closed-form linear
+    solve, refitted at v = 1 where the bound is active.  The net fit
     subtracts the flat accidental rate from every point before refitting;
     with a zero accidental rate the two fits are identical by construction.
     """
@@ -529,16 +532,9 @@ def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
         raise ValueError(f"accidental rate cannot be negative, got {accidental_rate_per_s!r}")
     rates = np.array([p.coincidences / p.duration_s for p in pts], dtype=float)
 
-    a_raw, v_raw, phi0, v_raw_err = _fit_sinusoid(phases, rates, "raw")
-    if acc > 0.0:
-        _, v_net, _, v_net_err = _fit_sinusoid(phases, rates - acc, "net")
-    else:
-        v_net, v_net_err = v_raw, v_raw_err
-
-    def model(phi):
-        return a_raw * (1.0 + v_raw * np.cos(phi - phi0))
-
-    residual = float(np.sqrt(np.mean((rates - model(phases)) ** 2)))
+    a_raw, v_raw, phi0, v_raw_err = _fit_sinusoid(phases, rates)
+    _, v_net, _, v_net_err = _fit_sinusoid(phases, rates - acc)
+    residual = float(np.sqrt(np.mean((rates - a_raw * (1.0 + v_raw * np.cos(phases - phi0))) ** 2)))
     return FringeFit(
         v_raw=v_raw,
         v_net=v_net,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not in the first simulate
 
 from .config import SimConfig
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from photonlink import analysis as an
 from photonlink import chain as ch
@@ -452,6 +453,12 @@ def test_fit_rejects_insufficient_data():
     ]
     with pytest.raises(an.InsufficientData):
         an.fit_fringe(points)
+    # A full span but only two distinct phases modulo 2 pi: three
+    # parameters cannot be fitted.
+    phis = (0.0, 0.0, 0.0, 2.0 * math.pi, 2.0 * math.pi)
+    points = [an.FringePoint(p, 100.0 + i, 1.0) for i, p in enumerate(phis)]
+    with pytest.raises(an.InsufficientData, match="fewer than three distinct"):
+        an.fit_fringe(points)
 
 
 def test_fit_rejects_negative_accidentals():
@@ -460,19 +467,125 @@ def test_fit_rejects_negative_accidentals():
 
 
 def test_fit_poisson_noise_recovers_visibility():
-    rng = np.random.default_rng(5)
     truth = 0.9
     phis = np.linspace(0.0, 2.0 * math.pi, 21)
-    points = [
-        an.FringePoint(
-            float(p),
-            int(rng.poisson(2000.0 * (1.0 + truth * math.cos(p)))),
-            1.0,
-        )
-        for p in phis
-    ]
-    fit = an.fit_fringe(points)
-    assert fit.v_raw == pytest.approx(truth, abs=5.0 * max(fit.v_raw_err, 1e-3))
+    # Quarter-period offsets: a fit seeded at -phi0 stalls at v = 0 there.
+    for seed, phi0 in ((5, 0.0), (0, math.pi / 2), (0, -math.pi / 2), (5, math.pi / 2), (5, -math.pi / 2)):
+        rng = np.random.default_rng(seed)
+        points = [
+            an.FringePoint(
+                float(p),
+                int(rng.poisson(2000.0 * (1.0 + truth * math.cos(p - phi0)))),
+                1.0,
+            )
+            for p in phis
+        ]
+        fit = an.fit_fringe(points)
+        assert fit.v_raw == pytest.approx(truth, abs=5.0 * max(fit.v_raw_err, 1e-3)), (seed, phi0)
+        assert fit.v_raw_err < 0.05, (seed, phi0)  # ~0.008 at 2000 counts; a stalled fit gives 0.2
+
+
+def curve_fit_sinusoid(phases, rates):
+    """The bounded ``curve_fit`` fringe fit photonlink used to ship, as an oracle.
+
+    Returns (a, v, phi0, v_err) like ``analysis._fit_sinusoid``.  It seeds
+    the phase at -phi0, so near quarter-period offsets it can stall far
+    from the optimum; compare against it by SSR first.
+    """
+    a0 = float(np.mean(rates))
+    if a0 <= 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    z = np.sum((rates - a0) * np.exp(-1j * phases))
+    phi0_seed = float(np.angle(z)) if abs(z) > 0.0 else 0.0
+    v_seed = float(np.clip(2.0 * abs(z) / (rates.size * a0), 1e-6, 0.999))
+
+    def model(phi, a, v, phi0):
+        return a * (1.0 + v * np.cos(phi - phi0))
+
+    popt, pcov = curve_fit(
+        model,
+        phases,
+        rates,
+        p0=[a0, v_seed, phi0_seed],
+        bounds=([0.0, 0.0, -2.0 * math.pi], [np.inf, 1.0, 2.0 * math.pi]),
+        xtol=1e-14,
+        ftol=1e-14,
+        gtol=1e-14,
+        maxfev=20000,
+    )
+    a, v, phi0 = (float(x) for x in popt)
+    var = float(pcov[1, 1]) if np.isfinite(pcov[1, 1]) else math.inf
+    return a, v, math.atan2(math.sin(phi0), math.cos(phi0)), math.sqrt(max(var, 0.0))
+
+
+def fit_ssr(phases, rates, a, v, phi0):
+    return float(np.sum((rates - a * (1.0 + v * np.cos(phases - phi0))) ** 2))
+
+
+def noisy_scan(n, v, phi0, level, floor, seed):
+    """(phases, counts, floor): n Poisson points over one period plus a flat floor."""
+    phases = np.linspace(0.0, 2.0 * math.pi, n)
+    mean = level * (1.0 + v * np.cos(phases - phi0)) + floor
+    return phases, np.random.default_rng(seed).poisson(mean).astype(float), floor
+
+
+@st.composite
+def noisy_scans(draw):
+    level = 10.0 ** draw(st.floats(1.0, 4.0))  # mean fringe counts per point
+    return noisy_scan(
+        n=draw(st.integers(5, 30)),
+        v=draw(st.floats(0.0, 1.0) | st.floats(0.95, 1.0)),  # near 1: the bound
+        phi0=draw(st.floats(-math.pi, math.pi)),
+        level=level,
+        floor=level * draw(st.floats(0.0, 0.5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+# Net fits that meet the v = 1 bound: at a quarter-period offset and not,
+# and a sparse scan whose linear solution has A < 0.  There the best
+# offset at v = 1 without a >= 0 has a < 0, and Newton steps from the
+# linear solution's offset end at a < 0 too.
+BOUND_SCANS = (
+    noisy_scan(9, 1.0, 0.3, 40.0, 20.0, 2),
+    noisy_scan(21, 0.99, math.pi / 2, 300.0, 100.0, 6),
+    (np.linspace(0.0, 2.0 * math.pi, 7), np.array([1.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 0.56),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(noisy_scans())
+@example(BOUND_SCANS[0])
+@example(BOUND_SCANS[1])
+@example(BOUND_SCANS[2])
+def test_fit_matches_curve_fit_oracle(scan):
+    """The closed form is never worse than curve_fit and agrees where both optimise.
+
+    The fit keeps its bounds a >= 0, 0 <= v <= 1.  Thresholds fixed
+    beforehand: SSR at most the oracle's times (1 + 1e-12); where the
+    oracle's SSR is within 1e-6 (relative) of the closed form's, |dv| <= 1e-7
+    and v_err within 1e-4 relative when above 1e-12.  At v = 0 the offset,
+    and with it v_err on an uneven phase set, is arbitrary, so v_err is
+    compared only for v >= 1e-6.  Below ~10 counts per point v_err nears 1,
+    and curve_fit's own ftol stop leaves |dv| ~1e-7 at equal SSR.
+    """
+    phases, counts, floor = scan
+    for rates in (counts, counts - floor):
+        a, v, phi0, v_err = an._fit_sinusoid(phases, rates)
+        assert a >= 0.0 and 0.0 <= v <= 1.0
+        oracle = curve_fit_sinusoid(phases, rates)
+        ssr = fit_ssr(phases, rates, a, v, phi0)
+        oracle_ssr = fit_ssr(phases, rates, *oracle[:3])
+        assert ssr <= oracle_ssr * (1.0 + 1e-12)
+        if oracle_ssr <= ssr * (1.0 + 1e-6):
+            assert abs(v - oracle[1]) <= 1e-7
+            if v_err > 1e-12 and v >= 1e-6:
+                assert v_err == pytest.approx(oracle[3], rel=1e-4)
+
+
+def test_bound_scans_meet_the_bound():
+    for phases, counts, floor in BOUND_SCANS:
+        assert an._fit_sinusoid(phases, counts - floor)[1] == 1.0
 
 
 def test_fringe_point_validation():

@@ -6,6 +6,11 @@ tests.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +358,33 @@ def test_report_requires_inputs():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["report"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    """scipy is a test dependency: importing the CLI and running it load none of it."""
+    cfg = write_config(tmp_path, fast_chain())
+    runs = [
+        ["budget", "--preset", "fig2-baseline", "--out", str(tmp_path / "budget")],
+        ["sweep", "--config", cfg, "--phases", "9", "--out", str(tmp_path / "sweep")],
+        ["report", str(tmp_path / "budget" / "budget.json"), str(tmp_path / "sweep" / "fit.json")],
+    ]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import photonlink.cli as cli
+        assert "scipy" not in sys.modules, "import photonlink.cli"
+        for argv in {runs!r}:
+            assert cli.main(argv) == 0, argv
+            assert "scipy" not in sys.modules, argv
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
