@@ -17,7 +17,9 @@ and is therefore fixed here rather than configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import os
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +48,6 @@ __all__ = [
     "bell_parameter",
     "write_histogram_csv",
     "write_fringe_csv",
-    "fit_to_dict",
 ]
 
 # A sinusoidal two-photon fringe violates the CHSH bound S = 2 exactly when
@@ -574,21 +575,22 @@ def bell_parameter(v: float) -> BellResult:
 # ---------------------------------------------------------------------------
 
 
+def write_text(path, text: str) -> None:
+    """Write a whole output file at once: a failed run leaves no truncated file."""
+    tmp = Path(f"{path}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def write_histogram_csv(hist: CoincidenceHistogram, path) -> None:
     lines = ["bin_center_ns,counts"]
     for center, count in zip(hist.centers_ns, hist.counts):
         lines.append(f"{center!r},{int(count)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_fringe_csv(points, path) -> None:
     lines = ["phase_rad,coincidences,duration_s"]
     for p in points:
         lines.append(f"{p.combined_phase_rad!r},{p.coincidences},{p.duration_s!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def fit_to_dict(fit: FringeFit) -> dict:
-    return {f.name: getattr(fit, f.name) for f in fields(fit)}
+    write_text(path, "\n".join(lines) + "\n")

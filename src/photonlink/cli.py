@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from . import analysis as an
 from . import chain as ch
-from .config import InvalidConfigError, SimConfig, load_config, sim_config_to_dict
+from .config import InvalidConfigError, SimConfig, load_config
 from .events import EventStream, simulate
 from .presets import PEAK_RATIO_TARGET, REPORT_TARGETS, preset_config, preset_names
 
@@ -49,20 +49,17 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_STATS = 4
 
+# Most points one sweep may take; keeps its per-point records near 17 MB.
+MAX_PHASES = 10_000
+
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    an.write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _env_override(name: str, parse, current):
@@ -120,7 +117,7 @@ def _write_manifest(
     manifest = {
         "command": command,
         "label": label,
-        "config": sim_config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
         "duration_s": cfg.duration_s,
         "outputs": sorted([*outputs, "manifest.json"]),
@@ -222,16 +219,15 @@ def cmd_budget(args) -> int:
 def _run_sweep(cfg: SimConfig, n_phases: int):
     """Simulate a Bob-phase sweep and fit the central-window fringe.
 
-    Returns (points, fit, windows, accidental_rate, total_histogram).  The
-    combined phase of each point is Alice's configured phase plus the
-    swept Bob phase; per-point streams use sub-seeds derived from the
-    config seed so the whole sweep is one deterministic function of it.
+    Returns (points, fit, windows, accidental_rate).  The combined phase of
+    each point is Alice's configured phase plus the swept Bob phase;
+    per-point streams use sub-seeds derived from the config seed so the
+    whole sweep is one deterministic function of it.
     """
     chain = cfg.chain
     phases = np.linspace(0.0, 2.0 * math.pi, n_phases)
     seeds = _point_seeds(cfg.seed, n_phases)
     histograms: list[an.CoincidenceHistogram] = []
-    total: an.CoincidenceHistogram | None = None
     for phi, seed in zip(phases, seeds):
         chain_i = dataclasses.replace(
             chain,
@@ -240,8 +236,8 @@ def _run_sweep(cfg: SimConfig, n_phases: int):
         # Each point's stream dies before the next simulate.
         hist = _histogram(simulate(dataclasses.replace(cfg, chain=chain_i, seed=seed)), chain)
         histograms.append(hist)
-        total = hist if total is None else total + hist
 
+    total = sum(histograms[1:], histograms[0])
     windows = an.locate_peaks(total, chain.bob_interferometer.delay_ns())
     acc_rate = an.estimate_accidentals(total, windows) / (n_phases * cfg.duration_s)
     combined = chain.alice_interferometer.phase_rad + phases
@@ -250,17 +246,19 @@ def _run_sweep(cfg: SimConfig, n_phases: int):
         for phi, h in zip(combined, histograms)
     ]
     fit = an.fit_fringe(points, accidental_rate_per_s=acc_rate)
-    return points, fit, windows, acc_rate, total
+    return points, fit, windows, acc_rate
 
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     cfg, label = _resolve_config(args)
-    out_dir = _resolve_out(args)
     if args.phases < 5:
         raise InvalidConfigError(f"a sweep needs at least 5 phase points, got {args.phases}")
+    if args.phases > MAX_PHASES:
+        raise InvalidConfigError(f"--phases allows at most {MAX_PHASES} points, got {args.phases}")
+    out_dir = _resolve_out(args)
 
-    points, fit, windows, acc_rate, _ = _run_sweep(cfg, args.phases)
+    points, fit, windows, acc_rate = _run_sweep(cfg, args.phases)
     bell = an.bell_parameter(fit.v_net)
     fidelity = an.fidelity_from_visibility(fit.v_net)
 
@@ -276,7 +274,7 @@ def cmd_sweep(args) -> int:
         payload = {
             "label": label,
             "configured_visibility": cfg.visibility,
-            "fit": an.fit_to_dict(fit),
+            "fit": dataclasses.asdict(fit),
             "fidelity": fidelity,
             "bell": dataclasses.asdict(bell),
             "windows": _windows_dict(windows),

@@ -2,10 +2,14 @@
 
 A config document has the same shape as ``dataclasses.asdict(SimConfig)``:
 top-level simulation fields plus a ``chain`` section whose sub-sections map
-one-to-one onto the parameter records in :mod:`photonlink.chain`.  Missing
-fields fall back to the dataclass defaults; unknown fields, and values whose
-type does not match the field's default, are rejected with the offending
-field and section named, so typos fail loudly.
+one-to-one onto the parameter records in :mod:`photonlink.chain`.  A
+document, like a preset, states only what differs from the dataclass
+defaults.  A section that is present starts from its record's class
+defaults, not from the chain's default for that slot: a lone
+``alice_detector`` section gives a free-running Alice, not the chain's gated
+one.  Unknown fields, and values whose type does not match the field's
+default, are rejected with the offending field and section named, so typos
+fail loudly.  Each run's ``manifest.json`` holds the fully resolved config.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ __all__ = [
     "MAX_EXPECTED_EVENTS",
     "InvalidConfigError",
     "SimConfig",
-    "chain_from_dict",
     "sim_config_from_dict",
-    "sim_config_to_dict",
     "load_config",
 ]
 
@@ -91,10 +93,31 @@ def _field_error(default, value) -> str | None:
     return None  # nested sections are built and checked on their own
 
 
-def _build(cls, data: dict, section: str):
+# Every nested section of a config document and the record it builds, in
+# the order they are built; the section of a field that defaults to None
+# (chain.sfg) may also be null.
+_SECTIONS = {
+    "chain": ch.ChainConfig,
+    "chain.source": ch.SourceParams,
+    "chain.alice_interferometer": ch.InterferometerParams,
+    "chain.bob_interferometer": ch.InterferometerParams,
+    "chain.alice_detector": ch.DetectorParams,
+    "chain.bob_detector": ch.DetectorParams,
+    "chain.sfg": ch.SfgParams,
+}
+
+
+def _build(cls, data: dict, path: str = ""):
+    """Build ``cls`` from the document section at ``path``, nested sections first."""
+    section = path or "simulation"
     if not isinstance(data, dict):
         raise InvalidConfigError(f"section {section!r} must be an object, got {type(data).__name__}")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    data = dict(data)
+    for sub_path, sub_cls in _SECTIONS.items():
+        parent, _, name = sub_path.rpartition(".")
+        if parent == path and name in data and not (data[name] is None and defaults[name] is None):
+            data[name] = _build(sub_cls, data[name], sub_path)
     unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise InvalidConfigError(f"unknown field(s) {', '.join(unknown)} in section {section!r}")
@@ -110,39 +133,8 @@ def _build(cls, data: dict, section: str):
         raise InvalidConfigError(f"section {section!r}: {exc}") from exc
 
 
-def chain_from_dict(data: dict) -> ch.ChainConfig:
-    if not isinstance(data, dict):
-        raise InvalidConfigError(f"section 'chain' must be an object, got {type(data).__name__}")
-    data = dict(data)
-    converted: dict = {}
-    sections = {
-        "source": ch.SourceParams,
-        "alice_interferometer": ch.InterferometerParams,
-        "bob_interferometer": ch.InterferometerParams,
-        "alice_detector": ch.DetectorParams,
-        "bob_detector": ch.DetectorParams,
-    }
-    for name, cls in sections.items():
-        if name in data:
-            converted[name] = _build(cls, data.pop(name), f"chain.{name}")
-    if "sfg" in data:
-        raw = data.pop("sfg")
-        converted["sfg"] = None if raw is None else _build(ch.SfgParams, raw, "chain.sfg")
-    converted.update(data)
-    return _build(ch.ChainConfig, converted, "chain")
-
-
 def sim_config_from_dict(data: dict) -> SimConfig:
-    data = dict(data)
-    converted: dict = {}
-    if "chain" in data:
-        converted["chain"] = chain_from_dict(data.pop("chain"))
-    converted.update(data)
-    return _build(SimConfig, converted, "simulation")
-
-
-def sim_config_to_dict(config: SimConfig) -> dict:
-    return dataclasses.asdict(config)
+    return _build(SimConfig, data)
 
 
 def load_config(path) -> SimConfig:

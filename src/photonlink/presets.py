@@ -17,8 +17,9 @@ Two presets ship with the package:
 Values quoted to the component data sheets live in the chain defaults;
 what the presets pin down are the operating points: pair rate, collection
 duration per phase point, and the detector background levels that set the
-accidental fraction.  The per-point durations are chosen so a 21-point
-phase sweep collects a few hundred coincidences per point.
+accidental fraction.  Every field a preset leaves out takes its record's
+default.  The per-point durations are chosen so a 21-point phase sweep
+collects a few hundred coincidences per point.
 """
 
 from __future__ import annotations
@@ -46,26 +47,8 @@ PRESETS: dict[str, dict] = {
         "visibility": 0.970,
         "duration_s": 240.0,
         "seed": 11,
-        "phase_averaged": False,
         "chain": {
-            "source": {
-                "pump_coherence_length_m": 300.0,
-                "signal_wavelength_nm": 1555.0,
-                "idler_wavelength_nm": 1312.0,
-                "raw_bandwidth_nm": 15.0,
-                "alice_filter_bandwidth_nm": 15.0,
-                "pair_rate_per_s": 2000.0,
-            },
-            "alice_interferometer": {
-                "path_imbalance_m": 0.20,
-                "phase_rad": 0.0,
-                "transmission": 0.7,
-            },
-            "bob_interferometer": {
-                "path_imbalance_m": 0.20,
-                "phase_rad": 0.0,
-                "transmission": 0.7,
-            },
+            "source": {"pair_rate_per_s": 2000.0},
             "alice_detector": {
                 "quantum_efficiency": 0.14,
                 "dark_prob_per_ns": 1.0e-5,
@@ -77,41 +60,20 @@ PRESETS: dict[str, dict] = {
                 "dark_prob_per_ns": 3.0e-5,
                 "role": "free_running",
             },
-            "sfg": None,
-            "jitter_ns": 0.1,
-            "coincidence_window_ns": 0.6,
-            "start_detector": "bob",
-            "stop_detector": "alice",
-            "histogram_bin_ns": 0.05,
-            "histogram_half_range_ns": 3.0,
         },
     },
     "fig3-transfer": {
         "visibility": 0.962,
         "duration_s": 150.0,
         "seed": 12,
-        "phase_averaged": False,
         "chain": {
             "source": {
-                "pump_coherence_length_m": 300.0,
-                "signal_wavelength_nm": 1555.0,
-                "idler_wavelength_nm": 1312.0,
-                "raw_bandwidth_nm": 15.0,
                 # narrow filter on Alice's arm for the transfer measurement
                 "alice_filter_bandwidth_nm": 1.5,
                 "pair_rate_per_s": 25000.0,
             },
-            "alice_interferometer": {
-                "path_imbalance_m": 0.20,
-                "phase_rad": 0.0,
-                "transmission": 0.7,
-            },
-            "bob_interferometer": {
-                # bulk optics after the conversion stage
-                "path_imbalance_m": 0.20,
-                "phase_rad": 0.0,
-                "transmission": 0.30,
-            },
+            # bulk optics after the conversion stage
+            "bob_interferometer": {"transmission": 0.30},
             "alice_detector": {
                 "quantum_efficiency": 0.14,
                 "dark_prob_per_ns": 1.0e-5,
@@ -125,21 +87,8 @@ PRESETS: dict[str, dict] = {
                 "dark_prob_per_ns": 4.9e-5,
                 "role": "free_running",
             },
-            "sfg": {
-                "efficiency_per_watt": 0.80,
-                "reservoir_power_w": 0.7,
-                "coupling_qubit": 0.4,
-                "coupling_reservoir": 0.4,
-                "input_wavelength_nm": 1312.0,
-                "output_wavelength_nm": 712.4,
-                "reservoir_coherence_length_m": 1000.0,
-            },
-            "jitter_ns": 0.1,
-            "coincidence_window_ns": 0.6,
-            "start_detector": "bob",
-            "stop_detector": "alice",
-            "histogram_bin_ns": 0.05,
-            "histogram_half_range_ns": 3.0,
+            # the conversion stage at its data-sheet values
+            "sfg": {},
         },
     },
 }
@@ -151,10 +100,6 @@ def preset_names() -> tuple[str, ...]:
 
 def preset_config(name: str) -> SimConfig:
     """Instantiate a named preset; KeyError lists the available names."""
-    try:
-        raw = PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-    return sim_config_from_dict(raw)
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return sim_config_from_dict(PRESETS[name])

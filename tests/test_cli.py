@@ -164,9 +164,16 @@ def test_sweep_flat_fringe_for_zero_visibility(tmp_path):
     assert doc["fit"]["v_raw"] < 0.05
 
 
-def test_sweep_needs_five_phase_points(tmp_path):
+def test_sweep_needs_five_phase_points(tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("simulate ran on a refused phase count")
+
+    monkeypatch.setattr(cli, "simulate", never)
     cfg = write_config(tmp_path, fast_chain())
     assert cli.main(["sweep", "--config", cfg, "--phases", "4"]) == 2
+    # An unbounded count would reach np.linspace and SeedSequence.spawn.
+    assert cli.main(["sweep", "--preset", "fig2-baseline", "--phases", "1000000000"]) == 2
+    assert "--phases" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,14 @@ def test_empty_document_gives_all_defaults():
 def test_round_trip_through_dict():
     for name in preset_names():
         cfg = preset_config(name)
-        again = pc.sim_config_from_dict(pc.sim_config_to_dict(cfg))
+        again = pc.sim_config_from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
 
 def test_round_trip_through_file(tmp_path):
     cfg = preset_config("fig3-transfer")
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(pc.sim_config_to_dict(cfg)))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert pc.load_config(path) == cfg
 
 
