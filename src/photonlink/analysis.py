@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_NS
-from .events import ORIGINS, EventStream
+from .events import ORIGINS, EventStream, blocks
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -173,7 +173,8 @@ def build_histogram(
     stream yields an all-zero histogram.
 
     Starts pair independently, so the start detector's photon and dark
-    groups are histogrammed apart and summed, and only starts within a few
+    groups are histogrammed apart and summed, BLOCK starts at a time.  When
+    a group has more starts than there are stops, only starts within a few
     ulps of (stop - max, stop - min] for some stop are paired at all.
     """
     lo, hi = float(range_ns[0]), float(range_ns[1])
@@ -184,29 +185,21 @@ def build_histogram(
     counts = np.zeros(n_bins, dtype=np.int64)
     stops = events.detector_times(stop_detector)
     for origin in ORIGINS:
-        starts = events.detector_times(start_detector, origin)
-        if not (starts.size and stops.size):
+        group = events.detector_times(start_detector, origin)
+        if not (group.size and stops.size):
             continue
-        # Candidate start ranges [first, last) of each stop, monotone in the
-        # stop; merged where they overlap so each block gets one +1 and one -1.
-        slack = 4.0 * np.spacing(max(starts[-1], stops[-1]) + abs(lo) + abs(hi))
-        first = np.searchsorted(starts, stops - (hi + slack), side="left")
-        last = np.searchsorted(starts, stops - (lo - slack), side="right")
-        opens = np.concatenate(([True], first[1:] > last[:-1]))
-        closes = np.concatenate((opens[1:], [True]))
-        marks = np.zeros(starts.size + 1, dtype=np.int8)
-        marks[first[opens]] = 1
-        marks[last[closes]] -= 1
-        candidates = starts[np.cumsum(marks[:-1], dtype=np.int8).view(bool)]
-        del first, last, opens, closes, marks
-
-        paired = np.searchsorted(stops, candidates + lo, side="left")
-        valid = paired < stops.size
-        tau = stops[paired[valid]] - candidates[valid]
-        tau = tau[(tau >= lo) & (tau < hi)]  # start + lo may round onto a stop
-        indices = np.floor((tau - lo) / width).astype(np.int64)
-        indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
-        counts += np.bincount(indices, minlength=n_bins)
+        slack = 4.0 * np.spacing(max(group[-1], stops[-1]) + abs(lo) + abs(hi))
+        for part in blocks(group.size):
+            starts = group[part]
+            if stops.size < group.size:
+                starts = _near_some_stop(starts, stops, lo, hi, slack)
+            paired = np.searchsorted(stops, starts + lo, side="left")
+            valid = paired < stops.size
+            tau = stops[paired[valid]] - starts[valid]
+            tau = tau[(tau >= lo) & (tau < hi)]  # start + lo may round onto a stop
+            indices = np.floor((tau - lo) / width).astype(np.int64)
+            indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
+            counts += np.bincount(indices, minlength=n_bins)
     return CoincidenceHistogram(
         bin_width_ns=width,
         range_min_ns=lo,
@@ -215,6 +208,30 @@ def build_histogram(
         start_detector=start_detector,
         stop_detector=stop_detector,
     )
+
+
+def _near_some_stop(
+    starts: np.ndarray, stops: np.ndarray, lo: float, hi: float, slack: float
+) -> np.ndarray:
+    """The starts within slack of [stop - hi, stop - lo] for some stop.
+
+    Only stops within 2 * slack of the starts' span can reach one of them.
+    Their start ranges [first, last) are monotone in the stop; merged where
+    they overlap, each run of candidates gets one +1 and one -1 mark.
+    """
+    begin = np.searchsorted(stops, starts[0] + (lo - 2.0 * slack), side="left")
+    end = np.searchsorted(stops, starts[-1] + (hi + 2.0 * slack), side="right")
+    near = stops[begin:end]
+    if not near.size:
+        return starts[:0]
+    first = np.searchsorted(starts, near - (hi + slack), side="left")
+    last = np.searchsorted(starts, near - (lo - slack), side="right")
+    opens = np.concatenate(([True], first[1:] > last[:-1]))
+    closes = np.concatenate((opens[1:], [True]))
+    marks = np.zeros(starts.size + 1, dtype=np.int8)
+    marks[first[opens]] = 1
+    marks[last[closes]] -= 1
+    return starts[np.cumsum(marks[:-1], dtype=np.int8).view(bool)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ __all__ = [
 
 
 # Largest expected duration_s x (pair rate + Alice singles + Bob singles) one
-# simulate() call may draw.  The dense criterion-09 source peaks at about 17
-# bytes per expected event (338 MB for 16 M), a full-length fig2 point at
-# about 10 (150 MB for 7.7 M), so the cap bounds one run near 0.6 GB.
+# simulate() call may draw.  The dense criterion-09 source peaks at about 9
+# bytes per expected event above the interpreter's 35 MB (182 MB for 16 M,
+# 255 MB for 24 M), so the cap bounds one run near 0.3 GB.
 MAX_EXPECTED_EVENTS = 3.0e7
 
 

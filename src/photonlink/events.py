@@ -41,6 +41,15 @@ DETECTORS = ("alice", "bob")
 ORIGINS = ("photon", "dark")
 # The four click groups of a stream, in the order simulate assembles them.
 GROUPS = tuple((name, origin) for origin in ORIGINS for name in DETECTORS)
+# Items per block of the per-pair walk in _photon_times and of the start
+# walk in analysis.build_histogram: it bounds their temporaries and changes
+# no draw and no count.
+BLOCK = 1 << 16
+
+
+def blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK items that cover range(n) in order."""
+    return [slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
 
 
 class EventStream:
@@ -135,12 +144,37 @@ def _gated_dark_times(
     return triggers + offsets
 
 
+def _outcome_classes(rng: np.random.Generator, v_cos: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Outcome class 0..5 of each pair: how many cumulative thresholds its u passes.
+
+    ``v_cos`` is V cos(phi) of every pair, or one value that serves them all.
+    """
+    code = np.empty(n_pairs, dtype=np.int8)
+    for part in blocks(n_pairs):
+        u = rng.random(part.stop - part.start)
+        pair_v_cos = v_cos if v_cos.size == 1 else v_cos[part]
+        threshold = 1.0 + pair_v_cos
+        threshold *= 0.125  # central coincidence
+        p_single = 2.0 - pair_v_cos
+        p_single *= 0.125  # same weight for Alice-only and Bob-only
+        np.greater_equal(u, threshold, out=code[part])
+        for p in (0.0625, 0.0625, p_single, p_single):  # two sides, two singles
+            threshold += p
+            code[part] += u >= threshold
+    return code
+
+
 def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Alice's and Bob's photon clicks, unsorted, in pair order.
 
-    Each pair-sized draw is folded into a running buffer as soon as it is
-    drawn, so only the emission times, a one-byte code per pair and the two
-    kept masks outlive their own draw.
+    The emission times (and, when phase-averaging, the phases) are drawn
+    whole; every later per-pair segment is walked in blocks of BLOCK pairs
+    and folded at once into compact per-pair state (a one-byte code per pair
+    and the two kept masks) or, for the jitter, into each side's click
+    array.  On numpy's PCG64 ``random``, ``integers(0, 2)`` and ``normal``
+    drawn block by block give the same values, and leave the generator in
+    the same state, as one whole-array call, so blocks do not change the
+    draws.
     """
     chain = config.chain
     alice_arm, bob_arm = chain.alice_interferometer, chain.bob_interferometer
@@ -151,28 +185,20 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     if config.phase_averaged:
         v_cos = rng.random(n_pairs)
         v_cos *= 2.0 * math.pi
-    else:
-        v_cos = np.full(n_pairs, alice_arm.phase_rad + bob_arm.phase_rad)
+    else:  # one value serves every pair
+        v_cos = np.full(1, alice_arm.phase_rad + bob_arm.phase_rad)
     np.cos(v_cos, out=v_cos)
     v_cos *= config.visibility
 
-    # Outcome class 0..5: the number of cumulative thresholds u passes.
-    u = rng.random(n_pairs)
-    threshold = 1.0 + v_cos
-    threshold *= 0.125  # central coincidence
-    p_single = np.subtract(2.0, v_cos, out=v_cos)
-    p_single *= 0.125  # same weight for Alice-only and Bob-only
-    code = (u >= threshold).astype(np.int8)
-    for p in (0.0625, 0.0625, p_single, p_single):  # two sides, two singles
-        threshold += p
-        code += u >= threshold
-    del u, threshold, p_single, v_cos, p  # p still holds p_single
+    code = _outcome_classes(rng, v_cos, n_pairs)
+    del v_cos
 
     # Shared path bit: ss/ll label for central-class pairs (the two paths
     # are indistinguishable, the label only places absolute timestamps) and
     # the unobservable short/long choice for one-sided classes.
     code *= 2
-    code += rng.integers(0, 2, size=n_pairs)
+    for part in blocks(n_pairs):
+        code[part] += rng.integers(0, 2, size=part.stop - part.start)
 
     # Lookup tables over code = 2 * class + path bit (classes in the order of
     # the module docstring), one row per detector (Alice, Bob): whether the
@@ -187,13 +213,27 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
         alice_arm.transmission * chain.alice_detector.quantum_efficiency,
         bob_arm.transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
     )
-    kept = [reach[side][code] & (rng.random(n_pairs) < keep[side]) for side in (0, 1)]
-    jitter = [rng.normal(0.0, 1.0, n_pairs)[mask] * chain.jitter_ns for mask in kept]
+    kept = [np.empty(n_pairs, dtype=bool) for _ in keep]
+    for side_reach, side_keep, mask in zip(reach, keep, kept):
+        for part in blocks(n_pairs):
+            mask[part] = side_reach[code[part]]
+            mask[part] &= rng.random(part.stop - part.start) < side_keep
+
+    # Each side's clicks: offset, then + emission, then + jitter, written
+    # block by block into one array of the kept pairs.
     clicks = []
-    for side_offset, mask, side_jitter in zip(offset, kept, jitter):
-        times = side_offset[code[mask]]
-        times += emission[mask]
-        times += side_jitter
+    for side_offset, mask in zip(offset, kept):
+        times = np.empty(np.count_nonzero(mask))
+        end = 0
+        for part in blocks(n_pairs):
+            pair_mask = mask[part]
+            jitter = rng.normal(0.0, 1.0, part.stop - part.start)[pair_mask]
+            jitter *= chain.jitter_ns
+            out = times[end : end + jitter.size]
+            end += jitter.size
+            out[:] = side_offset[code[part][pair_mask]]
+            out += emission[part][pair_mask]
+            out += jitter
         clicks.append(times)
     return clicks
 
@@ -206,7 +246,10 @@ def simulate(config: SimConfig) -> EventStream:
     Bob thinning, Alice jitter, Bob jitter, then free-running darks (Alice
     before Bob) and finally gated darks.  Photon draws are consumed
     unconditionally so the photon record depends only on the source,
-    analyzer, transfer, and detector-efficiency parameters.
+    analyzer, transfer, and detector-efficiency parameters.  Each per-pair
+    segment after the emission times is drawn in blocks of BLOCK pairs; a
+    segment drawn block by block equals its whole-array draw, so the blocks
+    change no click and no later draw.
 
     Assembly: the four source groups (Alice photons, Bob photons, Alice
     darks, Bob darks) are kept apart, one per (detector, origin) key of

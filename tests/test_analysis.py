@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +23,21 @@ def hand_stream(clicks, duration_ns=1e6):
         (name, "photon"): sorted(t for t, d in clicks if d == name) for name in ev.DETECTORS
     }
     return ev.EventStream(groups, duration_ns=duration_ns)
+
+
+def dense_config(duration_s: float, seed: int) -> SimConfig:
+    """The criterion-09 source: phase-averaged, lossless, dark-free, 200 k pairs/s."""
+    chain_cfg = ch.ChainConfig(
+        source=ch.SourceParams(pair_rate_per_s=200_000.0),
+        alice_interferometer=ch.InterferometerParams(transmission=1.0),
+        bob_interferometer=ch.InterferometerParams(transmission=1.0),
+        alice_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=0.0),
+        bob_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=0.0),
+        jitter_ns=0.1,
+    )
+    return SimConfig(
+        chain=chain_cfg, visibility=1.0, duration_s=duration_s, seed=seed, phase_averaged=True
+    )
 
 
 def synthetic_three_peak(
@@ -208,29 +223,43 @@ def group_records(draw):
 
 # Start one ulp past zero, lone stop at range minimum 1 ns: 1 - 5e-324
 # rounds to 1 and pairs, while the unwidened candidate bound 1 - 1 = 0
-# lies below the start.
+# lies below the start.  The second start, which pairs with nothing, makes
+# starts outnumber stops, so candidates are marked.
 NEAR_ZERO = (
-    ev.EventStream({("alice", "photon"): [1.0], ("bob", "dark"): [5e-324]}, duration_ns=10.0),
+    ev.EventStream({("alice", "photon"): [1.0], ("bob", "dark"): [5e-324, 6.0]}, duration_ns=10.0),
     "bob",
     "alice",
     0.5,
     (1.0, 4.0),
+)
+# As many stops as starts: every start is paired, none is marked.
+STOPS_EQUAL_STARTS = (
+    hand_stream([(1.0, "bob"), (2.5, "bob"), (1.2, "alice"), (9.0, "alice")], duration_ns=10.0),
+    "bob",
+    "alice",
+    0.05,
+    (-3.0, 3.0),
 )
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(group_records())
 @example(NEAR_ZERO)
+@example(STOPS_EQUAL_STARTS)
 def test_histogram_matches_per_start_reference(record):
     stream, start, stop, width, range_ns = record
-    hist = an.build_histogram(stream, start, stop, bin_width_ns=width, range_ns=range_ns)
     expected = reference_counts(
         stream.detector_times(start), stream.detector_times(stop), width, range_ns
     )
-    assert hist.counts.tolist() == expected.tolist()
+    # Blocks of one, two and five starts put block edges between the starts
+    # of every example.
+    for block in (ev.BLOCK, 1, 2, 5):
+        with mock.patch.object(ev, "BLOCK", block):
+            hist = an.build_histogram(stream, start, stop, bin_width_ns=width, range_ns=range_ns)
+        assert hist.counts.tolist() == expected.tolist(), block
 
 
-def test_histogram_memory_per_start_on_dark_dominated_stream():
+def test_histogram_memory_per_start_on_dark_dominated_stream(traced_peak):
     # Bob's free-running darks are ~99 % of a fig2 stream and almost none of
     # them pair.  Marking candidates costs ~2 bytes per start; a pairing
     # search over every start cost ~33.
@@ -238,26 +267,29 @@ def test_histogram_memory_per_start_on_dark_dominated_stream():
     stream = ev.simulate(SimConfig(chain=chain, duration_s=3.0, seed=5))
     n_starts = stream.detector_times(chain.start_detector).size
     half = chain.histogram_half_range_ns
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    before, _ = tracemalloc.get_traced_memory()
-    try:
-        hist = an.build_histogram(
-            stream,
-            start_detector=chain.start_detector,
-            stop_detector=chain.stop_detector,
-            bin_width_ns=chain.histogram_bin_ns,
-            range_ns=(-half, half),
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    hist, peak = traced_peak(
+        an.build_histogram,
+        stream,
+        start_detector=chain.start_detector,
+        stop_detector=chain.stop_detector,
+        bin_width_ns=chain.histogram_bin_ns,
+        range_ns=(-half, half),
+    )
     assert n_starts > 80_000
     assert hist.total > 0
-    assert peak - before <= 8 * n_starts
+    assert peak <= 8 * n_starts
+
+
+def test_histogram_memory_per_start_on_dense_stream(traced_peak):
+    # About as many stops as starts, nearly all of which pair: pairing BLOCK
+    # starts at a time keeps the temporaries near 4 bytes per start against
+    # 24 for one pass over the whole stream.
+    stream = ev.simulate(dense_config(duration_s=5.0, seed=271828))
+    n_starts = stream.detector_times("bob").size
+    hist, peak = traced_peak(an.build_histogram, stream)
+    assert n_starts > 450_000
+    assert hist.total > 0.4 * n_starts
+    assert peak <= 8 * n_starts
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +336,9 @@ def test_locate_peaks_needs_range_covering_sides():
 
 
 def test_phase_averaged_simulation_shows_one_two_one_areas():
-    chain_cfg = ch.ChainConfig(
-        source=ch.SourceParams(pair_rate_per_s=200_000.0),
-        alice_interferometer=ch.InterferometerParams(transmission=1.0),
-        bob_interferometer=ch.InterferometerParams(transmission=1.0),
-        alice_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=0.0),
-        bob_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=0.0),
-        jitter_ns=0.1,
-    )
-    cfg = SimConfig(chain=chain_cfg, visibility=1.0, duration_s=1.0, seed=77, phase_averaged=True)
+    cfg = dense_config(duration_s=1.0, seed=77)
     hist = an.build_histogram(ev.simulate(cfg))
-    windows = an.locate_peaks(hist, chain_cfg.bob_interferometer.delay_ns())
+    windows = an.locate_peaks(hist, cfg.chain.bob_interferometer.delay_ns())
     central = an.count_window(hist, windows.central)
     early = an.count_window(hist, windows.side_early)
     late = an.count_window(hist, windows.side_late)

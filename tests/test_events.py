@@ -6,7 +6,6 @@ so they are deterministic once verified.
 
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -434,21 +433,108 @@ def test_golden_counts(name):
     assert hist.counts.tolist() == GOLDEN[name]["counts"]
 
 
-def test_simulate_peak_memory_per_event():
-    # numpy reports its buffers to tracemalloc.  Each per-pair draw is folded
-    # in as soon as it is drawn, so the dense source peaks near 34 bytes per
-    # event; a dozen live pair-sized temporaries cost 178.
+def test_simulate_peak_memory_per_event(traced_peak):
+    # A dozen live pair-sized temporaries cost 178 bytes per event on the
+    # dense source; folding each draw in at once, 34.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 1.0})
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    before, _ = tracemalloc.get_traced_memory()
-    try:
-        stream = ev.simulate(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 150_000
-    assert peak - before <= 64 * len(stream)
+    assert peak <= 64 * len(stream)
+
+
+def test_simulate_peak_memory_on_five_dense_seconds(traced_peak):
+    # Walking the per-pair draws in blocks leaves the emission times, the
+    # one-byte code, the two kept masks and the clicks (about 20 bytes per
+    # event); four live pair-sized float64 arrays cost 34.
+    cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 5.0})
+    stream, peak = traced_peak(ev.simulate, cfg)
+    assert len(stream) > 900_000
+    assert peak <= 28 * len(stream)
+
+
+# ---------------------------------------------------------------------------
+# block walk against the whole-array sampler
+# ---------------------------------------------------------------------------
+
+
+def reference_photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """The photon half drawn in whole-array segments (the sampler before its block walk).
+
+    Same draws in the same order as events._photon_times: pair count,
+    emission, phase, u, path bit, Alice and Bob thinning, Alice and Bob
+    jitter, each segment in one call.
+    """
+    chain = config.chain
+    alice_arm, bob_arm = chain.alice_interferometer, chain.bob_interferometer
+    n_pairs = int(rng.poisson(chain.source.pair_rate_per_s * config.duration_s))
+    emission = rng.random(n_pairs)
+    emission *= config.duration_s * 1e9
+
+    if config.phase_averaged:
+        v_cos = rng.random(n_pairs)
+        v_cos *= 2.0 * math.pi
+    else:
+        v_cos = np.full(n_pairs, alice_arm.phase_rad + bob_arm.phase_rad)
+    np.cos(v_cos, out=v_cos)
+    v_cos *= config.visibility
+
+    u = rng.random(n_pairs)
+    threshold = 1.0 + v_cos
+    threshold *= 0.125
+    p_single = np.subtract(2.0, v_cos, out=v_cos)
+    p_single *= 0.125
+    code = (u >= threshold).astype(np.int8)
+    for p in (0.0625, 0.0625, p_single, p_single):
+        threshold += p
+        code += u >= threshold
+    code *= 2
+    code += rng.integers(0, 2, size=n_pairs)
+
+    delay = np.array([[alice_arm.delay_ns()], [bob_arm.delay_ns()]])
+    reach = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0]], dtype=bool).repeat(2, axis=1)
+    scale = delay * [[1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]]
+    shift = delay * [[0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
+    offset = (scale[..., None] * [0.0, 1.0] + shift[..., None]).reshape(2, 12)
+    keep = (
+        alice_arm.transmission * chain.alice_detector.quantum_efficiency,
+        bob_arm.transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
+    )
+    kept = [reach[side][code] & (rng.random(n_pairs) < keep[side]) for side in (0, 1)]
+    jitter = [rng.normal(0.0, 1.0, n_pairs)[mask] * chain.jitter_ns for mask in kept]
+    clicks = []
+    for side_offset, mask, side_jitter in zip(offset, kept, jitter):
+        times = side_offset[code[mask]]
+        times += emission[mask]
+        times += side_jitter
+        clicks.append(times)
+    return clicks
+
+
+class FixedPairCount:
+    """A seeded generator whose Poisson draw, the pair count, returns n_pairs."""
+
+    def __init__(self, n_pairs: int, seed: int) -> None:
+        self.n_pairs = n_pairs
+        self.rng = np.random.default_rng(seed)
+
+    def poisson(self, lam):
+        return self.n_pairs
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3, 64])
+@pytest.mark.parametrize("phase_averaged", [False, True])
+def test_block_walk_matches_whole_array_sampler(monkeypatch, block, phase_averaged):
+    if block is not None:
+        monkeypatch.setattr(ev, "BLOCK", block)
+    size = ev.BLOCK
+    chain_cfg = phases(preset_config("fig3-transfer").chain, 1.3)  # both sides thinned
+    cfg = SimConfig(chain=chain_cfg, visibility=0.9, duration_s=1.0, phase_averaged=phase_averaged)
+    for n_pairs in (0, 1, size - 1, size, size + 1, 3 * size + 7):
+        walked, whole = FixedPairCount(n_pairs, seed=n_pairs), FixedPairCount(n_pairs, seed=n_pairs)
+        got = ev._photon_times(cfg, walked)
+        want = reference_photon_times(cfg, whole)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want], n_pairs
+        assert walked.random() == whole.random(), n_pairs  # same generator state after
