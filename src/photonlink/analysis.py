@@ -175,9 +175,13 @@ def build_histogram(
     Starts pair independently, so the start detector's photon and dark
     groups are histogrammed apart and summed, BLOCK starts at a time.  When
     a group has more starts than there are stops, only starts within a few
-    ulps of (stop - max, stop - min] for some stop are paired at all.
+    ulps of (stop - max, stop - min] for some stop are paired at all.  The
+    starts ascend, so the ones that find a stop are a prefix of each block.
+    A range that is not finite with min < max is refused before any pairing.
     """
     lo, hi = float(range_ns[0]), float(range_ns[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"range_ns must be finite with min < max, got {range_ns!r}")
     width = float(bin_width_ns)
     if not width > 0.0:
         raise ValueError(f"bin width must be positive, got {bin_width_ns!r}")
@@ -194,9 +198,9 @@ def build_histogram(
             if stops.size < group.size:
                 starts = _near_some_stop(starts, stops, lo, hi, slack)
             paired = np.searchsorted(stops, starts + lo, side="left")
-            valid = paired < stops.size
-            tau = stops[paired[valid]] - starts[valid]
-            tau = tau[(tau >= lo) & (tau < hi)]  # start + lo may round onto a stop
+            n_valid = np.searchsorted(paired, stops.size)  # paired ascends with the starts
+            tau = stops.take(paired[:n_valid]) - starts[:n_valid]
+            tau = np.compress((tau >= lo) & (tau < hi), tau)  # start + lo may round onto a stop
             indices = np.floor((tau - lo) / width).astype(np.int64)
             indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
             counts += np.bincount(indices, minlength=n_bins)
@@ -217,7 +221,9 @@ def _near_some_stop(
 
     Only stops within 2 * slack of the starts' span can reach one of them.
     Their start ranges [first, last) are monotone in the stop; merged where
-    they overlap, each run of candidates gets one +1 and one -1 mark.
+    they touch or overlap, the runs are disjoint and ascending, and their
+    starts are gathered by index.  The cost is O(near stops + candidates),
+    not O(starts).
     """
     begin = np.searchsorted(stops, starts[0] + (lo - 2.0 * slack), side="left")
     end = np.searchsorted(stops, starts[-1] + (hi + 2.0 * slack), side="right")
@@ -228,10 +234,10 @@ def _near_some_stop(
     last = np.searchsorted(starts, near - (lo - slack), side="right")
     opens = np.concatenate(([True], first[1:] > last[:-1]))
     closes = np.concatenate((opens[1:], [True]))
-    marks = np.zeros(starts.size + 1, dtype=np.int8)
-    marks[first[opens]] = 1
-    marks[last[closes]] -= 1
-    return starts[np.cumsum(marks[:-1], dtype=np.int8).view(bool)]
+    run_first = first[opens]
+    size = last[closes] - run_first
+    ends = np.cumsum(size)
+    return starts.take(np.repeat(run_first - ends + size, size) + np.arange(ends[-1]))
 
 
 # ---------------------------------------------------------------------------

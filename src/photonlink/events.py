@@ -73,8 +73,8 @@ class EventStream:
                 raise ValueError(f"group {key} must be a 1-d array")
             if times.size and not (0.0 <= times[0] and times[-1] < self.duration_ns):
                 raise ValueError(f"group {key}: event times must lie in [0, duration)")
-            if np.any(times[1:] < times[:-1]):
-                raise ValueError(f"group {key}: event times must be sorted ascending")
+            if not np.all(times[1:] >= times[:-1]):  # also false at any NaN
+                raise ValueError(f"group {key}: event times must be sorted ascending, without NaN")
             times.flags.writeable = False
             self.groups[key] = times
 
@@ -171,10 +171,11 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     whole; every later per-pair segment is walked in blocks of BLOCK pairs
     and folded at once into compact per-pair state (a one-byte code per pair
     and the two kept masks) or, for the jitter, into each side's click
-    array.  On numpy's PCG64 ``random``, ``integers(0, 2)`` and ``normal``
-    drawn block by block give the same values, and leave the generator in
-    the same state, as one whole-array call, so blocks do not change the
-    draws.
+    array, gathering the kept pairs of a block by their indices.  On numpy's
+    PCG64 ``random``, ``integers(0, 2)`` and ``standard_normal`` drawn block
+    by block give the same values, and leave the generator in the same
+    state, as one whole-array call, so blocks do not change the draws;
+    ``standard_normal(n)`` gives the bytes of ``normal(0.0, 1.0, n)``.
     """
     chain = config.chain
     alice_arm, bob_arm = chain.alice_interferometer, chain.bob_interferometer
@@ -216,23 +217,23 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     kept = [np.empty(n_pairs, dtype=bool) for _ in keep]
     for side_reach, side_keep, mask in zip(reach, keep, kept):
         for part in blocks(n_pairs):
-            mask[part] = side_reach[code[part]]
+            side_reach.take(code[part], out=mask[part])
             mask[part] &= rng.random(part.stop - part.start) < side_keep
 
-    # Each side's clicks: offset, then + emission, then + jitter, written
-    # block by block into one array of the kept pairs.
+    # Each side's clicks: offset, then + emission, then + jitter, gathered by
+    # index block by block into one array of the kept pairs.
     clicks = []
     for side_offset, mask in zip(offset, kept):
         times = np.empty(np.count_nonzero(mask))
         end = 0
         for part in blocks(n_pairs):
-            pair_mask = mask[part]
-            jitter = rng.normal(0.0, 1.0, part.stop - part.start)[pair_mask]
+            index = np.flatnonzero(mask[part])
+            jitter = rng.standard_normal(part.stop - part.start).take(index)
             jitter *= chain.jitter_ns
-            out = times[end : end + jitter.size]
-            end += jitter.size
-            out[:] = side_offset[code[part][pair_mask]]
-            out += emission[part][pair_mask]
+            out = times[end : end + index.size]
+            end += index.size
+            side_offset.take(code[part].take(index), out=out)
+            out += emission[part].take(index)
             out += jitter
         clicks.append(times)
     return clicks

@@ -6,6 +6,7 @@ so they are deterministic once verified.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,12 @@ def test_event_stream_validates_each_group():
     for groups in bad:
         with pytest.raises(ValueError):
             ev.EventStream(groups, duration_ns=10.0)
+
+
+def test_event_stream_refuses_nan_inside_a_group():
+    # NaN compares false both ways, so an "any descent" check let it pass.
+    with pytest.raises(ValueError, match=re.escape("group ('bob', 'dark')")):
+        ev.EventStream({("bob", "dark"): [1.0, math.nan, 2.0]}, duration_ns=10.0)
 
 
 def test_detector_times_merges_the_two_origins():
@@ -530,11 +537,20 @@ def test_block_walk_matches_whole_array_sampler(monkeypatch, block, phase_averag
     if block is not None:
         monkeypatch.setattr(ev, "BLOCK", block)
     size = ev.BLOCK
-    chain_cfg = phases(preset_config("fig3-transfer").chain, 1.3)  # both sides thinned
-    cfg = SimConfig(chain=chain_cfg, visibility=0.9, duration_s=1.0, phase_averaged=phase_averaged)
-    for n_pairs in (0, 1, size - 1, size, size + 1, 3 * size + 7):
-        walked, whole = FixedPairCount(n_pairs, seed=n_pairs), FixedPairCount(n_pairs, seed=n_pairs)
-        got = ev._photon_times(cfg, walked)
-        want = reference_photon_times(cfg, whole)
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in want], n_pairs
-        assert walked.random() == whole.random(), n_pairs  # same generator state after
+    chains = {
+        "thinned": phases(preset_config("fig3-transfer").chain, 1.3),  # both sides thinned
+        # Lossless: a side keeps exactly the pairs that reach it, so short
+        # blocks often keep all of their pairs or none.
+        "lossless": sim_config_from_dict(DENSE_DOCUMENT).chain,
+    }
+    for name, chain_cfg in chains.items():
+        cfg = SimConfig(
+            chain=chain_cfg, visibility=0.9, duration_s=1.0, phase_averaged=phase_averaged
+        )
+        for n_pairs in (0, 1, size - 1, size, size + 1, 3 * size + 7):
+            walked = FixedPairCount(n_pairs, seed=n_pairs)
+            whole = FixedPairCount(n_pairs, seed=n_pairs)
+            got = ev._photon_times(cfg, walked)
+            want = reference_photon_times(cfg, whole)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want], (name, n_pairs)
+            assert walked.random() == whole.random(), (name, n_pairs)  # same state after
