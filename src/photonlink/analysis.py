@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_NS
-from .events import ORIGINS, EventStream, blocks
+from .events import DETECTORS, ORIGINS, EventStream, blocks
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -177,11 +177,33 @@ def build_histogram(
     a group has more starts than there are stops, only starts within a few
     ulps of (stop - max, stop - min] for some stop are paired at all.  The
     starts ascend, so the ones that find a stop are a prefix of each block.
-    A range that is not finite with min < max is refused before any pairing.
+    Detector names that are not two different ones of DETECTORS, a range
+    that is not finite with min < max, and roles or a range the stream is
+    not complete for (``EventStream.complete_for``) are refused before any
+    pairing.
     """
+    if start_detector not in DETECTORS:
+        raise ValueError(f"start_detector must be one of {DETECTORS}, got {start_detector!r}")
+    if stop_detector not in DETECTORS or stop_detector == start_detector:
+        raise ValueError(
+            f"stop_detector must be the one of {DETECTORS} that is not the start detector "
+            f"{start_detector!r}, got {stop_detector!r}"
+        )
     lo, hi = float(range_ns[0]), float(range_ns[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"range_ns must be finite with min < max, got {range_ns!r}")
+    if events.complete_for is not None:
+        start, stop, half = events.complete_for
+        if start_detector != start:
+            raise ValueError(
+                f"start_detector must be {start!r}, the start detector the stream was drawn "
+                f"for, got {start_detector!r}"
+            )
+        if not -half <= lo < hi <= half:
+            raise ValueError(
+                f"range_ns must lie within (-{half}, {half}), the half-range the stream was "
+                f"drawn for, got {range_ns!r}"
+            )
     width = float(bin_width_ns)
     if not width > 0.0:
         raise ValueError(f"bin width must be positive, got {bin_width_ns!r}")

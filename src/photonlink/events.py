@@ -24,6 +24,14 @@ Everything is drawn from one numpy PCG64 generator in a fixed documented
 order, so a stream is a deterministic function of (config, seed), and all
 photon-related draws happen before any dark-count draws: changing dark
 rates never perturbs the photon events.
+
+The start detector's free-running darks are drawn only where they can
+pair.  Its dark count is drawn whole; the darks that open a gate of a gated
+partner get times (marking), and of the rest only those within the
+histogram half-range plus one bin of some stop click get times
+(restriction).  The others are counted, not drawn: the stream keeps the
+start-stop histogram of the chain's geometry and every detector's click
+count exact in distribution, and records both.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import math
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first simulate
 
+from .chain import DetectorParams
 from .config import SimConfig
 
 __all__ = ["DETECTORS", "ORIGINS", "GROUPS", "EventStream", "simulate"]
@@ -60,12 +69,30 @@ class EventStream:
     group.  The origin tag (photon or dark) exists for simulation
     diagnostics only; analysis code never needs it, exactly like a real
     counter card.  The arrays are read-only views.
+
+    ``undrawn`` maps a group key to the clicks it had but that were only
+    counted, because none of them can pair; ``n_clicks`` adds them back.
+    ``complete_for`` is the (start detector, stop detector, half-range ns)
+    geometry whose histogram the stream still gives in full, or None when
+    every click is drawn and every geometry is served.
     """
 
-    def __init__(self, groups: dict, *, duration_ns: float) -> None:
-        if not set(groups) <= set(GROUPS):
+    def __init__(
+        self,
+        groups: dict,
+        *,
+        duration_ns: float,
+        undrawn: dict | None = None,
+        complete_for: tuple[str, str, float] | None = None,
+    ) -> None:
+        undrawn = dict(undrawn or {})
+        if not set(groups) | set(undrawn) <= set(GROUPS):
             raise ValueError(f"group keys must be among {GROUPS}")
+        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in undrawn.values()):
+            raise ValueError("undrawn click counts must be non-negative integers")
         self.duration_ns = float(duration_ns)
+        self.undrawn = {key: int(undrawn.get(key, 0)) for key in GROUPS}
+        self.complete_for = complete_for
         self.groups = {}
         for key in GROUPS:
             times = np.asarray(groups.get(key, ()), dtype=np.float64).view()
@@ -84,8 +111,11 @@ class EventStream:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return self.duration_ns == other.duration_ns and all(
-            np.array_equal(self.groups[key], other.groups[key]) for key in GROUPS
+        return (
+            self.duration_ns == other.duration_ns
+            and self.undrawn == other.undrawn
+            and self.complete_for == other.complete_for
+            and all(np.array_equal(self.groups[key], other.groups[key]) for key in GROUPS)
         )
 
     @property
@@ -93,6 +123,11 @@ class EventStream:
         """uint8 code into ORIGINS of every click, in group order."""
         codes = [ORIGINS.index(origin) for _, origin in GROUPS]
         return np.repeat(np.array(codes, dtype=np.uint8), [t.size for t in self.groups.values()])
+
+    def n_clicks(self, name: str, origin: str | None = None) -> int:
+        """Clicks of one detector, optionally of one origin only, undrawn ones included."""
+        origins = ORIGINS if origin is None else (origin,)
+        return sum(self.groups[name, o].size + self.undrawn[name, o] for o in origins)
 
     def detector_times(self, name: str, origin: str | None = None) -> np.ndarray:
         """Ascending timestamps of one detector, optionally of one origin only."""
@@ -117,31 +152,74 @@ def _gated_dark_times(
     rng: np.random.Generator,
     partner_photons: np.ndarray,
     partner_darks: np.ndarray,
-    dark_prob_per_ns: float,
-    gate_width_ns: float,
-) -> np.ndarray:
+    n_hidden: int,
+    detector: DetectorParams,
+    duration_ns: float,
+) -> tuple[np.ndarray, np.ndarray]:
     """Dark clicks of a gated detector, uniform inside partner-centered gates.
 
     Every partner click opens one gate, photons first: gate ``i`` is
-    ``partner_darks[i - partner_photons.size]`` past the photons.  The gate
-    is centered on the trigger click (the cable delays of the real setup
-    align the gate with the coincidence window), so gated darks form a flat
-    background across the time-difference range the gate covers.
+    ``partner_darks[i - partner_photons.size]`` past the photons, and the
+    last ``n_hidden`` gates belong to partner darks that are only counted.
+    The gate is centered on the trigger click (the cable delays of the real
+    setup align the gate with the coincidence window), so gated darks form a
+    flat background across the time-difference range the gate covers.
+
+    Hidden darks are iid uniform on [0, duration), so only the distinct
+    hidden gates that hold a dark get a time, one uniform draw each
+    (marking).  Returns the gated darks and those hidden-gate times.
     """
+    gate_width_ns = detector.gate_width_ns
     n_photons = partner_photons.size
-    n_gates = n_photons + partner_darks.size
-    if n_gates == 0 or dark_prob_per_ns <= 0.0:
-        return np.empty(0, dtype=np.float64)
-    n_darks = rng.poisson(dark_prob_per_ns * gate_width_ns * n_gates)
+    n_shown = n_photons + partner_darks.size
+    n_gates = n_shown + n_hidden
+    if n_gates == 0 or detector.dark_prob_per_ns <= 0.0:
+        return np.empty(0), np.empty(0)
+    n_darks = rng.poisson(detector.dark_prob_per_ns * gate_width_ns * n_gates)
     if n_darks == 0:
-        return np.empty(0, dtype=np.float64)
+        return np.empty(0), np.empty(0)
     gate_idx = rng.integers(0, n_gates, size=n_darks)
     offsets = (rng.random(n_darks) - 0.5) * gate_width_ns
     on_photon = gate_idx < n_photons
+    on_hidden = gate_idx >= n_shown
+    on_dark = ~(on_photon | on_hidden)
     triggers = np.empty(n_darks)
     triggers[on_photon] = partner_photons[gate_idx[on_photon]]
-    triggers[~on_photon] = partner_darks[gate_idx[~on_photon] - n_photons]
-    return triggers + offsets
+    triggers[on_dark] = partner_darks[gate_idx[on_dark] - n_photons]
+    hit, gate_of_dark = np.unique(gate_idx[on_hidden], return_inverse=True)
+    parents = rng.random(hit.size)
+    parents *= duration_ns
+    triggers[on_hidden] = parents[gate_of_dark]
+    return triggers + offsets, parents
+
+
+def _near_stop_times(
+    rng: np.random.Generator, stops: np.ndarray, n_free: int, reach_ns: float, duration_ns: float
+) -> np.ndarray:
+    """The ones of ``n_free`` uniform darks on [0, duration) within reach of a stop.
+
+    ``stops`` ascend.  The windows [t - reach, t + reach] around them, merged
+    and cut to [0, duration), have total length L.  Of n iid uniform darks,
+    binomial(n, L / duration) fall inside, uniform over the windows
+    (restriction); each is placed by one uniform draw on [0, L) through the
+    cumulative window lengths.  The rest lie farther than reach from every
+    stop.
+    """
+    if not stops.size:
+        return np.empty(0, dtype=np.float64)
+    breaks = np.flatnonzero(np.diff(stops) > 2.0 * reach_ns)
+    first = stops[np.concatenate(([0], breaks + 1))] - reach_ns
+    last = stops[np.concatenate((breaks, [stops.size - 1]))] + reach_ns
+    np.clip(first, 0.0, duration_ns, out=first)
+    np.clip(last, 0.0, duration_ns, out=last)
+    length = last - first
+    end = np.cumsum(length)
+    near = rng.random(rng.binomial(n_free, min(end[-1] / duration_ns, 1.0)))
+    near *= end[-1]
+    window = np.searchsorted(end, near, side="right")
+    np.minimum(window, end.size - 1, out=window)  # a draw rounded up onto L
+    near += (first - end + length).take(window)
+    return near
 
 
 def _outcome_classes(rng: np.random.Generator, v_cos: np.ndarray, n_pairs: int) -> np.ndarray:
@@ -244,44 +322,86 @@ def simulate(config: SimConfig) -> EventStream:
 
     Draw order is fixed: pair count, emission times, per-pair phases (only
     when phase-averaging), outcome class, shared path bit, Alice thinning,
-    Bob thinning, Alice jitter, Bob jitter, then free-running darks (Alice
-    before Bob) and finally gated darks.  Photon draws are consumed
-    unconditionally so the photon record depends only on the source,
-    analyzer, transfer, and detector-efficiency parameters.  Each per-pair
-    segment after the emission times is drawn in blocks of BLOCK pairs; a
-    segment drawn block by block equals its whole-array draw, so the blocks
-    change no click and no later draw.
+    Bob thinning, Alice jitter, Bob jitter; then the darks:
+
+    1. Free-running darks, Alice before Bob: a detector with a positive rate
+       draws its count N, then N uniform times, except the start detector,
+       which keeps only N.
+    2. Gated darks, Alice before Bob: count, gate indices, offsets, and
+       when the gate-opening partner is the start detector, one time for
+       each distinct start-detector dark gate that holds a dark.  These
+       times (the parents) are start-detector darks.
+    3. When N exceeds the parents P: windows reaching histogram half-range
+       plus one bin around every stop click (photon or dark), merged and cut
+       to [0, duration), of total length L; binomial(N - P, L / duration)
+       start-detector darks drawn uniformly inside them.  The remaining
+       darks are counted in ``EventStream.undrawn``.
+
+    A start dark outside the windows has no stop within the histogram range
+    and pairs with nothing, and given N the darks that opened no gate are iid
+    uniform, so the stream gives the histogram of the fully drawn stream in
+    distribution; it records that it is complete only for the chain's
+    roles and half-range.  A gated start detector, or one without darks,
+    leaves nothing undrawn.  Photon draws are consumed unconditionally so
+    the photon record depends only on the source, analyzer, transfer, and
+    detector-efficiency parameters.  Each per-pair segment after the
+    emission times is drawn in blocks of BLOCK pairs; a segment drawn block
+    by block equals its whole-array draw, so the blocks change no click and
+    no later draw.
 
     Assembly: the four source groups (Alice photons, Bob photons, Alice
     darks, Bob darks) are kept apart, one per (detector, origin) key of
-    GROUPS.  Each is sorted in place and its clicks outside [0, duration)
-    are cut from its two ends; no group is merged with another.
+    GROUPS.  Each is sorted and its clicks outside [0, duration) are cut
+    from its two ends; no group is merged with another.
     """
     chain = config.chain
+    start, stop = chain.start_detector, chain.stop_detector
     rng = np.random.default_rng(config.seed)
     duration_ns = config.duration_s * 1e9
     photon = dict(zip(DETECTORS, _photon_times(config, rng)))
 
     # ---- dark counts -------------------------------------------------
     dark: dict[str, np.ndarray] = {}
+    n_hidden = 0  # start-detector darks counted but not drawn
+    complete_for = None  # every geometry, unless the start detector's darks are restricted
     for name in DETECTORS:  # free-running first, fixed alice -> bob order
         det = chain.detector(name)
         if det.role == "free_running":
             rate = det.dark_prob_per_ns
-            dark[name] = rng.random(rng.poisson(rate * duration_ns) if rate > 0.0 else 0)
-            dark[name] *= duration_ns
+            n = rng.poisson(rate * duration_ns) if rate > 0.0 else 0
+            if name == start and rate > 0.0:
+                n_hidden, dark[name] = n, np.empty(0, dtype=np.float64)
+                complete_for = (start, stop, chain.histogram_half_range_ns)
+            else:
+                dark[name] = rng.random(n)
+                dark[name] *= duration_ns
     for name, partner in (("alice", "bob"), ("bob", "alice")):
         det = chain.detector(name)
         if det.role == "gated":
-            dark[name] = _gated_dark_times(
-                rng, photon[partner], dark[partner], det.dark_prob_per_ns, det.gate_width_ns
+            hidden = n_hidden if partner == start else 0
+            dark[name], parents = _gated_dark_times(
+                rng, photon[partner], dark[partner], hidden, det, duration_ns
             )
+            if hidden:
+                dark[partner] = parents
+                n_hidden -= parents.size
 
     # ---- assemble the stream -----------------------------------------
     groups = {}
     for name, origin in GROUPS:
-        times = (photon if origin == "photon" else dark)[name]
-        times.sort()
-        lo, hi = np.searchsorted(times, [0.0, duration_ns])
-        groups[name, origin] = times[lo:hi]
-    return EventStream(groups, duration_ns=duration_ns)
+        groups[name, origin] = _inside((photon if origin == "photon" else dark)[name], duration_ns)
+    undrawn = {}
+    if n_hidden:  # no window build when every start dark is drawn
+        stops = np.sort(np.concatenate((groups[stop, "photon"], groups[stop, "dark"])))
+        reach = chain.histogram_half_range_ns + chain.histogram_bin_ns
+        near = _near_stop_times(rng, stops, n_hidden, reach, duration_ns)
+        groups[start, "dark"] = _inside(np.concatenate((groups[start, "dark"], near)), duration_ns)
+        undrawn[start, "dark"] = n_hidden - near.size
+    return EventStream(groups, duration_ns=duration_ns, undrawn=undrawn, complete_for=complete_for)
+
+
+def _inside(times: np.ndarray, duration_ns: float) -> np.ndarray:
+    """``times`` sorted in place, cut to the ones in [0, duration)."""
+    times.sort()
+    lo, hi = np.searchsorted(times, [0.0, duration_ns])
+    return times[lo:hi]

@@ -16,6 +16,7 @@ from photonlink import cli
 from photonlink import events as ev
 from photonlink.config import SimConfig
 from photonlink.presets import preset_config
+from reference_sampler import reference_simulate
 
 
 def hand_stream(clicks, duration_ns=1e6):
@@ -113,6 +114,63 @@ def test_histogram_grid_must_align_with_bin_width():
         an.build_histogram(stream, bin_width_ns=0.0)
     with pytest.raises(ValueError):
         an.build_histogram(stream, start_detector="bob", stop_detector="bob")
+
+
+@pytest.mark.parametrize(
+    "roles, argument",
+    [
+        (("bob", "bob"), "stop_detector"),
+        (("alice", "alice"), "stop_detector"),
+        (("carol", "alice"), "start_detector"),
+        (("bob", "carol"), "stop_detector"),
+        ((None, "alice"), "start_detector"),
+    ],
+)
+def test_histogram_refuses_bad_detector_names_before_pairing(roles, argument):
+    stream = hand_stream([(1.0, "bob"), (1.2, "alice")])
+    # Any look at the clicks would raise AssertionError instead.
+    with mock.patch.object(ev.EventStream, "detector_times", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=argument):
+            an.build_histogram(stream, *roles)
+
+
+def restricted_stream():
+    """A simulated stream whose start darks were drawn only where they can pair."""
+    cfg = SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=2.0, seed=3)
+    stream = ev.simulate(cfg)
+    assert stream.complete_for == ("bob", "alice", 3.0)
+    assert stream.undrawn["bob", "dark"] > 0
+    return stream
+
+
+@pytest.mark.parametrize(
+    "kwargs, argument",
+    [
+        ({"start_detector": "alice", "stop_detector": "bob"}, "start_detector"),
+        ({"range_ns": (-3.05, 3.0)}, "range_ns"),
+        ({"range_ns": (-3.0, 3.05)}, "range_ns"),
+        ({"range_ns": (-10.0, 10.0)}, "range_ns"),
+    ],
+)
+def test_histogram_refuses_what_a_restricted_stream_cannot_serve(kwargs, argument):
+    stream = restricted_stream()
+    with mock.patch.object(ev.EventStream, "detector_times", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=argument):
+            an.build_histogram(stream, **kwargs)
+
+
+def test_restricted_stream_serves_its_range_and_any_narrower_one():
+    stream = restricted_stream()
+    assert an.build_histogram(stream).total > 0
+    assert an.build_histogram(stream, range_ns=(-1.0, 2.0)).total > 0
+    assert stream.n_clicks("bob", "dark") > 100 * stream.detector_times("bob", "dark").size
+
+
+def test_hand_built_stream_serves_every_geometry():
+    stream = hand_stream([(1.0, "bob"), (1.2, "alice"), (20.0, "alice"), (30.0, "bob")])
+    assert stream.complete_for is None
+    assert an.build_histogram(stream, "alice", "bob", range_ns=(-50.0, 50.0)).total == 2
+    assert an.build_histogram(stream, "bob", "alice", range_ns=(-50.0, 50.0)).total == 2
 
 
 def test_histogram_addition_matches_union_for_disjoint_streams():
@@ -261,9 +319,13 @@ def test_histogram_matches_per_start_reference(record):
 
 
 def fig2_histogram_peak(traced_peak):
-    """(start count, traced peak bytes) of build_histogram on 3 s of fig2."""
+    """(start count, traced peak bytes) of build_histogram on 3 s of fig2.
+
+    The stream comes from the reference sampler, which draws every Bob dark,
+    so the pairing walks a dark-dominated stream.
+    """
     chain = preset_config("fig2-baseline").chain
-    stream = ev.simulate(SimConfig(chain=chain, duration_s=3.0, seed=5))
+    stream = reference_simulate(SimConfig(chain=chain, duration_s=3.0, seed=5))
     n_starts = stream.detector_times(chain.start_detector).size
     half = chain.histogram_half_range_ns
     hist, peak = traced_peak(

@@ -17,6 +17,7 @@ from photonlink import chain as ch
 from photonlink import events as ev
 from photonlink.config import InvalidConfigError, SimConfig, sim_config_from_dict
 from photonlink.presets import PRESETS, preset_config
+from reference_sampler import reference_simulate
 
 
 def ideal_chain(**kw) -> ch.ChainConfig:
@@ -225,6 +226,21 @@ def test_event_stream_refuses_nan_inside_a_group():
         ev.EventStream({("bob", "dark"): [1.0, math.nan, 2.0]}, duration_ns=10.0)
 
 
+def test_event_stream_counts_undrawn_clicks():
+    groups = {("bob", "dark"): [1.0, 2.0], ("alice", "photon"): [3.0]}
+    stream = ev.EventStream(
+        groups, duration_ns=10.0, undrawn={("bob", "dark"): 40}, complete_for=("bob", "alice", 3.0)
+    )
+    assert len(stream) == 3  # drawn clicks only
+    assert stream.n_clicks("bob", "dark") == 42
+    assert stream.n_clicks("bob") == 42
+    assert stream.n_clicks("alice") == 1
+    assert stream != ev.EventStream(groups, duration_ns=10.0)  # same clicks, fewer singles
+    for undrawn in ({("bob", "dark"): -1}, {("bob", "dark"): 1.5}, {("carol", "dark"): 1}):
+        with pytest.raises(ValueError):
+            ev.EventStream(groups, duration_ns=10.0, undrawn=undrawn)
+
+
 def test_detector_times_merges_the_two_origins():
     photons = np.array([1.0, 4.0, 4.0])
     stream = ev.EventStream(
@@ -312,7 +328,7 @@ def test_free_running_dark_rate():
     )
     stream = ev.simulate(cfg)
     lam = 3.0e-5 * 0.2e9  # bob, free running
-    n_bob = stream.detector_times("bob", "dark").size
+    n_bob = stream.n_clicks("bob", "dark")  # drawn plus counted
     assert abs(n_bob - lam) < 4.0 * math.sqrt(lam)
     assert stream.detector_times("bob", "photon").size == 0
 
@@ -413,21 +429,20 @@ GOLDEN_DOCUMENTS = {
     },
 }
 # Recorded with the sampler of commit 7ec642c, before simulate folded each
-# draw into running buffers.  Integer counts, unlike raw float bytes, do not
-# move with last-ulp differences of np.cos between machines.
+# draw into running buffers; it pins the reference sampler, which draws every
+# dark.  Integer counts, unlike raw float bytes, do not move with last-ulp
+# differences of np.cos between machines.
 GOLDEN = json.loads(Path(__file__).with_name("golden_counts.json").read_text())
+# The same documents under simulate, which draws the start detector's
+# free-running darks only where they can pair; "undrawn" holds the counted rest.
+GOLDEN_RESTRICTED = json.loads(
+    Path(__file__).with_name("golden_counts_restricted.json").read_text()
+)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
-def test_golden_counts(name):
-    cfg = sim_config_from_dict(GOLDEN_DOCUMENTS[name])
-    stream = ev.simulate(cfg)
-    clicks = {
-        f"{det}/{origin}": int(stream.detector_times(det, origin).size)
-        for det in ev.DETECTORS
-        for origin in ev.ORIGINS
-    }
-    chain = cfg.chain
+def golden_record(stream: ev.EventStream, chain: ch.ChainConfig) -> dict:
+    """Drawn and undrawn clicks per group and the chain's histogram of a stream."""
+    keys = [(det, origin) for det in ev.DETECTORS for origin in ev.ORIGINS]
     half = chain.histogram_half_range_ns
     hist = an.build_histogram(
         stream,
@@ -436,8 +451,34 @@ def test_golden_counts(name):
         bin_width_ns=chain.histogram_bin_ns,
         range_ns=(-half, half),
     )
-    assert clicks == GOLDEN[name]["clicks"]
-    assert hist.counts.tolist() == GOLDEN[name]["counts"]
+    return {
+        "clicks": {f"{d}/{o}": int(stream.detector_times(d, o).size) for d, o in keys},
+        "undrawn": {f"{d}/{o}": stream.undrawn[d, o] for d, o in keys},
+        "counts": hist.counts.tolist(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_golden_counts(name):
+    cfg = sim_config_from_dict(GOLDEN_DOCUMENTS[name])
+    record = golden_record(reference_simulate(cfg), cfg.chain)
+    assert record["clicks"] == GOLDEN[name]["clicks"]
+    assert record["counts"] == GOLDEN[name]["counts"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCUMENTS))
+def test_golden_counts_restricted(name):
+    cfg = sim_config_from_dict(GOLDEN_DOCUMENTS[name])
+    assert golden_record(ev.simulate(cfg), cfg.chain) == GOLDEN_RESTRICTED[name]
+
+
+@pytest.mark.parametrize("name", ["dense", "gated-bob"])
+def test_golden_counts_agree_without_start_darks_to_restrict(name):
+    # A dark-free source and a gated start detector leave simulate nothing
+    # to restrict: both samplers give the same counts and no undrawn click.
+    assert GOLDEN_RESTRICTED[name]["clicks"] == GOLDEN[name]["clicks"]
+    assert GOLDEN_RESTRICTED[name]["counts"] == GOLDEN[name]["counts"]
+    assert set(GOLDEN_RESTRICTED[name]["undrawn"].values()) == {0}
 
 
 def test_simulate_peak_memory_per_event(traced_peak):
