@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import EDGE_TOL_NS
+from .chain import EDGE_TOL_NS, ChainConfig
 from .events import DETECTORS, ORIGINS, EventStream, blocks
 from .quantum import VisibilityRangeError
 
@@ -160,10 +160,13 @@ class CoincidenceHistogram:
 
 def build_histogram(
     events: EventStream,
-    start_detector: str = "bob",
-    stop_detector: str = "alice",
-    bin_width_ns: float = 0.05,
-    range_ns: tuple[float, float] = (-3.0, 3.0),
+    start_detector: str = ChainConfig.start_detector,
+    stop_detector: str = ChainConfig.stop_detector,
+    bin_width_ns: float = ChainConfig.histogram_bin_ns,
+    range_ns: tuple[float, float] = (
+        -ChainConfig.histogram_half_range_ns,
+        ChainConfig.histogram_half_range_ns,
+    ),
 ) -> CoincidenceHistogram:
     """Histogram of (stop - start) time differences, first-stop pairing.
 

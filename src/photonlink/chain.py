@@ -16,6 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .quantum import OUTCOME_CLASSES
+
 __all__ = [
     "EDGE_TOL_NS",
     "SPEED_OF_LIGHT_M_PER_S",
@@ -447,18 +449,13 @@ class RateReport:
 
 
 def _photon_singles(chain: ChainConfig, name: str) -> float:
-    """Photon click rate of one detector: pair rate x port x losses x QE."""
-    src_rate = chain.source.pair_rate_per_s
-    if name == "alice":
-        arm = chain.alice_interferometer.transmission
-        det = chain.alice_detector.quantum_efficiency
-        transfer = 1.0
-    else:
-        arm = chain.bob_interferometer.transmission
-        det = chain.bob_detector.quantum_efficiency
-        transfer = chain.transfer_probability()
-    # 0.5 is the monitored-output-port probability of the analyzer.
-    return src_rate * 0.5 * arm * transfer * det
+    """Pair rate x monitored port (OUTCOME_CLASSES reaching it) x losses x QE."""
+    side = ("alice", "bob").index(name)
+    port = sum(const for _, (const, _), arrival in OUTCOME_CLASSES if arrival[side] is not None)
+    arm = (chain.alice_interferometer, chain.bob_interferometer)[side].transmission
+    transfer = chain.transfer_probability() if name == "bob" else 1.0
+    det = chain.detector(name).quantum_efficiency
+    return chain.source.pair_rate_per_s * port * arm * transfer * det
 
 
 def _dark_singles(chain: ChainConfig, name: str, partner_singles: float) -> float:
@@ -472,8 +469,8 @@ def _dark_singles(chain: ChainConfig, name: str, partner_singles: float) -> floa
 def expected_rates(chain: ChainConfig) -> RateReport:
     """Closed-form rate budget for the configured chain.
 
-    True coincidences use the phase-averaged central-peak factor 1/8 and
-    both arms' survival; accidentals combine the uncorrelated start/stop
+    True coincidences use the phase-averaged central weight of OUTCOME_CLASSES
+    and both arms' survival; accidentals combine the uncorrelated start/stop
     product over the coincidence window with the gated-dark floor.  These
     are design-level estimates, the event simulator is the ground truth.
     """
@@ -508,7 +505,6 @@ def expected_rates(chain: ChainConfig) -> RateReport:
     else:
         accidental_gated = 0.0
 
-    # Phase-averaged central-peak weight is 1/8 per pair.
     joint_survival = (
         chain.alice_interferometer.transmission
         * chain.alice_detector.quantum_efficiency
@@ -516,7 +512,8 @@ def expected_rates(chain: ChainConfig) -> RateReport:
         * chain.bob_detector.quantum_efficiency
         * chain.transfer_probability()
     )
-    true_rate = chain.source.pair_rate_per_s * 0.125 * joint_survival
+    central = OUTCOME_CLASSES[0][1][0]  # cos(phi) averages to zero
+    true_rate = chain.source.pair_rate_per_s * central * joint_survival
 
     accidental_total = accidental_uncorr + accidental_gated
     denominator = accidental_total + true_rate

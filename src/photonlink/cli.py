@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from . import analysis as an
 from . import chain as ch
-from .config import InvalidConfigError, SimConfig, load_config
+from .config import InvalidConfigError, SimConfig, load_config, read_document
 from .events import EventStream, simulate
 from .presets import PEAK_RATIO_TARGET, REPORT_TARGETS, preset_config, preset_names
 
@@ -106,7 +106,10 @@ def _resolve_out(args) -> Path | None:
     if out is None:
         return None
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise InvalidConfigError(f"--out {out} is not a usable directory: {exc.strerror}") from exc
     return path
 
 
@@ -406,19 +409,11 @@ def _rows_for_peaks(doc: dict, label: str) -> list[dict]:
 
 
 def cmd_report(args) -> int:
+    out_dir = _resolve_out(args)
     rows: list[dict] = []
     for raw_path in args.inputs:
         path = Path(raw_path)
-        if not path.exists():
-            raise InvalidConfigError(f"report input {path} does not exist")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"report input {path} is not valid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # e.g. an integer literal beyond the digit limit
-            raise InvalidConfigError(f"report input {path} cannot be parsed: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise InvalidConfigError(f"report input {path} must hold a JSON object")
+        doc = read_document(path, "report input")
         if "fit" in doc:
             rows_for = _rows_for_fit
         elif "franson" in doc:
@@ -447,7 +442,6 @@ def cmd_report(args) -> int:
         verdict = "PASS" if r["passed"] else "FAIL"
         print(f"{r['quantity']:<{width}}  {shown:>12}  {r['target']:>16}  {verdict}")
 
-    out_dir = _resolve_out(args)
     if out_dir is not None:
         _write_json(out_dir / "report.json", {"rows": rows, "passed": all(r["passed"] for r in rows)})
     if not all(r["passed"] for r in rows):

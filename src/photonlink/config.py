@@ -31,6 +31,7 @@ __all__ = [
     "SimConfig",
     "sim_config_from_dict",
     "load_config",
+    "read_document",
 ]
 
 
@@ -140,19 +141,26 @@ def sim_config_from_dict(data: dict) -> SimConfig:
     return _build(SimConfig, data)
 
 
-def load_config(path) -> SimConfig:
-    """Read a JSON config file into a validated SimConfig."""
+def read_document(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; a failure names ``what`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot read config {path}: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise InvalidConfigError(f"cannot read {what} {path}: it does not exist") from exc
+    except OSError as exc:  # a directory, or no permission
+        raise InvalidConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(
-            f"config {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+            f"{what} {path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
     except ValueError as exc:  # e.g. an integer literal beyond the digit limit
-        raise InvalidConfigError(f"config {path} cannot be parsed: {exc}") from exc
+        raise InvalidConfigError(f"{what} {path} cannot be parsed: {exc}") from exc
     if not isinstance(document, dict):
-        raise InvalidConfigError(f"config {path} must contain a JSON object at top level")
-    return sim_config_from_dict(document)
+        raise InvalidConfigError(f"{what} {path} must hold a JSON object at top level")
+    return document
+
+
+def load_config(path) -> SimConfig:
+    """Read a JSON config file into a validated SimConfig."""
+    return sim_config_from_dict(read_document(path, "config"))

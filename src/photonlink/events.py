@@ -5,20 +5,13 @@ the quantum outcome distribution of the two analyzers rather than as two
 independent classical photons: the phase-dependent interference lives only
 in the both-detected central class, the side classes are flat, and the
 single-sided marginals stay phase-independent (no single-photon fringes).
-Per emitted pair the six outcome classes carry
-
-    central coincidence      1/8 (1 + V cos phi)     shared ss/ll path label
-    side, Alice early        1/16                    Alice short, Bob long
-    side, Alice late         1/16                    Alice long, Bob short
-    Alice-side only          1/8 (2 - V cos phi)     Bob photon unmonitored
-    Bob-side only            1/8 (2 - V cos phi)     Alice photon unmonitored
-    neither                  1/8 (2 + V cos phi)
-
-which sums to one and reproduces the 1/2 monitored-port marginal on each
-side for every phi.  Arm transmission, the transfer-stage success, and
-detector quantum efficiency are applied as independent Bernoulli thinning
-per photon; dark counts are added per detector, uniformly for free-running
-detectors and inside partner-triggered gates for gated ones.
+The six outcome classes, their weights and each side's arrival are
+``quantum.OUTCOME_CLASSES``; they sum to one and give the 1/2 monitored-port
+marginal on each side for every phi.  Arm transmission, the transfer-stage
+success, and detector quantum efficiency are applied as independent
+Bernoulli thinning per photon; dark counts are added per detector,
+uniformly for free-running detectors and inside partner-triggered gates for
+gated ones.
 
 Everything is drawn from one numpy PCG64 generator in a fixed documented
 order, so a stream is a deterministic function of (config, seed), and all
@@ -43,6 +36,7 @@ import numpy.random  # numpy loads it lazily; load it here, not in the first sim
 
 from .chain import DetectorParams
 from .config import SimConfig
+from .quantum import OUTCOME_CLASSES
 
 __all__ = ["DETECTORS", "ORIGINS", "GROUPS", "EventStream", "simulate"]
 
@@ -223,21 +217,17 @@ def _near_stop_times(
 
 
 def _outcome_classes(rng: np.random.Generator, v_cos: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Outcome class 0..5 of each pair: how many cumulative thresholds its u passes.
+    """Index into OUTCOME_CLASSES of each pair: how many cumulative weights its u passes.
 
     ``v_cos`` is V cos(phi) of every pair, or one value that serves them all.
     """
-    code = np.empty(n_pairs, dtype=np.int8)
+    code = np.zeros(n_pairs, dtype=np.int8)
     for part in blocks(n_pairs):
         u = rng.random(part.stop - part.start)
         pair_v_cos = v_cos if v_cos.size == 1 else v_cos[part]
-        threshold = 1.0 + pair_v_cos
-        threshold *= 0.125  # central coincidence
-        p_single = 2.0 - pair_v_cos
-        p_single *= 0.125  # same weight for Alice-only and Bob-only
-        np.greater_equal(u, threshold, out=code[part])
-        for p in (0.0625, 0.0625, p_single, p_single):  # two sides, two singles
-            threshold += p
+        threshold = 0.0
+        for _, (const, slope), _ in OUTCOME_CLASSES[:-1]:
+            threshold += const + slope * pair_v_cos if slope else const
             code[part] += u >= threshold
     return code
 
@@ -279,14 +269,14 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     for part in blocks(n_pairs):
         code[part] += rng.integers(0, 2, size=part.stop - part.start)
 
-    # Lookup tables over code = 2 * class + path bit (classes in the order of
-    # the module docstring), one row per detector (Alice, Bob): whether the
-    # pair reaches it, and the arrival offset path_bit * scale + shift.
-    delay = np.array([[alice_arm.delay_ns()], [bob_arm.delay_ns()]])
-    reach = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0]], dtype=bool).repeat(2, axis=1)
-    scale = delay * [[1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]]
-    shift = delay * [[0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
-    offset = (scale[..., None] * [0.0, 1.0] + shift[..., None]).reshape(2, 12)
+    # Lookup tables over code = 2 * class + path bit, one row per detector
+    # (Alice, Bob): whether the pair reaches it, and its arrival offset.
+    arrivals = [[arrival[side] for _, _, arrival in OUTCOME_CLASSES] for side in (0, 1)]
+    reach = np.array([[a is not None for a in row] for row in arrivals]).repeat(2, axis=1)
+    offset = [
+        np.array([delay * bit for a in row for bit in a or (math.nan,) * 2])  # NaN: never read
+        for row, delay in zip(arrivals, (alice_arm.delay_ns(), bob_arm.delay_ns()))
+    ]
 
     keep = (
         alice_arm.transmission * chain.alice_detector.quantum_efficiency,

@@ -33,7 +33,7 @@ __all__ = [
     "A_DIM",
     "B_DIM",
     "DIM",
-    "SIDE_PEAK_PROBABILITY",
+    "OUTCOME_CLASSES",
     "CouplingPair",
     "DegenerateError",
     "EmptySectorError",
@@ -59,10 +59,19 @@ A_DIM = 2
 B_DIM = 3  # vacuum + two bins; B' has the same layout
 DIM = A_DIM * B_DIM * B_DIM
 
-# Probability of each fully resolvable side peak at the monitored output
-# ports: both analyzer port amplitudes are 1/2, and short/long on opposite
-# sides never interfere, so |1/4|^2 per side class.
-SIDE_PEAK_PROBABILITY = 1.0 / 16.0
+# One pair's six outcome classes at the monitored ports, in sampler order:
+# (name, (c, s), (Alice, Bob)): weight c + s V cos(phi_a + phi_b), powers of
+# two; arrival in delays for path bits 0 and 1, or None for no monitored
+# click.  Port amplitudes 1/2 give side peaks |1/4|^2 and marginals of 1/2.
+SHORT, LONG, SHARED = (0, 0), (1, 1), (0, 1)  # SHARED: the pair's own path bit
+OUTCOME_CLASSES = (
+    ("central", (0.125, 0.125), (SHARED, SHARED)),
+    ("side, Alice early", (0.0625, 0.0), (SHORT, LONG)),
+    ("side, Alice late", (0.0625, 0.0), (LONG, SHORT)),
+    ("Alice only", (0.25, -0.125), (SHARED, None)),
+    ("Bob only", (0.25, -0.125), (None, SHARED)),
+    ("neither", (0.25, 0.125), (None, None)),
+)
 
 _NORM_TOL = 1e-9  # tolerance on |c1|^2 + |c2|^2 for caller-supplied amplitudes
 _STATE_TOL = 1e-12  # tolerance on stored state vectors
@@ -319,15 +328,14 @@ def post_selected_timebin_state(phi_a: float, phi_b: float) -> TimeBinPairState:
 def coincidence_probability(phi_sum: float, v: float) -> float:
     """Central-peak coincidence probability per emitted pair.
 
-    For the monitored output ports the post-selected rate follows
-    (1/8) (1 + v cos(phi_a + phi_b)); the two side peaks each carry the
-    fixed probability SIDE_PEAK_PROBABILITY independent of the phases.
-    The factor 1/8 absorbs the analyzers' 50/50 port splittings; excess
-    losses are handled by the optics chain, not here.
+    The central entry of OUTCOME_CLASSES: (1/8) (1 + v cos(phi_a + phi_b))
+    at the monitored output ports, where 1/8 absorbs the analyzers' 50/50
+    port splittings; excess losses are handled by the optics chain.
     """
     if not 0.0 <= v <= 1.0:
         raise VisibilityRangeError(f"visibility must lie in [0, 1], got {v!r}")
-    return 0.125 * (1.0 + v * math.cos(float(phi_sum)))
+    const, slope = OUTCOME_CLASSES[0][1]
+    return const + slope * (v * math.cos(float(phi_sum)))
 
 
 def visibility(p_max: float, p_min: float) -> float:

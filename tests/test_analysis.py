@@ -1,6 +1,7 @@
 """Tests for histogramming, peak windows, accidentals, and fringe fitting."""
 
 import dataclasses
+import inspect
 import math
 from unittest import mock
 
@@ -164,6 +165,20 @@ def test_restricted_stream_serves_its_range_and_any_narrower_one():
     assert an.build_histogram(stream).total > 0
     assert an.build_histogram(stream, range_ns=(-1.0, 2.0)).total > 0
     assert stream.n_clicks("bob", "dark") > 100 * stream.detector_times("bob", "dark").size
+
+
+def test_histogram_defaults_are_the_chain_defaults():
+    # So the default call serves any stream drawn for the default chain.
+    chain = ch.ChainConfig()
+    half = chain.histogram_half_range_ns
+    params = inspect.signature(an.build_histogram).parameters
+    names = ("start_detector", "stop_detector", "bin_width_ns", "range_ns")
+    assert [params[n].default for n in names] == [
+        chain.start_detector,
+        chain.stop_detector,
+        chain.histogram_bin_ns,
+        (-half, half),
+    ]
 
 
 def test_hand_built_stream_serves_every_geometry():
@@ -509,7 +524,23 @@ def test_count_window_out_of_range():
         an.count_window(hist, (0.0, 3.2))
 
 
-def test_estimate_accidentals_uniform_floor():
+@pytest.mark.parametrize(
+    "central, expected",
+    [
+        pytest.param((-0.25, 0.25), 50.0, id="on-grid"),  # ten bins wide
+        pytest.param(
+            (-0.2752, 0.3252),  # eleven full bins, but 0.6004 ns wide
+            55.0,
+            id="off-grid",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: estimate_accidentals scales by the window width, "
+                "count_window counts only its full bins",
+            ),
+        ),
+    ],
+)
+def test_estimate_accidentals_uniform_floor(central, expected):
     counts = np.full(120, 5, dtype=np.int64)
     hist = an.CoincidenceHistogram(
         bin_width_ns=0.05,
@@ -521,11 +552,12 @@ def test_estimate_accidentals_uniform_floor():
     )
     windows = an.PeakWindows(
         side_early=(-0.95, -0.45),
-        central=(-0.25, 0.25),  # ten bins wide
+        central=central,
         side_late=(0.45, 0.95),
         background=((-3.0, -2.0), (2.0, 3.0)),
     )
-    assert an.estimate_accidentals(hist, windows) == pytest.approx(50.0)
+    assert an.estimate_accidentals(hist, windows) == pytest.approx(expected)
+    assert an.count_window(hist, central) == pytest.approx(expected)
 
 
 def test_estimate_accidentals_zero_dark_run_is_zero():

@@ -105,6 +105,24 @@ def test_budget_preset_from_environment(monkeypatch):
     assert cli.main(["budget"]) == 0
 
 
+@pytest.mark.parametrize("under", [False, True])
+def test_budget_out_naming_a_file_is_a_usage_error(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert cli.main(["budget", "--preset", "fig2-baseline", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(out) in err
+
+
+def test_out_from_environment_naming_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    monkeypatch.setenv("PHOTONLINK_OUT", str(blocker))
+    assert cli.main(["budget", "--preset", "fig2-baseline"]) == 2
+    assert str(blocker) in capsys.readouterr().err
+
+
 def test_bad_seed_environment_variable(monkeypatch, capsys):
     monkeypatch.setenv("PHOTONLINK_SEED", "not-a-number")
     assert cli.main(["budget", "--preset", "fig2-baseline"]) == 2
@@ -328,6 +346,22 @@ def test_report_reads_budget_and_peaks_documents(tmp_path):
 def test_report_missing_input(capsys):
     assert cli.main(["report", "/nonexistent/fit.json"]) == 2
     assert "does not exist" in capsys.readouterr().err
+
+
+def test_report_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["report", str(tmp_path)]) == 2  # a directory
+    err = capsys.readouterr().err
+    assert "report input" in err and str(tmp_path) in err
+
+
+def test_report_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["budget", "--preset", "fig3-transfer", "--out", str(tmp_path)]) == 0
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    code = cli.main(["report", str(tmp_path / "budget.json"), "--out", str(blocker)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(blocker) in err
 
 
 def test_report_unrecognized_document(tmp_path):

@@ -6,6 +6,7 @@ expectations quoted in comments were computed from that oracle.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ def test_coincidence_probability_values():
     assert q.coincidence_probability(0.0, 1.0) == pytest.approx(0.25)
     assert q.coincidence_probability(math.pi, 1.0) == pytest.approx(0.0, abs=1e-16)
     assert q.coincidence_probability(math.pi / 2.0, 1.0) == pytest.approx(0.125)
-    assert q.SIDE_PEAK_PROBABILITY == pytest.approx(0.0625)
+    assert q.OUTCOME_CLASSES[1][1] == q.OUTCOME_CLASSES[2][1] == (0.0625, 0.0)
 
 
 def test_coincidence_probability_matches_post_selected_state():
@@ -321,7 +322,41 @@ def test_law_of_total_probability_with_sides():
     phases = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
     avg_central = np.mean([q.coincidence_probability(p, 1.0) for p in phases])
     assert avg_central == pytest.approx(0.125, abs=1e-12)
-    assert avg_central == pytest.approx(2.0 * q.SIDE_PEAK_PROBABILITY, abs=1e-12)
+    sides = [weight for name, weight, _ in q.OUTCOME_CLASSES if name.startswith("side")]
+    assert sides == [(0.0625, 0.0)] * 2  # flat in the phases
+    assert avg_central == pytest.approx(2.0 * sides[0][0], abs=1e-12)
+
+
+def class_weights(v_cos):
+    """Each outcome class's weight, exactly, at V cos(phi) = v_cos."""
+    v_cos = Fraction(v_cos)
+    return [Fraction(c) + Fraction(s) * v_cos for _, (c, s), _ in q.OUTCOME_CLASSES]
+
+
+def test_outcome_classes_are_a_distribution():
+    for v_cos in np.linspace(-1.0, 1.0, 41):
+        weights = class_weights(v_cos)
+        assert len(weights) == 6
+        assert min(weights) >= 0
+        assert sum(weights) == 1
+
+
+def test_outcome_classes_give_each_side_a_flat_half():
+    for v_cos in np.linspace(-1.0, 1.0, 41):
+        weights = class_weights(v_cos)
+        for side in (0, 1):
+            reached = [w for w, (_, _, arr) in zip(weights, q.OUTCOME_CLASSES) if arr[side]]
+            assert sum(reached) == Fraction(1, 2)
+
+
+def test_outcome_classes_central_entry_matches_post_selected_state():
+    name, (c, s), arrival = q.OUTCOME_CLASSES[0]
+    assert name == "central" and arrival == (q.SHARED, q.SHARED)
+    reference = q.post_selected_timebin_state(0.0, 0.0)
+    for phi in np.linspace(0.0, 2.0 * math.pi, 13):
+        # v = 1: the monitored ports keep a quarter of |<psi(0)|psi(phi)>|^2
+        projected = abs(reference.overlap(q.post_selected_timebin_state(0.3, phi - 0.3))) ** 2
+        assert c + s * math.cos(phi) == pytest.approx(projected / 4.0, abs=1e-15)
 
 
 def test_visibility_basic_values():
