@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_NS, ChainConfig
-from .events import DETECTORS, ORIGINS, EventStream, blocks
+from .events import DETECTORS, EventStream, blocks
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "NoBackground",
     "InsufficientData",
     "BELL_THRESHOLD_VISIBILITY",
+    "PEAK_REACH",
     "CoincidenceHistogram",
     "PeakWindows",
     "FringePoint",
@@ -53,6 +54,10 @@ __all__ = [
 # A sinusoidal two-photon fringe violates the CHSH bound S = 2 exactly when
 # its visibility exceeds 1/sqrt(2).
 BELL_THRESHOLD_VISIBILITY = 1.0 / math.sqrt(2.0)
+
+# locate_peaks searches a quarter spacing beyond each side peak, so the
+# histogram must reach this many peak spacings on both sides of zero.
+PEAK_REACH = 1.25
 
 
 class AnalysisError(ValueError):
@@ -175,11 +180,10 @@ def build_histogram(
     the range maximum, otherwise the start records nothing.  An empty
     stream yields an all-zero histogram.
 
-    Starts pair independently, so the start detector's photon and dark
-    groups are histogrammed apart and summed, BLOCK starts at a time.  When
-    a group has more starts than there are stops, only starts within a few
-    ulps of (stop - max, stop - min] for some stop are paired at all.  The
+    One pass walks the start detector's clicks, BLOCK at a time; the
     starts ascend, so the ones that find a stop are a prefix of each block.
+    ``simulate`` draws the start detector's darks only within reach of a
+    stop, so the record holds few starts that cannot pair.
     Detector names that are not two different ones of DETECTORS, a range
     that is not finite with min < max, and roles or a range the stream is
     not complete for (``EventStream.complete_for``) are refused before any
@@ -212,23 +216,17 @@ def build_histogram(
         raise ValueError(f"bin width must be positive, got {bin_width_ns!r}")
     n_bins = max(int(round((hi - lo) / width)), 1)
     counts = np.zeros(n_bins, dtype=np.int64)
+    starts = events.detector_times(start_detector)
     stops = events.detector_times(stop_detector)
-    for origin in ORIGINS:
-        group = events.detector_times(start_detector, origin)
-        if not (group.size and stops.size):
-            continue
-        slack = 4.0 * np.spacing(max(group[-1], stops[-1]) + abs(lo) + abs(hi))
-        for part in blocks(group.size):
-            starts = group[part]
-            if stops.size < group.size:
-                starts = _near_some_stop(starts, stops, lo, hi, slack)
-            paired = np.searchsorted(stops, starts + lo, side="left")
-            n_valid = np.searchsorted(paired, stops.size)  # paired ascends with the starts
-            tau = stops.take(paired[:n_valid]) - starts[:n_valid]
-            tau = np.compress((tau >= lo) & (tau < hi), tau)  # start + lo may round onto a stop
-            indices = np.floor((tau - lo) / width).astype(np.int64)
-            indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
-            counts += np.bincount(indices, minlength=n_bins)
+    for part in blocks(starts.size):
+        block = starts[part]
+        paired = np.searchsorted(stops, block + lo, side="left")
+        n_valid = np.searchsorted(paired, stops.size)  # paired ascends with the starts
+        tau = stops.take(paired[:n_valid]) - block[:n_valid]
+        tau = np.compress((tau >= lo) & (tau < hi), tau)  # start + lo may round onto a stop
+        indices = np.floor((tau - lo) / width).astype(np.int64)
+        indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
+        counts += np.bincount(indices, minlength=n_bins)
     return CoincidenceHistogram(
         bin_width_ns=width,
         range_min_ns=lo,
@@ -237,32 +235,6 @@ def build_histogram(
         start_detector=start_detector,
         stop_detector=stop_detector,
     )
-
-
-def _near_some_stop(
-    starts: np.ndarray, stops: np.ndarray, lo: float, hi: float, slack: float
-) -> np.ndarray:
-    """The starts within slack of [stop - hi, stop - lo] for some stop.
-
-    Only stops within 2 * slack of the starts' span can reach one of them.
-    Their start ranges [first, last) are monotone in the stop; merged where
-    they touch or overlap, the runs are disjoint and ascending, and their
-    starts are gathered by index.  The cost is O(near stops + candidates),
-    not O(starts).
-    """
-    begin = np.searchsorted(stops, starts[0] + (lo - 2.0 * slack), side="left")
-    end = np.searchsorted(stops, starts[-1] + (hi + 2.0 * slack), side="right")
-    near = stops[begin:end]
-    if not near.size:
-        return starts[:0]
-    first = np.searchsorted(starts, near - (hi + slack), side="left")
-    last = np.searchsorted(starts, near - (lo - slack), side="right")
-    opens = np.concatenate(([True], first[1:] > last[:-1]))
-    closes = np.concatenate((opens[1:], [True]))
-    run_first = first[opens]
-    size = last[closes] - run_first
-    ends = np.cumsum(size)
-    return starts.take(np.repeat(run_first - ends + size, size) + np.arange(ends[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +306,7 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
         raise ValueError(f"expected spacing must be positive, got {expected_spacing_ns!r}")
     if hist.total == 0:
         raise PeaksNotFound("histogram is empty")
-    if hist.range_min_ns > -1.25 * spacing or hist.range_max_ns < 1.25 * spacing:
+    if hist.range_min_ns > -PEAK_REACH * spacing or hist.range_max_ns < PEAK_REACH * spacing:
         raise PeaksNotFound(
             f"histogram range ({hist.range_min_ns}, {hist.range_max_ns}) ns cannot "
             f"contain peaks at 0 and +-{spacing} ns with search margins"

@@ -209,7 +209,8 @@ class ChainConfig:
         if self.histogram_bin_ns <= 0.0 or self.histogram_half_range_ns <= 0.0:
             raise ValueError("histogram_bin_ns and histogram_half_range_ns must be positive")
         half, width = self.histogram_half_range_ns, self.histogram_bin_ns
-        if abs(round(half / width) * width - half) > EDGE_TOL_NS:
+        steps = half / width  # inf for a subnormal width; round() cannot take it
+        if not math.isfinite(steps) or abs(round(steps) * width - half) > EDGE_TOL_NS:
             raise ValueError(
                 f"histogram_half_range_ns={half!r} is not an integer multiple of "
                 f"histogram_bin_ns={width!r}"

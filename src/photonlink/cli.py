@@ -148,6 +148,16 @@ def _histogram(stream: EventStream, chain: ch.ChainConfig) -> an.CoincidenceHist
     )
 
 
+def _check_peak_reach(chain: ch.ChainConfig) -> None:
+    """Refuse, before simulating, a histogram range that cannot hold the side peaks."""
+    half, delay = chain.histogram_half_range_ns, chain.bob_interferometer.delay_ns()
+    if half < an.PEAK_REACH * delay:
+        raise InvalidConfigError(
+            f"chain.histogram_half_range_ns = {half} ns is below {an.PEAK_REACH} x Bob's "
+            f"interferometer delay of {delay:.4g} ns, so the side peaks fall outside it"
+        )
+
+
 def _windows_dict(windows: an.PeakWindows) -> dict:
     return {
         "side_early_ns": list(windows.side_early),
@@ -259,6 +269,7 @@ def cmd_sweep(args) -> int:
         raise InvalidConfigError(f"a sweep needs at least 5 phase points, got {args.phases}")
     if args.phases > MAX_PHASES:
         raise InvalidConfigError(f"--phases allows at most {MAX_PHASES} points, got {args.phases}")
+    _check_peak_reach(cfg.chain)
     out_dir = _resolve_out(args)
 
     points, fit, windows, acc_rate = _run_sweep(cfg, args.phases)
@@ -301,6 +312,7 @@ def cmd_sweep(args) -> int:
 def cmd_histogram(args) -> int:
     started = time.perf_counter()
     cfg, label = _resolve_config(args)
+    _check_peak_reach(cfg.chain)
     out_dir = _resolve_out(args)
     chain = cfg.chain
 

@@ -27,6 +27,7 @@ from . import chain as ch
 
 __all__ = [
     "MAX_EXPECTED_EVENTS",
+    "MAX_HISTOGRAM_BINS",
     "InvalidConfigError",
     "SimConfig",
     "sim_config_from_dict",
@@ -43,6 +44,12 @@ __all__ = [
 # darks that simulate only counts and does not draw: unchanged on purpose, so
 # a document refused before is refused still.
 MAX_EXPECTED_EVENTS = 3.0e7
+
+# Most bins one histogram grid, 2 x histogram_half_range_ns / histogram_bin_ns,
+# may have.  A sweep keeps one int64 histogram per point, so a sweep of
+# cli.MAX_PHASES = 10,000 points holds at most 10,000 x 1,000 x 8 B = 80 MB of
+# counts.  The defaults use 120 bins.
+MAX_HISTOGRAM_BINS = 1_000
 
 
 class InvalidConfigError(ValueError):
@@ -70,6 +77,12 @@ class SimConfig:
             raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfigError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
+        n_bins = 2.0 * self.chain.histogram_half_range_ns / self.chain.histogram_bin_ns
+        if not n_bins <= MAX_HISTOGRAM_BINS:
+            raise InvalidConfigError(
+                f"2 x chain.histogram_half_range_ns / chain.histogram_bin_ns = {n_bins:.3g} bins "
+                f"exceeds MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS}"
+            )
         with warnings.catch_warnings():  # the budget warns on its own, not at config load
             warnings.simplefilter("ignore", ch.SaturationWarning)
             rates = ch.expected_rates(self.chain)

@@ -15,9 +15,12 @@ before the first run at |delta| <= 3 SE:
 - each sampler's accidental rate against ``chain.expected_rates`` (SE of
   that sampler's mean).
 
-``v_raw`` against the configured visibility times the budget's
-``predicted_raw_over_net``, and ``v_net`` against the configured
-visibility, are printed for information only.  Exits 1 when a check fails.
+For information only, it also prints ``v_raw`` against the configured
+visibility times the budget's ``predicted_raw_over_net``, ``v_net`` against
+the configured visibility, the seed-to-seed sd of ``v_raw`` and ``v_net``
+next to the median reported ``v_raw_err`` / ``v_net_err``, and the fraction
+of seeds that pass criterion 06's or 07's ``v_raw``, ``v_net`` and count
+assertions.  Exits 1 when a check fails.
 pytest does not collect this file; it takes minutes (the reference sampler
 draws every dark).
 """
@@ -38,25 +41,30 @@ import numpy as np  # noqa: E402
 
 from photonlink import chain as ch  # noqa: E402
 from photonlink import cli  # noqa: E402
-from photonlink.presets import preset_config  # noqa: E402
+from photonlink.presets import REPORT_TARGETS, preset_config  # noqa: E402
 from reference_sampler import reference_simulate  # noqa: E402
 
 PRESETS = ("fig2-baseline", "fig3-transfer")
 QUANTITIES = ("v_raw", "v_net", "acc_rate")
 TOLERANCE_SE = 3.0  # fixed before the first run
+# REPORT_TARGETS holds criterion 06's and 07's v_raw and v_net intervals; both
+# criteria also need at least this many central-window coincidences per point.
+MIN_MEAN_COINCIDENCES = 400
 
 
 def sweep_values(name: str, seeds: list[int], n_phases: int, reference: bool) -> dict:
-    """Per-seed v_raw, v_net and accidental rate of one preset under one sampler."""
-    values = {q: [] for q in QUANTITIES}
+    """Per-seed v_raw, v_net, their reported errors, the accidental rate and the
+    mean central-window coincidences of one preset under one sampler."""
+    values = {q: [] for q in (*QUANTITIES, "v_raw_err", "v_net_err", "mean_counts")}
     sampler = reference_simulate if reference else cli.simulate
     with mock.patch.object(cli, "simulate", sampler):
         for seed in seeds:
             cfg = dataclasses.replace(preset_config(name), seed=seed)
-            _, fit, _, acc_rate = cli._run_sweep(cfg, n_phases)
-            values["v_raw"].append(fit.v_raw)
-            values["v_net"].append(fit.v_net)
+            points, fit, _, acc_rate = cli._run_sweep(cfg, n_phases)
+            for q in ("v_raw", "v_net", "v_raw_err", "v_net_err"):
+                values[q].append(getattr(fit, q))
             values["acc_rate"].append(acc_rate)
+            values["mean_counts"].append(np.mean([p.coincidences for p in points]))
     return {q: np.array(v) for q, v in values.items()}
 
 
@@ -103,12 +111,25 @@ def main(argv: list[str]) -> int:
                 f"  acc_rate {label} - expected {expected:.5g}: {m - expected:+.3g}"
                 f" = {(m - expected) / se:+.2f} SE  {'ok' if ok else 'FAIL'}"
             )
+            values = results[reference]
             for q, target in (("v_raw", predicted_raw), ("v_net", cfg.visibility)):
-                m, se = mean_se(results[reference][q])
+                m, se = mean_se(values[q])
                 print(
                     f"  {q} {label} - predicted {target:.4f}: {m - target:+.4f}"
-                    f" = {(m - target) / se:+.1f} SE (information)"
+                    f" = {(m - target) / se:+.1f} SE;  sd over seeds {values[q].std(ddof=1):.4f}"
+                    f" vs median {q}_err {np.median(values[q + '_err']):.4f} (information)"
                 )
+            passes = {}
+            for q in ("v_raw", "v_net"):
+                lo, hi = REPORT_TARGETS[name][q]
+                passes[q] = (values[q] >= lo) & (values[q] <= hi)
+            passes["counts"] = values["mean_counts"] >= MIN_MEAN_COINCIDENCES
+            every = np.logical_and.reduce(list(passes.values()))
+            print(
+                f"  criterion pass {label}: {every.sum()}/{every.size} seeds ("
+                + ", ".join(f"{q} {ok.sum()}" for q, ok in passes.items())
+                + ") (information)"
+            )
     print("FAIL: " + "; ".join(failures) if failures else "all checks pass")
     return 1 if failures else 0
 

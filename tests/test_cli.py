@@ -267,6 +267,7 @@ def test_transfer_probability_above_one_is_a_config_error(tmp_path, capsys, comm
         (("duration_s",), 1e300),
         (("chain", "source", "pair_rate_per_s"), 1e300),
         (("chain", "alice_detector", "gate_width_ns"), 1e300),
+        (("chain", "histogram_bin_ns"), 1e-320),  # 3 / 1e-320 overflows to inf
     ],
 )
 def test_bad_field_is_a_config_error(tmp_path, capsys, keys, value):
@@ -294,6 +295,39 @@ def test_hour_long_sweep_is_refused_before_simulating(monkeypatch, capsys):
     assert cli.main(["sweep", "--preset", "fig2-baseline", "--duration", "3600"]) == 2
     err = capsys.readouterr().err
     assert "duration_s" in err and "MAX_EXPECTED_EVENTS" in err
+
+
+def test_histogram_grid_beyond_the_bin_cap_is_refused_before_simulating(
+    tmp_path, monkeypatch, capsys
+):
+    def never(cfg):
+        raise AssertionError("simulate ran on an oversized histogram grid")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    # 6e9 bins: the counts alone would need 45 GiB.
+    cfg = write_config(tmp_path, {"chain": {"histogram_bin_ns": 1e-9}})
+    assert cli.main(["histogram", "--config", cfg, "--duration", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert "histogram_bin_ns" in err and "histogram_half_range_ns" in err
+    assert "MAX_HISTOGRAM_BINS" in err
+
+
+@pytest.mark.parametrize("command", ["histogram", "sweep"])
+def test_range_short_of_the_side_peaks_is_refused_before_simulating(
+    tmp_path, monkeypatch, capsys, command
+):
+    def never(cfg):
+        raise AssertionError("simulate ran on a range that cannot hold the side peaks")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    # +-0.5 ns cannot reach the side peaks at +-0.667 ns.
+    doc = {"chain": {"histogram_half_range_ns": 0.5}, "duration_s": 2.0}
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "chain.histogram_half_range_ns" in err and "0.6671 ns" in err
+    assert "physics" not in err
+    # The budget needs no histogram and still runs on the same document.
+    assert cli.main(["budget", "--config", write_config(tmp_path, doc)]) == 0
 
 
 # ---------------------------------------------------------------------------
