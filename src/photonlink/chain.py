@@ -475,25 +475,19 @@ def expected_rates(chain: ChainConfig) -> RateReport:
     product over the coincidence window with the gated-dark floor.  These
     are design-level estimates, the event simulator is the ground truth.
     """
-    alice_photon = _photon_singles(chain, "alice")
-    bob_photon = _photon_singles(chain, "bob")
-
     # Free-running dark rates do not depend on the partner; gated ones do.
-    # Resolve free-running detectors first so a gated partner sees the full
+    # Resolve a free-running detector first so a gated partner sees the full
     # trigger rate (ChainConfig guarantees at least one is free-running).
-    if chain.bob_detector.role == "free_running":
-        bob_dark = _dark_singles(chain, "bob", 0.0)
-        bob_singles = bob_photon + bob_dark
-        alice_dark = _dark_singles(chain, "alice", bob_singles)
-        alice_singles = alice_photon + alice_dark
-    else:
-        alice_dark = _dark_singles(chain, "alice", 0.0)
-        alice_singles = alice_photon + alice_dark
-        bob_dark = _dark_singles(chain, "bob", alice_singles)
-        bob_singles = bob_photon + bob_dark
+    order = ("bob", "alice") if chain.bob_detector.role == "free_running" else ("alice", "bob")
+    photon = {name: _photon_singles(chain, name) for name in order}
+    dark, singles = {}, {}
+    partner_singles = 0.0
+    for name in order:
+        dark[name] = _dark_singles(chain, name, partner_singles)
+        singles[name] = partner_singles = photon[name] + dark[name]
 
-    start_singles = bob_singles if chain.start_detector == "bob" else alice_singles
-    stop_singles = alice_singles if chain.stop_detector == "alice" else bob_singles
+    start_singles = singles[chain.start_detector]
+    stop_singles = singles[chain.stop_detector]
 
     window_ns = chain.coincidence_window_ns
     accidental_uncorr = start_singles * stop_singles * window_ns * 1e-9
@@ -521,12 +515,12 @@ def expected_rates(chain: ChainConfig) -> RateReport:
     fraction = accidental_total / denominator if denominator > 0.0 else 0.0
 
     return RateReport(
-        alice_singles_per_s=alice_singles,
-        bob_singles_per_s=bob_singles,
-        alice_photon_rate_per_s=alice_photon,
-        bob_photon_rate_per_s=bob_photon,
-        alice_dark_rate_per_s=alice_dark,
-        bob_dark_rate_per_s=bob_dark,
+        alice_singles_per_s=singles["alice"],
+        bob_singles_per_s=singles["bob"],
+        alice_photon_rate_per_s=photon["alice"],
+        bob_photon_rate_per_s=photon["bob"],
+        alice_dark_rate_per_s=dark["alice"],
+        bob_dark_rate_per_s=dark["bob"],
         true_coincidence_rate_per_s=true_rate,
         accidental_rate_uncorrelated_per_s=accidental_uncorr,
         accidental_rate_gated_darks_per_s=accidental_gated,

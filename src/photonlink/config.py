@@ -38,8 +38,8 @@ __all__ = [
 
 # Largest expected duration_s x (pair rate + Alice singles + Bob singles) one
 # simulate() call may draw.  The dense criterion-09 source peaks at about 9
-# bytes per expected event above the interpreter's 35 MB (182 MB for 16 M,
-# 255 MB for 24 M), so the cap bounds one run near 0.3 GB.  The estimate
+# bytes per expected event above the interpreter's 35 MB (174 MB for 16 M,
+# 247 MB for 24 M), so the cap bounds one run near 0.3 GB.  The estimate
 # still counts every expected single, also the start detector's free-running
 # darks that simulate only counts and does not draw: unchanged on purpose, so
 # a document refused before is refused still.

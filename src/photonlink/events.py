@@ -1,17 +1,19 @@
 """Monte Carlo click-stream simulator for the two-analyzer coincidence setup.
 
-Pairs are emitted as a Poisson process.  Each pair is sampled *jointly* from
-the quantum outcome distribution of the two analyzers rather than as two
-independent classical photons: the phase-dependent interference lives only
-in the both-detected central class, the side classes are flat, and the
+Pairs are emitted as a Poisson process.  Each pair falls *jointly* into one
+outcome class of the two analyzers rather than being two independent
+classical photons: the phase-dependent interference lives only in the
+both-detected central class, the side classes are flat, and the
 single-sided marginals stay phase-independent (no single-photon fringes).
 The six outcome classes, their weights and each side's arrival are
 ``quantum.OUTCOME_CLASSES``; they sum to one and give the 1/2 monitored-port
 marginal on each side for every phi.  Arm transmission, the transfer-stage
-success, and detector quantum efficiency are applied as independent
-Bernoulli thinning per photon; dark counts are added per detector,
-uniformly for free-running detectors and inside partner-triggered gates for
-gated ones.
+success, and detector quantum efficiency thin each photon independently.
+Every (class, path bit, clicking sides) cell of the thinned pair process is
+then an independent Poisson process, so the photon clicks are drawn one
+cell at a time, with times only for clicks (colouring).  Dark counts are
+added per detector, uniformly for free-running detectors and inside
+partner-triggered gates for gated ones.
 
 Everything is drawn from one numpy PCG64 generator in a fixed documented
 order, so a stream is a deterministic function of (config, seed), and all
@@ -44,9 +46,8 @@ DETECTORS = ("alice", "bob")
 ORIGINS = ("photon", "dark")
 # The four click groups of a stream, in the order simulate assembles them.
 GROUPS = tuple((name, origin) for origin in ORIGINS for name in DETECTORS)
-# Items per block of the per-pair walk in _photon_times and of the start
-# walk in analysis.build_histogram: it bounds their temporaries and changes
-# no draw and no count.
+# Starts per block of the start walk in analysis.build_histogram: it bounds
+# the walk's temporaries and changes no count.
 BLOCK = 1 << 16
 
 
@@ -216,103 +217,58 @@ def _near_stop_times(
     return near
 
 
-def _outcome_classes(rng: np.random.Generator, v_cos: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Index into OUTCOME_CLASSES of each pair: how many cumulative weights its u passes.
-
-    ``v_cos`` is V cos(phi) of every pair, or one value that serves them all.
-    """
-    code = np.zeros(n_pairs, dtype=np.int8)
-    for part in blocks(n_pairs):
-        u = rng.random(part.stop - part.start)
-        pair_v_cos = v_cos if v_cos.size == 1 else v_cos[part]
-        threshold = 0.0
-        for _, (const, slope), _ in OUTCOME_CLASSES[:-1]:
-            threshold += const + slope * pair_v_cos if slope else const
-            code[part] += u >= threshold
-    return code
-
-
 def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """Alice's and Bob's photon clicks, unsorted, in pair order.
+    """Alice's and Bob's photon clicks, unsorted, drawn one outcome cell at a time.
 
-    The emission times (and, when phase-averaging, the phases) are drawn
-    whole; every later per-pair segment is walked in blocks of BLOCK pairs
-    and folded at once into compact per-pair state (a one-byte code per pair
-    and the two kept masks) or, for the jitter, into each side's click
-    array, gathering the kept pairs of a block by their indices.  On numpy's
-    PCG64 ``random``, ``integers(0, 2)`` and ``standard_normal`` drawn block
-    by block give the same values, and leave the generator in the same
-    state, as one whole-array call, so blocks do not change the draws;
-    ``standard_normal(n)`` gives the bytes of ``normal(0.0, 1.0, n)``.
+    A pair falls into one class of OUTCOME_CLASSES, one path bit, and one
+    set of reached sides that click after independent thinning; each such
+    cell of the Poisson pair process is an independent Poisson process
+    (colouring).  A cell draws its click count, then one emission time per
+    click and a jitter per clicking side, Alice first.  Cells go in table
+    order, path bit 0 before 1, and the clicking sides as Alice, Bob, then
+    both.  Phase-averaging uses V cos(phi) = 0, the mean over a uniform
+    per-pair phase, which no click records.
     """
     chain = config.chain
-    alice_arm, bob_arm = chain.alice_interferometer, chain.bob_interferometer
-    n_pairs = int(rng.poisson(chain.source.pair_rate_per_s * config.duration_s))
-    emission = rng.random(n_pairs)
-    emission *= config.duration_s * 1e9
-
-    if config.phase_averaged:
-        v_cos = rng.random(n_pairs)
-        v_cos *= 2.0 * math.pi
-    else:  # one value serves every pair
-        v_cos = np.full(1, alice_arm.phase_rad + bob_arm.phase_rad)
-    np.cos(v_cos, out=v_cos)
-    v_cos *= config.visibility
-
-    code = _outcome_classes(rng, v_cos, n_pairs)
-    del v_cos
-
-    # Shared path bit: ss/ll label for central-class pairs (the two paths
-    # are indistinguishable, the label only places absolute timestamps) and
-    # the unobservable short/long choice for one-sided classes.
-    code *= 2
-    for part in blocks(n_pairs):
-        code[part] += rng.integers(0, 2, size=part.stop - part.start)
-
-    # Lookup tables over code = 2 * class + path bit, one row per detector
-    # (Alice, Bob): whether the pair reaches it, and its arrival offset.
-    arrivals = [[arrival[side] for _, _, arrival in OUTCOME_CLASSES] for side in (0, 1)]
-    reach = np.array([[a is not None for a in row] for row in arrivals]).repeat(2, axis=1)
-    offset = [
-        np.array([delay * bit for a in row for bit in a or (math.nan,) * 2])  # NaN: never read
-        for row, delay in zip(arrivals, (alice_arm.delay_ns(), bob_arm.delay_ns()))
-    ]
-
+    arms = (chain.alice_interferometer, chain.bob_interferometer)
     keep = (
-        alice_arm.transmission * chain.alice_detector.quantum_efficiency,
-        bob_arm.transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
+        arms[0].transmission * chain.alice_detector.quantum_efficiency,
+        arms[1].transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
     )
-    kept = [np.empty(n_pairs, dtype=bool) for _ in keep]
-    for side_reach, side_keep, mask in zip(reach, keep, kept):
-        for part in blocks(n_pairs):
-            side_reach.take(code[part], out=mask[part])
-            mask[part] &= rng.random(part.stop - part.start) < side_keep
-
-    # Each side's clicks: offset, then + emission, then + jitter, gathered by
-    # index block by block into one array of the kept pairs.
-    clicks = []
-    for side_offset, mask in zip(offset, kept):
-        times = np.empty(np.count_nonzero(mask))
-        end = 0
-        for part in blocks(n_pairs):
-            index = np.flatnonzero(mask[part])
-            jitter = rng.standard_normal(part.stop - part.start).take(index)
-            jitter *= chain.jitter_ns
-            out = times[end : end + index.size]
-            end += index.size
-            side_offset.take(code[part].take(index), out=out)
-            out += emission[part].take(index)
-            out += jitter
-        clicks.append(times)
-    return clicks
+    delay = [arm.delay_ns() for arm in arms]
+    phi = arms[0].phase_rad + arms[1].phase_rad
+    v_cos = 0.0 if config.phase_averaged else config.visibility * math.cos(phi)
+    mean_pairs = chain.source.pair_rate_per_s * config.duration_s
+    duration_ns = config.duration_s * 1e9
+    clicks: tuple[list, list] = ([], [])
+    for _, (c, s), arrival in OUTCOME_CLASSES:
+        reached = [side for side in (0, 1) if arrival[side] is not None]
+        if not reached:
+            continue
+        clicking_sets = [[0], [1], [0, 1]] if len(reached) == 2 else [reached]
+        for bit in (0, 1):
+            for clicking in clicking_sets:
+                p = 0.5 * (c + s * v_cos)
+                for side in reached:
+                    p *= keep[side] if side in clicking else 1.0 - keep[side]
+                n = rng.poisson(mean_pairs * p)
+                emission = rng.random(n)
+                emission *= duration_ns
+                for side in clicking:
+                    t = rng.standard_normal(n)
+                    t *= chain.jitter_ns
+                    t += emission
+                    t += delay[side] * arrival[side][bit]
+                    clicks[side].append(t)
+    return [np.concatenate(side) for side in clicks]
 
 
 def simulate(config: SimConfig) -> EventStream:
     """Generate the click stream for one run.
 
-    Draw order is fixed: pair count, emission times, per-pair phases (only
-    when phase-averaging), outcome class, shared path bit, Alice thinning,
-    Bob thinning, Alice jitter, Bob jitter; then the darks:
+    Draw order is fixed: the photon cells of ``_photon_times``, each its
+    click count, emission times, then Alice's and Bob's jitters for the
+    sides that click; then the darks:
 
     1. Free-running darks, Alice before Bob: a detector with a positive rate
        draws its count N, then N uniform times, except the start detector,
@@ -334,10 +290,7 @@ def simulate(config: SimConfig) -> EventStream:
     roles and half-range.  A gated start detector, or one without darks,
     leaves nothing undrawn.  Photon draws are consumed unconditionally so
     the photon record depends only on the source, analyzer, transfer, and
-    detector-efficiency parameters.  Each per-pair segment after the
-    emission times is drawn in blocks of BLOCK pairs; a segment drawn block
-    by block equals its whole-array draw, so the blocks change no click and
-    no later draw.
+    detector-efficiency parameters.
 
     Assembly: the four source groups (Alice photons, Bob photons, Alice
     darks, Bob darks) are kept apart, one per (detector, origin) key of

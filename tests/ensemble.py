@@ -1,11 +1,13 @@
-"""Seed ensemble of the preset sweeps under both dark samplers.
+"""Seed ensemble of the preset sweeps under the production and reference samplers.
 
     python3 tests/ensemble.py [--seeds N] [--first-seed S] [--phases P]
 
 Runs N fresh-seed sweeps (seeds S .. S+N-1, not the preset seeds) of each
-preset through ``cli._run_sweep``, once with ``events.simulate`` (start-
-detector darks drawn only where they can pair) and once with the reference
-sampler of ``reference_sampler.py`` (every dark drawn).  For each preset and
+preset through ``cli._run_sweep``, once with ``events.simulate`` (photon
+clicks drawn per outcome cell, start-detector darks drawn only where they
+can pair) and once with the reference sampler of ``reference_sampler.py``
+(every pair and every dark drawn).  The two differ in both the photon and
+the dark half, so no stream is shared between them.  For each preset and
 sampler it prints mean +- standard error over seeds of ``v_raw``, ``v_net``
 and the measured accidental rate, and checks, with the tolerance fixed
 before the first run at |delta| <= 3 SE:
@@ -22,7 +24,7 @@ next to the median reported ``v_raw_err`` / ``v_net_err``, and the fraction
 of seeds that pass criterion 06's or 07's ``v_raw``, ``v_net`` and count
 assertions.  Exits 1 when a check fails.
 pytest does not collect this file; it takes minutes (the reference sampler
-draws every dark).
+draws every pair and every dark).
 """
 
 from __future__ import annotations

@@ -1,16 +1,20 @@
-"""The reference sampler: every dark click of every detector gets a time.
+"""The reference sampler: every pair drawn, and every dark click of every detector.
 
-``photonlink.events.simulate`` draws the start detector's free-running
-darks only where they can pair and counts the rest.  This module keeps the
-dark section that draws them all, on the same photon draws
-(``events._photon_times``).  Its draw order after the photons: free-running
-darks, Alice before Bob (count, then uniform times); then gated darks, Alice
-before Bob (count, gate indices, offsets).  The tests use it as the sampler
-the production one must equal in distribution, and ``golden_counts.json``
-pins it.
+``photonlink.events.simulate`` draws photon clicks one outcome cell at a
+time (colouring) and the start detector's free-running darks only where
+they can pair, counting the rest.  This module keeps the per-pair photon
+sampler and the dark section that draws every dark.  Photon draw order:
+pair count, emission times, per-pair phases (only when phase-averaging),
+outcome class, shared path bit, Alice and Bob thinning, Alice and Bob
+jitter.  Then the darks: free-running ones, Alice before Bob (count, then
+uniform times); then gated ones, Alice before Bob (count, gate indices,
+offsets).  The tests use it as the sampler the production one must equal in
+distribution, and ``golden_counts.json`` pins it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,12 +50,72 @@ def gated_dark_times(
     return triggers + offsets
 
 
-def reference_simulate(config: SimConfig) -> ev.EventStream:
-    """The click stream of one run with every dark drawn; complete for every geometry."""
+def reference_photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """Alice's and Bob's photon clicks, unsorted, in pair order: every pair drawn.
+
+    Each pair draws its emission time, (when phase-averaging) its phase, a
+    uniform u that picks its outcome class against cumulative weights, its
+    path bit, one thinning uniform per side and one jitter per side, each
+    segment in one whole-array call.
+    """
+    chain = config.chain
+    alice_arm, bob_arm = chain.alice_interferometer, chain.bob_interferometer
+    n_pairs = int(rng.poisson(chain.source.pair_rate_per_s * config.duration_s))
+    emission = rng.random(n_pairs)
+    emission *= config.duration_s * 1e9
+
+    if config.phase_averaged:
+        v_cos = rng.random(n_pairs)
+        v_cos *= 2.0 * math.pi
+    else:
+        v_cos = np.full(n_pairs, alice_arm.phase_rad + bob_arm.phase_rad)
+    np.cos(v_cos, out=v_cos)
+    v_cos *= config.visibility
+
+    u = rng.random(n_pairs)
+    threshold = 1.0 + v_cos
+    threshold *= 0.125
+    p_single = np.subtract(2.0, v_cos, out=v_cos)
+    p_single *= 0.125
+    code = (u >= threshold).astype(np.int8)
+    for p in (0.0625, 0.0625, p_single, p_single):
+        threshold += p
+        code += u >= threshold
+    code *= 2
+    code += rng.integers(0, 2, size=n_pairs)
+
+    delay = np.array([[alice_arm.delay_ns()], [bob_arm.delay_ns()]])
+    reach = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0]], dtype=bool).repeat(2, axis=1)
+    scale = delay * [[1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]]
+    shift = delay * [[0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
+    offset = (scale[..., None] * [0.0, 1.0] + shift[..., None]).reshape(2, 12)
+    keep = (
+        alice_arm.transmission * chain.alice_detector.quantum_efficiency,
+        bob_arm.transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
+    )
+    kept = [reach[side][code] & (rng.random(n_pairs) < keep[side]) for side in (0, 1)]
+    jitter = [rng.normal(0.0, 1.0, n_pairs)[mask] * chain.jitter_ns for mask in kept]
+    clicks = []
+    for side_offset, mask, side_jitter in zip(offset, kept, jitter):
+        times = side_offset[code[mask]]
+        times += emission[mask]
+        times += side_jitter
+        clicks.append(times)
+    return clicks
+
+
+def reference_simulate(
+    config: SimConfig, photon_times=reference_photon_times
+) -> ev.EventStream:
+    """The click stream of one run with every dark drawn; complete for every geometry.
+
+    ``photon_times(config, rng)`` draws the photon half first; pass
+    ``events._photon_times`` to share ``events.simulate``'s photon draws.
+    """
     chain = config.chain
     rng = np.random.default_rng(config.seed)
     duration_ns = config.duration_s * 1e9
-    photon = dict(zip(ev.DETECTORS, ev._photon_times(config, rng)))
+    photon = dict(zip(ev.DETECTORS, photon_times(config, rng)))
 
     dark: dict[str, np.ndarray] = {}
     for name in ev.DETECTORS:  # free-running first, fixed alice -> bob order

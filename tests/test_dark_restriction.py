@@ -2,14 +2,15 @@
 
 ``events.simulate`` draws the start detector's free-running darks only where
 they can pair (marking and restriction of a Poisson process) and counts the
-rest; ``reference_sampler.reference_simulate`` draws every one.  Both share
-the photon draws, so at one seed their photon groups and the start
-detector's dark count agree exactly; everything else must agree in
+rest; ``reference_sampler.reference_simulate`` draws every one.  Here the
+reference runs on simulate's photon sampler, so at one seed their photon
+groups and the start detector's dark count agree exactly; everything else must agree in
 distribution over a seed ensemble.  The thresholds were fixed before the
 first run: chi-square and Kolmogorov-Smirnov p >= 1e-3, and |z| <= 4 for
 differences of ensemble sums or means.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -62,9 +63,10 @@ def ensemble(request):
     """Per-seed summaries of both samplers on one chain."""
     chain = CHAINS[request.param]
     records = {"name": request.param, "restricted": [], "reference": []}
+    reference = functools.partial(reference_simulate, photon_times=ev._photon_times)
     for seed in SEEDS:
         cfg = SimConfig(chain=chain, duration_s=DURATION_S, seed=seed)
-        for key, sampler in (("restricted", ev.simulate), ("reference", reference_simulate)):
+        for key, sampler in (("restricted", ev.simulate), ("reference", reference)):
             stream = sampler(cfg)
             stops = stream.detector_times("alice")
             darks = stream.detector_times("bob", "dark")

@@ -111,9 +111,8 @@ def test_photon_events_independent_of_dark_rates():
             s_quiet.detector_times(name, "photon"),
             s_noisy.detector_times(name, "photon"),
         )
-    assert s_noisy.detector_times("bob", "dark").size > s_quiet.detector_times(
-        "bob", "dark"
-    ).size
+    # Drawn start darks are only those near a stop; count the undrawn rest too.
+    assert s_noisy.n_clicks("bob", "dark") > s_quiet.n_clicks("bob", "dark")
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +161,8 @@ def test_side_peaks_sit_at_the_imbalance_delay():
 
 
 def test_singles_carry_no_phase_information():
-    # The one-sided marginals are exactly 1/2 for any phase.  With a common
-    # seed even the Alice click COUNT matches exactly, because the reach
-    # threshold sums to one half regardless of phase; the timestamps shift
-    # (path offsets follow the joint outcome) but no clicks appear or vanish.
+    # The one-sided marginals are exactly 1/2 for any phase: the click counts
+    # at phases 0 and pi differ only by Poisson noise.
     cfg0 = SimConfig(chain=phases(ideal_chain(), 0.0), visibility=1.0, duration_s=1.0, seed=104)
     cfg_pi = SimConfig(
         chain=phases(ideal_chain(), math.pi), visibility=1.0, duration_s=1.0, seed=104
@@ -174,7 +171,7 @@ def test_singles_carry_no_phase_information():
     s_pi = ev.simulate(cfg_pi)
     n_a0 = s0.detector_times("alice").size
     n_api = s_pi.detector_times("alice").size
-    assert n_a0 == n_api
+    assert abs(n_a0 - n_api) < 5.0 * math.sqrt(n_a0)
     n_b0 = s0.detector_times("bob").size
     n_bpi = s_pi.detector_times("bob").size
     assert abs(n_b0 - n_bpi) < 5.0 * math.sqrt(n_b0)
@@ -287,8 +284,9 @@ def test_visibility_scales_the_fringe_not_the_sides():
 
 
 def test_transfer_stage_thins_bob_only():
-    # Same seed with and without the transfer stage: Bob's photon clicks
-    # thin to a subset with binomial statistics, Alice's are untouched.
+    # With and without the transfer stage: Bob's photon clicks thin by the
+    # transfer probability, Alice's keep their rate.  The two runs draw
+    # independently, so each difference carries both runs' Poisson noise.
     base_chain = ideal_chain(pair_rate=100_000.0)
     import dataclasses
 
@@ -296,15 +294,11 @@ def test_transfer_stage_thins_bob_only():
     p = ch.sfg_transfer_probability(ch.SfgParams())
     base = ev.simulate(SimConfig(chain=base_chain, duration_s=1.0, seed=107))
     thinned = ev.simulate(SimConfig(chain=sfg_chain, duration_s=1.0, seed=107))
-    np.testing.assert_array_equal(
-        base.detector_times("alice", "photon"), thinned.detector_times("alice", "photon")
-    )
+    n_alice = [s.detector_times("alice", "photon").size for s in (base, thinned)]
+    assert abs(n_alice[0] - n_alice[1]) < 4.0 * math.sqrt(sum(n_alice))
     n_base = base.detector_times("bob", "photon").size
     n_thin = thinned.detector_times("bob", "photon").size
-    sigma = math.sqrt(n_base * p * (1.0 - p))
-    assert abs(n_thin - n_base * p) < 4.0 * sigma
-    assert np.all(np.isin(thinned.detector_times("bob", "photon"),
-                          base.detector_times("bob", "photon")))
+    assert abs(n_thin - n_base * p) < 4.0 * math.sqrt(n_thin + p * p * n_base)
 
 
 def test_zero_transfer_probability_empties_bob(monkeypatch):
@@ -475,15 +469,16 @@ def test_golden_counts_restricted(name):
 @pytest.mark.parametrize("name", ["dense", "gated-bob"])
 def test_golden_counts_agree_without_start_darks_to_restrict(name):
     # A dark-free source and a gated start detector leave simulate nothing
-    # to restrict: both samplers give the same counts and no undrawn click.
-    assert GOLDEN_RESTRICTED[name]["clicks"] == GOLDEN[name]["clicks"]
-    assert GOLDEN_RESTRICTED[name]["counts"] == GOLDEN[name]["counts"]
+    # to restrict: on simulate's photon draws the reference dark section
+    # gives the same stream, and no click is undrawn.
+    cfg = sim_config_from_dict(GOLDEN_DOCUMENTS[name])
+    assert ev.simulate(cfg) == reference_simulate(cfg, photon_times=ev._photon_times)
     assert set(GOLDEN_RESTRICTED[name]["undrawn"].values()) == {0}
 
 
 def test_simulate_peak_memory_per_event(traced_peak):
     # A dozen live pair-sized temporaries cost 178 bytes per event on the
-    # dense source; folding each draw in at once, 34.
+    # dense source; drawing one outcome cell at a time, about 17.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 1.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 150_000
@@ -491,107 +486,10 @@ def test_simulate_peak_memory_per_event(traced_peak):
 
 
 def test_simulate_peak_memory_on_five_dense_seconds(traced_peak):
-    # Walking the per-pair draws in blocks leaves the emission times, the
-    # one-byte code, the two kept masks and the clicks (about 20 bytes per
-    # event); four live pair-sized float64 arrays cost 34.
+    # Drawing one outcome cell at a time allocates only click-sized arrays:
+    # each side's cells and their concatenation, about 17 bytes per event.
+    # Four live pair-sized float64 arrays would cost 34.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 5.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 900_000
     assert peak <= 28 * len(stream)
-
-
-# ---------------------------------------------------------------------------
-# block walk against the whole-array sampler
-# ---------------------------------------------------------------------------
-
-
-def reference_photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """The photon half drawn in whole-array segments (the sampler before its block walk).
-
-    Same draws in the same order as events._photon_times: pair count,
-    emission, phase, u, path bit, Alice and Bob thinning, Alice and Bob
-    jitter, each segment in one call.
-    """
-    chain = config.chain
-    alice_arm, bob_arm = chain.alice_interferometer, chain.bob_interferometer
-    n_pairs = int(rng.poisson(chain.source.pair_rate_per_s * config.duration_s))
-    emission = rng.random(n_pairs)
-    emission *= config.duration_s * 1e9
-
-    if config.phase_averaged:
-        v_cos = rng.random(n_pairs)
-        v_cos *= 2.0 * math.pi
-    else:
-        v_cos = np.full(n_pairs, alice_arm.phase_rad + bob_arm.phase_rad)
-    np.cos(v_cos, out=v_cos)
-    v_cos *= config.visibility
-
-    u = rng.random(n_pairs)
-    threshold = 1.0 + v_cos
-    threshold *= 0.125
-    p_single = np.subtract(2.0, v_cos, out=v_cos)
-    p_single *= 0.125
-    code = (u >= threshold).astype(np.int8)
-    for p in (0.0625, 0.0625, p_single, p_single):
-        threshold += p
-        code += u >= threshold
-    code *= 2
-    code += rng.integers(0, 2, size=n_pairs)
-
-    delay = np.array([[alice_arm.delay_ns()], [bob_arm.delay_ns()]])
-    reach = np.array([[1, 1, 1, 1, 0, 0], [1, 1, 1, 0, 1, 0]], dtype=bool).repeat(2, axis=1)
-    scale = delay * [[1, 0, 0, 1, 0, 0], [1, 0, 0, 0, 1, 0]]
-    shift = delay * [[0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
-    offset = (scale[..., None] * [0.0, 1.0] + shift[..., None]).reshape(2, 12)
-    keep = (
-        alice_arm.transmission * chain.alice_detector.quantum_efficiency,
-        bob_arm.transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
-    )
-    kept = [reach[side][code] & (rng.random(n_pairs) < keep[side]) for side in (0, 1)]
-    jitter = [rng.normal(0.0, 1.0, n_pairs)[mask] * chain.jitter_ns for mask in kept]
-    clicks = []
-    for side_offset, mask, side_jitter in zip(offset, kept, jitter):
-        times = side_offset[code[mask]]
-        times += emission[mask]
-        times += side_jitter
-        clicks.append(times)
-    return clicks
-
-
-class FixedPairCount:
-    """A seeded generator whose Poisson draw, the pair count, returns n_pairs."""
-
-    def __init__(self, n_pairs: int, seed: int) -> None:
-        self.n_pairs = n_pairs
-        self.rng = np.random.default_rng(seed)
-
-    def poisson(self, lam):
-        return self.n_pairs
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
-@pytest.mark.parametrize("block", [None, 1, 3, 64])
-@pytest.mark.parametrize("phase_averaged", [False, True])
-def test_block_walk_matches_whole_array_sampler(monkeypatch, block, phase_averaged):
-    if block is not None:
-        monkeypatch.setattr(ev, "BLOCK", block)
-    size = ev.BLOCK
-    chains = {
-        "thinned": phases(preset_config("fig3-transfer").chain, 1.3),  # both sides thinned
-        # Lossless: a side keeps exactly the pairs that reach it, so short
-        # blocks often keep all of their pairs or none.
-        "lossless": sim_config_from_dict(DENSE_DOCUMENT).chain,
-    }
-    for name, chain_cfg in chains.items():
-        cfg = SimConfig(
-            chain=chain_cfg, visibility=0.9, duration_s=1.0, phase_averaged=phase_averaged
-        )
-        for n_pairs in (0, 1, size - 1, size, size + 1, 3 * size + 7):
-            walked = FixedPairCount(n_pairs, seed=n_pairs)
-            whole = FixedPairCount(n_pairs, seed=n_pairs)
-            got = ev._photon_times(cfg, walked)
-            want = reference_photon_times(cfg, whole)
-            assert [t.tobytes() for t in got] == [t.tobytes() for t in want], (name, n_pairs)
-            assert walked.random() == whole.random(), (name, n_pairs)  # same state after
