@@ -129,10 +129,6 @@ class CoincidenceHistogram:
         return int(round((self.range_max_ns - self.range_min_ns) / self.bin_width_ns))
 
     @property
-    def edges_ns(self) -> np.ndarray:
-        return self.range_min_ns + self.bin_width_ns * np.arange(self.n_bins + 1)
-
-    @property
     def centers_ns(self) -> np.ndarray:
         return self.range_min_ns + self.bin_width_ns * (np.arange(self.n_bins) + 0.5)
 
@@ -263,10 +259,6 @@ class PeakWindows:
                 raise ValueError(f"degenerate interval ({lo!r}, {hi!r})")
         if not (self.side_early[1] <= self.central[0] and self.central[1] <= self.side_late[0]):
             raise ValueError("peak windows must be disjoint and time-ordered")
-
-    @property
-    def peak_windows(self) -> tuple[tuple[float, float], ...]:
-        return (self.side_early, self.central, self.side_late)
 
 
 def _bin_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> tuple[int, int]:

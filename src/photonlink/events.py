@@ -202,18 +202,23 @@ def _near_stop_times(
     """
     if not stops.size:
         return np.empty(0, dtype=np.float64)
-    breaks = np.flatnonzero(np.diff(stops) > 2.0 * reach_ns)
-    first = stops[np.concatenate(([0], breaks + 1))] - reach_ns
-    last = stops[np.concatenate((breaks, [stops.size - 1]))] + reach_ns
+    edge = np.empty(stops.size, dtype=bool)  # the stops that open a window
+    edge[0] = True
+    np.greater(np.diff(stops), 2.0 * reach_ns, out=edge[1:])
+    first = stops[edge] - reach_ns
     np.clip(first, 0.0, duration_ns, out=first)
-    np.clip(last, 0.0, duration_ns, out=last)
-    length = last - first
+    length = stops[np.append(edge[1:], True)] + reach_ns  # the stops that close one
+    np.clip(length, 0.0, duration_ns, out=length)
+    length -= first  # last - first
     end = np.cumsum(length)
+    first -= end  # first - end + length, in that order: a draw on [0, L) to its time
+    first += length
+    del length
     near = rng.random(rng.binomial(n_free, min(end[-1] / duration_ns, 1.0)))
     near *= end[-1]
     window = np.searchsorted(end, near, side="right")
     np.minimum(window, end.size - 1, out=window)  # a draw rounded up onto L
-    near += (first - end + length).take(window)
+    near += first.take(window)
     return near
 
 
@@ -224,10 +229,11 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     set of reached sides that click after independent thinning; each such
     cell of the Poisson pair process is an independent Poisson process
     (colouring).  A cell draws its click count, then one emission time per
-    click and a jitter per clicking side, Alice first.  Cells go in table
-    order, path bit 0 before 1, and the clicking sides as Alice, Bob, then
-    both.  Phase-averaging uses V cos(phi) = 0, the mean over a uniform
-    per-pair phase, which no click records.
+    click and a jitter per clicking side, Alice first, into the grown tail
+    of that side's one array.  Cells go in table order, path bit 0 before
+    1, and the clicking sides as Alice, Bob, then both.  Phase-averaging
+    uses V cos(phi) = 0, the mean over a uniform per-pair phase, which no
+    click records.
     """
     chain = config.chain
     arms = (chain.alice_interferometer, chain.bob_interferometer)
@@ -240,7 +246,7 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     v_cos = 0.0 if config.phase_averaged else config.visibility * math.cos(phi)
     mean_pairs = chain.source.pair_rate_per_s * config.duration_s
     duration_ns = config.duration_s * 1e9
-    clicks: tuple[list, list] = ([], [])
+    clicks = [np.empty(0), np.empty(0)]
     for _, (c, s), arrival in OUTCOME_CLASSES:
         reached = [side for side in (0, 1) if arrival[side] is not None]
         if not reached:
@@ -255,12 +261,14 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
                 emission = rng.random(n)
                 emission *= duration_ns
                 for side in clicking:
-                    t = rng.standard_normal(n)
+                    clicks[side].resize(clicks[side].size + n)  # raises while a view is held
+                    t = clicks[side][clicks[side].size - n :]
+                    rng.standard_normal(out=t)
                     t *= chain.jitter_ns
                     t += emission
                     t += delay[side] * arrival[side][bit]
-                    clicks[side].append(t)
-    return [np.concatenate(side) for side in clicks]
+                    del t
+    return clicks
 
 
 def simulate(config: SimConfig) -> EventStream:

@@ -10,6 +10,10 @@ jitter.  Then the darks: free-running ones, Alice before Bob (count, then
 uniform times); then gated ones, Alice before Bob (count, gate indices,
 offsets).  The tests use it as the sampler the production one must equal in
 distribution, and ``golden_counts.json`` pins it.
+
+It also keeps ``events._photon_times`` and ``events._near_stop_times`` as
+they were before they stopped holding each click twice, for tests that
+check the two stay equal draw for draw.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from photonlink import events as ev
 from photonlink.config import SimConfig
+from photonlink.quantum import OUTCOME_CLASSES
 
 
 def gated_dark_times(
@@ -102,6 +107,71 @@ def reference_photon_times(config: SimConfig, rng: np.random.Generator) -> list[
         times += side_jitter
         clicks.append(times)
     return clicks
+
+
+def concatenated_photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """``events._photon_times`` as it drew before growing each side in place.
+
+    The same outcome cells, draws and arithmetic; each cell's jitter is a
+    new array, and each side's cells are concatenated at the end.
+    """
+    chain = config.chain
+    arms = (chain.alice_interferometer, chain.bob_interferometer)
+    keep = (
+        arms[0].transmission * chain.alice_detector.quantum_efficiency,
+        arms[1].transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
+    )
+    delay = [arm.delay_ns() for arm in arms]
+    phi = arms[0].phase_rad + arms[1].phase_rad
+    v_cos = 0.0 if config.phase_averaged else config.visibility * math.cos(phi)
+    mean_pairs = chain.source.pair_rate_per_s * config.duration_s
+    duration_ns = config.duration_s * 1e9
+    clicks: tuple[list, list] = ([], [])
+    for _, (c, s), arrival in OUTCOME_CLASSES:
+        reached = [side for side in (0, 1) if arrival[side] is not None]
+        if not reached:
+            continue
+        clicking_sets = [[0], [1], [0, 1]] if len(reached) == 2 else [reached]
+        for bit in (0, 1):
+            for clicking in clicking_sets:
+                p = 0.5 * (c + s * v_cos)
+                for side in reached:
+                    p *= keep[side] if side in clicking else 1.0 - keep[side]
+                n = rng.poisson(mean_pairs * p)
+                emission = rng.random(n)
+                emission *= duration_ns
+                for side in clicking:
+                    t = rng.standard_normal(n)
+                    t *= chain.jitter_ns
+                    t += emission
+                    t += delay[side] * arrival[side][bit]
+                    clicks[side].append(t)
+    return [np.concatenate(side) for side in clicks]
+
+
+def gathered_near_stop_times(
+    rng: np.random.Generator, stops: np.ndarray, n_free: int, reach_ns: float, duration_ns: float
+) -> np.ndarray:
+    """``events._near_stop_times`` with its windows gathered through break indices.
+
+    The same draws and arithmetic, with every window-sized temporary kept
+    as its own array.
+    """
+    if not stops.size:
+        return np.empty(0, dtype=np.float64)
+    breaks = np.flatnonzero(np.diff(stops) > 2.0 * reach_ns)
+    first = stops[np.concatenate(([0], breaks + 1))] - reach_ns
+    last = stops[np.concatenate((breaks, [stops.size - 1]))] + reach_ns
+    np.clip(first, 0.0, duration_ns, out=first)
+    np.clip(last, 0.0, duration_ns, out=last)
+    length = last - first
+    end = np.cumsum(length)
+    near = rng.random(rng.binomial(n_free, min(end[-1] / duration_ns, 1.0)))
+    near *= end[-1]
+    window = np.searchsorted(end, near, side="right")
+    np.minimum(window, end.size - 1, out=window)
+    near += (first - end + length).take(window)
+    return near
 
 
 def reference_simulate(

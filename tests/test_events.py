@@ -17,7 +17,11 @@ from photonlink import chain as ch
 from photonlink import events as ev
 from photonlink.config import InvalidConfigError, SimConfig, sim_config_from_dict
 from photonlink.presets import PRESETS, preset_config
-from reference_sampler import reference_simulate
+from reference_sampler import (
+    concatenated_photon_times,
+    gathered_near_stop_times,
+    reference_simulate,
+)
 
 
 def ideal_chain(**kw) -> ch.ChainConfig:
@@ -476,20 +480,71 @@ def test_golden_counts_agree_without_start_darks_to_restrict(name):
     assert set(GOLDEN_RESTRICTED[name]["undrawn"].values()) == {0}
 
 
+# Both samplers run in one process here, so their floats compare exactly.
+SAME_DRAWS = {
+    **GOLDEN_DOCUMENTS,
+    "fig3-minute": {**_preset_one_second("fig3-transfer", 5), "duration_s": 60.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_DRAWS))
+def test_photon_times_equal_the_concatenating_loop(name):
+    # Growing each side in place keeps every draw, its order and its arithmetic.
+    cfg = sim_config_from_dict(SAME_DRAWS[name])
+    grown = ev._photon_times(cfg, np.random.default_rng(cfg.seed))
+    concatenated = concatenated_photon_times(cfg, np.random.default_rng(cfg.seed))
+    assert all(np.array_equal(a, b) for a, b in zip(grown, concatenated, strict=True))
+
+
+@pytest.mark.parametrize("name", sorted(SAME_DRAWS))
+def test_simulate_equals_the_concatenating_sampler(name, monkeypatch):
+    # The fig3 minute restricts Bob's darks to about 74 k windows.
+    cfg = sim_config_from_dict(SAME_DRAWS[name])
+    stream = ev.simulate(cfg)
+    monkeypatch.setattr(ev, "_photon_times", concatenated_photon_times)
+    monkeypatch.setattr(ev, "_near_stop_times", gathered_near_stop_times)
+    assert stream == ev.simulate(cfg)
+
+
+@pytest.mark.parametrize(
+    "stops",
+    [[50.0], [10.0, 20.0, 30.0], [1.0, 2.0, 99.5], [0.0, 5.9, 6.1, 12.5, 99.99]],
+    ids=["one", "apart", "clipped-and-merged", "mixed"],
+)
+def test_near_stop_times_equal_the_gathered_windows(stops):
+    args = (np.array(stops), 10_000, 3.0, 100.0)
+    near = ev._near_stop_times(np.random.default_rng(1), *args)
+    assert near.size > 0
+    assert np.array_equal(near, gathered_near_stop_times(np.random.default_rng(1), *args))
+
+
 def test_simulate_peak_memory_per_event(traced_peak):
     # A dozen live pair-sized temporaries cost 178 bytes per event on the
-    # dense source; drawing one outcome cell at a time, about 17.
+    # dense source.  Drawing one outcome cell at a time into each side's one
+    # growing array holds each click once, plus one cell's emission times:
+    # about 9.  Holding the cells and their concatenation at once cost 17.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 1.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 150_000
-    assert peak <= 64 * len(stream)
+    assert peak <= 12 * len(stream)
 
 
 def test_simulate_peak_memory_on_five_dense_seconds(traced_peak):
-    # Drawing one outcome cell at a time allocates only click-sized arrays:
-    # each side's cells and their concatenation, about 17 bytes per event.
-    # Four live pair-sized float64 arrays would cost 34.
+    # Each click is held once, 8 bytes, plus the largest cell's emission
+    # times: about 9 bytes per event, the same as on one second.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 5.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 900_000
-    assert peak <= 28 * len(stream)
+    assert peak <= 12 * len(stream)
+
+
+def test_simulate_peak_memory_on_a_long_fig3_point(traced_peak):
+    # Nine in ten drawn clicks are Alice's, the stops around which Bob's
+    # darks are restricted, and nearly each stop is its own window.  The
+    # clicks (8 bytes), the merged stops (7) and a mask plus three float64
+    # arrays per window (23) make about 38 bytes per drawn click.  Gathering
+    # the windows through break indices cost 59.
+    cfg = sim_config_from_dict({**_preset_one_second("fig3-transfer", 5), "duration_s": 120.0})
+    stream, peak = traced_peak(ev.simulate, cfg)
+    assert len(stream) > 150_000
+    assert peak <= 42 * len(stream)
