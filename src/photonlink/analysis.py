@@ -176,8 +176,11 @@ def build_histogram(
     the range maximum, otherwise the start records nothing.  An empty
     stream yields an all-zero histogram.
 
-    One pass walks the start detector's clicks, BLOCK at a time; the
-    starts ascend, so the ones that find a stop are a prefix of each block.
+    One pass walks the start detector's clicks, BLOCK at a time: one stable
+    argsort merges a block's keys (start + range minimum) with the stops
+    between them, keys first, so a key's merged position less its index
+    counts the stops below it.  The starts ascend, so the ones that find a
+    stop are a prefix of each block.
     ``simulate`` draws the start detector's darks only within reach of a
     stop, so the record holds few starts that cannot pair.
     Detector names that are not two different ones of DETECTORS, a range
@@ -216,7 +219,11 @@ def build_histogram(
     stops = events.detector_times(stop_detector)
     for part in blocks(starts.size):
         block = starts[part]
-        paired = np.searchsorted(stops, block + lo, side="left")
+        first, last = np.searchsorted(stops, block[[0, -1]] + lo, side="left")
+        merged = np.concatenate((block + lo, stops[first:last]))  # keys first: side="left"
+        paired = np.flatnonzero(merged.argsort(kind="stable") < block.size)
+        del merged
+        paired -= np.arange(-first, block.size - first)  # merged position - index + first
         n_valid = np.searchsorted(paired, stops.size)  # paired ascends with the starts
         tau = stops.take(paired[:n_valid]) - block[:n_valid]
         tau = np.compress((tau >= lo) & (tau < hi), tau)  # start + lo may round onto a stop

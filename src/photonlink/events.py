@@ -47,8 +47,8 @@ ORIGINS = ("photon", "dark")
 # The four click groups of a stream, in the order simulate assembles them.
 GROUPS = tuple((name, origin) for origin in ORIGINS for name in DETECTORS)
 # Starts per block of the start walk in analysis.build_histogram: it bounds
-# the walk's temporaries and changes no count.
-BLOCK = 1 << 16
+# the merge's temporaries and changes no count.
+BLOCK = 1 << 15
 
 
 def blocks(n: int) -> list[slice]:
@@ -222,18 +222,25 @@ def _near_stop_times(
     return near
 
 
+def _capacity(mean: float) -> int:
+    """Slots for a Poisson count of this mean; it needs more with P below 1e-15."""
+    return int(mean + 8.0 * math.sqrt(mean) + 64.0)
+
+
 def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Alice's and Bob's photon clicks, unsorted, drawn one outcome cell at a time.
 
     A pair falls into one class of OUTCOME_CLASSES, one path bit, and one
     set of reached sides that click after independent thinning; each such
     cell of the Poisson pair process is an independent Poisson process
-    (colouring).  A cell draws its click count, then one emission time per
-    click and a jitter per clicking side, Alice first, into the grown tail
-    of that side's one array.  Cells go in table order, path bit 0 before
-    1, and the clicking sides as Alice, Bob, then both.  Phase-averaging
-    uses V cos(phi) = 0, the mean over a uniform per-pair phase, which no
-    click records.
+    (colouring).  The cell table is built first, in table order, path bit 0
+    before 1, and the clicking sides as Alice, Bob, then both.  Each side's
+    array is allocated once, with ``_capacity`` slots for its cells' mean
+    clicks, and copied into a larger one only if a cell overflows it.  Each
+    cell then draws its click count, one emission time per click and a
+    jitter per clicking side, Alice first, into the next slice of that
+    side's array.  Phase-averaging uses V cos(phi) = 0, the mean over a
+    uniform per-pair phase, which no click records.
     """
     chain = config.chain
     arms = (chain.alice_interferometer, chain.bob_interferometer)
@@ -246,7 +253,7 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     v_cos = 0.0 if config.phase_averaged else config.visibility * math.cos(phi)
     mean_pairs = chain.source.pair_rate_per_s * config.duration_s
     duration_ns = config.duration_s * 1e9
-    clicks = [np.empty(0), np.empty(0)]
+    cells = []  # (mean clicks, arrival offset of each clicking side)
     for _, (c, s), arrival in OUTCOME_CLASSES:
         reached = [side for side in (0, 1) if arrival[side] is not None]
         if not reached:
@@ -257,18 +264,24 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
                 p = 0.5 * (c + s * v_cos)
                 for side in reached:
                     p *= keep[side] if side in clicking else 1.0 - keep[side]
-                n = rng.poisson(mean_pairs * p)
-                emission = rng.random(n)
-                emission *= duration_ns
-                for side in clicking:
-                    clicks[side].resize(clicks[side].size + n)  # raises while a view is held
-                    t = clicks[side][clicks[side].size - n :]
-                    rng.standard_normal(out=t)
-                    t *= chain.jitter_ns
-                    t += emission
-                    t += delay[side] * arrival[side][bit]
-                    del t
-    return clicks
+                cells.append((mean_pairs * p, {i: delay[i] * arrival[i][bit] for i in clicking}))
+    clicks = [np.empty(_capacity(sum(m for m, at in cells if side in at))) for side in (0, 1)]
+    filled = [0, 0]
+    for mean, offsets in cells:
+        n = rng.poisson(mean)
+        emission = rng.random(n)
+        emission *= duration_ns
+        for side, offset in offsets.items():
+            start, end = filled[side], filled[side] + n
+            if end > clicks[side].size:
+                clicks[side] = np.concatenate((clicks[side][:start], np.empty(n)))
+            t = clicks[side][start:end]
+            rng.standard_normal(out=t)
+            t *= chain.jitter_ns
+            t += emission
+            t += offset
+            filled[side] = end
+    return [times[:n] for times, n in zip(clicks, filled)]
 
 
 def simulate(config: SimConfig) -> EventStream:

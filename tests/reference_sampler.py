@@ -110,7 +110,7 @@ def reference_photon_times(config: SimConfig, rng: np.random.Generator) -> list[
 
 
 def concatenated_photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """``events._photon_times`` as it drew before growing each side in place.
+    """``events._photon_times`` as it drew before each side got one array.
 
     The same outcome cells, draws and arithmetic; each cell's jitter is a
     new array, and each side's cells are concatenated at the end.

@@ -343,16 +343,41 @@ def test_histogram_refuses_a_bad_range_before_pairing(range_ns):
             an.build_histogram(stream, range_ns=range_ns)
 
 
+@pytest.mark.parametrize(
+    "cfg, n_blocks",
+    [
+        (dense_config(duration_s=2.0, seed=31), 7),
+        (dataclasses.replace(preset_config("fig3-transfer"), duration_s=20.0, seed=7), 1),
+    ],
+    ids=["criterion-09", "fig3-point"],
+)
+def test_histogram_equals_the_whole_array_search(cfg, n_blocks):
+    # The block merge pairs each start as one searchsorted over all starts
+    # does: on starts and stops that interleave, and on a few starts among
+    # ten times as many stops.
+    stream = ev.simulate(cfg)
+    chain = cfg.chain
+    starts = stream.detector_times(chain.start_detector)
+    half = chain.histogram_half_range_ns
+    expected = reference_counts(
+        starts, stream.detector_times(chain.stop_detector), chain.histogram_bin_ns, (-half, half)
+    )
+    hist = an.build_histogram(stream)
+    assert len(ev.blocks(starts.size)) == n_blocks
+    assert hist.total > 200
+    assert hist.counts.tolist() == expected.tolist()
+
+
 def test_histogram_memory_per_start_on_dense_stream(traced_peak):
-    # About as many stops as starts, nearly all of which pair: pairing BLOCK
-    # starts at a time keeps the temporaries near 4 bytes per start against
-    # 24 for one pass over the whole stream.
+    # About as many stops as starts, nearly all of which pair: merging BLOCK
+    # starts at a time with their stops keeps the temporaries near 3.3 bytes
+    # per start against 24 for one pass over the whole stream.
     stream = ev.simulate(dense_config(duration_s=5.0, seed=271828))
     n_starts = stream.detector_times("bob").size
     hist, peak = traced_peak(an.build_histogram, stream)
     assert n_starts > 450_000
     assert hist.total > 0.4 * n_starts
-    assert peak <= 8 * n_starts
+    assert peak <= 6 * n_starts
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Statistical assertions run on fixed seeds with wide (>= 3 sigma) windows,
 so they are deterministic once verified.
 """
 
+import cProfile
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -489,11 +491,45 @@ SAME_DRAWS = {
 
 @pytest.mark.parametrize("name", sorted(SAME_DRAWS))
 def test_photon_times_equal_the_concatenating_loop(name):
-    # Growing each side in place keeps every draw, its order and its arithmetic.
+    # Filling each side's one array keeps every draw, its order and its arithmetic.
     cfg = sim_config_from_dict(SAME_DRAWS[name])
-    grown = ev._photon_times(cfg, np.random.default_rng(cfg.seed))
+    filled = ev._photon_times(cfg, np.random.default_rng(cfg.seed))
     concatenated = concatenated_photon_times(cfg, np.random.default_rng(cfg.seed))
-    assert all(np.array_equal(a, b) for a, b in zip(grown, concatenated, strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(filled, concatenated, strict=True))
+
+
+@pytest.mark.parametrize("name", ["dense", "fig2-baseline", "fig3-transfer"])
+def test_photon_times_survive_every_cell_overflowing(name, monkeypatch):
+    # With no slot to spare, every cell that clicks copies its side into a
+    # larger array: the clicks and the generator's state stay the same.
+    cfg = sim_config_from_dict(GOLDEN_DOCUMENTS[name])
+    rng = np.random.default_rng(cfg.seed)
+    clicks = ev._photon_times(cfg, rng)
+    monkeypatch.setattr(ev, "_capacity", lambda mean: 0)
+    copied = np.random.default_rng(cfg.seed)
+    overflowed = ev._photon_times(cfg, copied)
+    assert all(np.array_equal(a, b) for a, b in zip(overflowed, clicks, strict=True))
+    assert copied.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{**GOLDEN_DOCUMENTS["fig2-baseline"], "duration_s": 2.0}, {**DENSE_DOCUMENT, "duration_s": 1.0}],
+    ids=["fig2", "dense"],
+)
+def test_simulate_runs_under_profilers(document):
+    # A profile hook holds one more reference to the frames' arrays; the
+    # sampler must not depend on how many references an array has.
+    cfg = sim_config_from_dict(document)
+    stream = ev.simulate(cfg)
+    assert cProfile.Profile().runcall(ev.simulate, cfg) == stream
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        hooked = ev.simulate(cfg)
+    finally:
+        sys.setprofile(previous)
+    assert hooked == stream
 
 
 @pytest.mark.parametrize("name", sorted(SAME_DRAWS))
@@ -521,8 +557,9 @@ def test_near_stop_times_equal_the_gathered_windows(stops):
 def test_simulate_peak_memory_per_event(traced_peak):
     # A dozen live pair-sized temporaries cost 178 bytes per event on the
     # dense source.  Drawing one outcome cell at a time into each side's one
-    # growing array holds each click once, plus one cell's emission times:
-    # about 9.  Holding the cells and their concatenation at once cost 17.
+    # array holds each click once, plus one cell's emission times and the
+    # few spare slots of each side: about 10.  Holding the cells and their
+    # concatenation at once cost 17.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 1.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 150_000
@@ -531,7 +568,8 @@ def test_simulate_peak_memory_per_event(traced_peak):
 
 def test_simulate_peak_memory_on_five_dense_seconds(traced_peak):
     # Each click is held once, 8 bytes, plus the largest cell's emission
-    # times: about 9 bytes per event, the same as on one second.
+    # times: about 9 bytes per event, the same as on one second.  tracemalloc
+    # counts each side's whole array from the start, about 10.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 5.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 900_000
