@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_NS, ChainConfig
-from .events import DETECTORS, EventStream, blocks
+from .events import EventStream, blocks
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -159,22 +159,15 @@ class CoincidenceHistogram:
         return replace(self, counts=self.counts + other.counts)
 
 
-def build_histogram(
-    events: EventStream,
-    start_detector: str = ChainConfig.start_detector,
-    stop_detector: str = ChainConfig.stop_detector,
-    bin_width_ns: float = ChainConfig.histogram_bin_ns,
-    range_ns: tuple[float, float] = (
-        -ChainConfig.histogram_half_range_ns,
-        ChainConfig.histogram_half_range_ns,
-    ),
-) -> CoincidenceHistogram:
-    """Histogram of (stop - start) time differences, first-stop pairing.
+def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHistogram:
+    """Histogram of (stop - start) time differences on the chain's roles and grid.
 
-    For each start click the first stop click with difference >= range
-    minimum is taken; it contributes one count if the difference is below
-    the range maximum, otherwise the start records nothing.  An empty
-    stream yields an all-zero histogram.
+    ``chain.start_detector`` arms the converter and ``chain.stop_detector``
+    stops it; bins ``chain.histogram_bin_ns`` wide span
+    +-``chain.histogram_half_range_ns``.  For each start click the first stop
+    click with difference >= the range minimum is taken; it contributes one
+    count if the difference is below the range maximum, otherwise the start
+    records nothing.  An empty stream yields an all-zero histogram.
 
     One pass walks the start detector's clicks, BLOCK at a time: one stable
     argsort merges a block's keys (start + range minimum) with the stops
@@ -182,41 +175,28 @@ def build_histogram(
     counts the stops below it.  The starts ascend, so the ones that find a
     stop are a prefix of each block.
     ``simulate`` draws the start detector's darks only within reach of a
-    stop, so the record holds few starts that cannot pair.
-    Detector names that are not two different ones of DETECTORS, a range
-    that is not finite with min < max, and roles or a range the stream is
-    not complete for (``EventStream.complete_for``) are refused before any
-    pairing.
+    stop, so the record holds few starts that cannot pair; a chain whose start
+    detector or half-range such a stream is not complete for
+    (``EventStream.complete_for``) is refused before any pairing.
     """
-    if start_detector not in DETECTORS:
-        raise ValueError(f"start_detector must be one of {DETECTORS}, got {start_detector!r}")
-    if stop_detector not in DETECTORS or stop_detector == start_detector:
-        raise ValueError(
-            f"stop_detector must be the one of {DETECTORS} that is not the start detector "
-            f"{start_detector!r}, got {stop_detector!r}"
-        )
-    lo, hi = float(range_ns[0]), float(range_ns[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"range_ns must be finite with min < max, got {range_ns!r}")
+    hi, width = float(chain.histogram_half_range_ns), float(chain.histogram_bin_ns)
+    lo = -hi
     if events.complete_for is not None:
-        start, stop, half = events.complete_for
-        if start_detector != start:
+        start, _, half = events.complete_for
+        if chain.start_detector != start:
             raise ValueError(
-                f"start_detector must be {start!r}, the start detector the stream was drawn "
-                f"for, got {start_detector!r}"
+                f"chain.start_detector must be {start!r}, the start detector the stream was "
+                f"drawn for, got {chain.start_detector!r}"
             )
-        if not -half <= lo < hi <= half:
+        if hi > half:
             raise ValueError(
-                f"range_ns must lie within (-{half}, {half}), the half-range the stream was "
-                f"drawn for, got {range_ns!r}"
+                f"chain.histogram_half_range_ns must be at most {half}, the half-range the "
+                f"stream was drawn for, got {hi!r}"
             )
-    width = float(bin_width_ns)
-    if not width > 0.0:
-        raise ValueError(f"bin width must be positive, got {bin_width_ns!r}")
-    n_bins = max(int(round((hi - lo) / width)), 1)
+    n_bins = int(round((hi - lo) / width))
     counts = np.zeros(n_bins, dtype=np.int64)
-    starts = events.detector_times(start_detector)
-    stops = events.detector_times(stop_detector)
+    starts = events.detector_times(chain.start_detector)
+    stops = events.detector_times(chain.stop_detector)
     for part in blocks(starts.size):
         block = starts[part]
         first, last = np.searchsorted(stops, block[[0, -1]] + lo, side="left")
@@ -235,8 +215,8 @@ def build_histogram(
         range_min_ns=lo,
         range_max_ns=hi,
         counts=counts,
-        start_detector=start_detector,
-        stop_detector=stop_detector,
+        start_detector=chain.start_detector,
+        stop_detector=chain.stop_detector,
     )
 
 

@@ -41,7 +41,7 @@ from . import __version__
 from . import analysis as an
 from . import chain as ch
 from .config import InvalidConfigError, SimConfig, load_config, read_document
-from .events import EventStream, simulate
+from .events import simulate
 from .presets import PEAK_RATIO_TARGET, REPORT_TARGETS, preset_config, preset_names
 
 EXIT_OK = 0
@@ -136,25 +136,19 @@ def _point_seeds(root_seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def _histogram(stream: EventStream, chain: ch.ChainConfig) -> an.CoincidenceHistogram:
-    """Start-stop histogram of a stream on the chain's detector roles and grid."""
-    half = chain.histogram_half_range_ns
-    return an.build_histogram(
-        stream,
-        start_detector=chain.start_detector,
-        stop_detector=chain.stop_detector,
-        bin_width_ns=chain.histogram_bin_ns,
-        range_ns=(-half, half),
-    )
-
-
 def _check_peak_reach(chain: ch.ChainConfig) -> None:
-    """Refuse, before simulating, a histogram range that cannot hold the side peaks."""
+    """Refuse, before simulating, a histogram grid that cannot hold or resolve the side peaks."""
     half, delay = chain.histogram_half_range_ns, chain.bob_interferometer.delay_ns()
     if half < an.PEAK_REACH * delay:
         raise InvalidConfigError(
             f"chain.histogram_half_range_ns = {half} ns is below {an.PEAK_REACH} x Bob's "
             f"interferometer delay of {delay:.4g} ns, so the side peaks fall outside it"
+        )
+    # locate_peaks searches a quarter delay around each peak, at least one bin.
+    if chain.histogram_bin_ns >= 0.25 * delay:
+        raise InvalidConfigError(
+            f"chain.histogram_bin_ns = {chain.histogram_bin_ns} ns is not below a quarter of "
+            f"Bob's interferometer delay of {delay:.4g} ns, so its peaks cannot be told apart"
         )
 
 
@@ -246,9 +240,9 @@ def _run_sweep(cfg: SimConfig, n_phases: int):
             chain,
             bob_interferometer=dataclasses.replace(chain.bob_interferometer, phase_rad=float(phi)),
         )
+        point = dataclasses.replace(cfg, chain=chain_i, seed=seed)
         # Each point's stream dies before the next simulate.
-        hist = _histogram(simulate(dataclasses.replace(cfg, chain=chain_i, seed=seed)), chain)
-        histograms.append(hist)
+        histograms.append(an.build_histogram(simulate(point), chain=chain))
 
     total = sum(histograms[1:], histograms[0])
     windows = an.locate_peaks(total, chain.bob_interferometer.delay_ns())
@@ -316,7 +310,7 @@ def cmd_histogram(args) -> int:
     out_dir = _resolve_out(args)
     chain = cfg.chain
 
-    hist = _histogram(simulate(cfg), chain)
+    hist = an.build_histogram(simulate(cfg), chain=chain)
     windows = an.locate_peaks(hist, chain.bob_interferometer.delay_ns())
     accidental = an.estimate_accidentals(hist, windows)
     central = an.count_window(hist, windows.central)

@@ -1,7 +1,6 @@
 """Tests for histogramming, peak windows, accidentals, and fringe fitting."""
 
 import dataclasses
-import inspect
 import math
 from unittest import mock
 
@@ -25,6 +24,10 @@ def hand_stream(clicks, duration_ns=1e6):
         (name, "photon"): sorted(t for t, d in clicks if d == name) for name in ev.DETECTORS
     }
     return ev.EventStream(groups, duration_ns=duration_ns)
+
+
+# Bob starts and Alice stops, 0.05 ns bins over +-3 ns.
+CHAIN = ch.ChainConfig()
 
 
 def dense_config(duration_s: float, seed: int) -> SimConfig:
@@ -72,7 +75,7 @@ def synthetic_three_peak(
 
 def test_single_pair_lands_in_correct_bin():
     stream = hand_stream([(10.0, "bob"), (10.5, "alice")])
-    hist = an.build_histogram(stream)
+    hist = an.build_histogram(stream, chain=CHAIN)
     assert hist.total == 1
     index = int(np.flatnonzero(hist.counts)[0])
     lo = hist.range_min_ns + index * hist.bin_width_ns
@@ -81,8 +84,7 @@ def test_single_pair_lands_in_correct_bin():
 
 
 def test_empty_stream_gives_zero_histogram():
-    stream = hand_stream([])
-    hist = an.build_histogram(stream)
+    hist = an.build_histogram(hand_stream([]), chain=CHAIN)
     assert hist.total == 0
     assert hist.n_bins == 120
 
@@ -90,13 +92,13 @@ def test_empty_stream_gives_zero_histogram():
 def test_first_stop_pairing_takes_earliest_in_range():
     # Two stops follow one start: only the earlier one within range counts.
     stream = hand_stream([(100.0, "bob"), (100.2, "alice"), (100.4, "alice")])
-    hist = an.build_histogram(stream)
+    hist = an.build_histogram(stream, chain=CHAIN)
     assert hist.total == 1
     center = float(hist.centers_ns[np.flatnonzero(hist.counts)[0]])
     assert center == pytest.approx(0.225, abs=1e-9)
     # A stop before the range minimum is skipped, not paired.
     stream2 = hand_stream([(100.0, "bob"), (90.0, "alice"), (100.2, "alice")])
-    hist2 = an.build_histogram(stream2)
+    hist2 = an.build_histogram(stream2, chain=CHAIN)
     assert hist2.total == 1
     center2 = float(hist2.centers_ns[np.flatnonzero(hist2.counts)[0]])
     assert center2 == pytest.approx(0.225, abs=1e-9)
@@ -104,88 +106,52 @@ def test_first_stop_pairing_takes_earliest_in_range():
 
 def test_stop_beyond_range_records_nothing():
     stream = hand_stream([(100.0, "bob"), (104.0, "alice")])
-    assert an.build_histogram(stream).total == 0
-
-
-def test_histogram_grid_must_align_with_bin_width():
-    stream = hand_stream([])
-    with pytest.raises(ValueError):
-        an.build_histogram(stream, range_ns=(-3.01, 3.0))
-    with pytest.raises(ValueError):
-        an.build_histogram(stream, bin_width_ns=0.0)
-    with pytest.raises(ValueError):
-        an.build_histogram(stream, start_detector="bob", stop_detector="bob")
-
-
-@pytest.mark.parametrize(
-    "roles, argument",
-    [
-        (("bob", "bob"), "stop_detector"),
-        (("alice", "alice"), "stop_detector"),
-        (("carol", "alice"), "start_detector"),
-        (("bob", "carol"), "stop_detector"),
-        ((None, "alice"), "start_detector"),
-    ],
-)
-def test_histogram_refuses_bad_detector_names_before_pairing(roles, argument):
-    stream = hand_stream([(1.0, "bob"), (1.2, "alice")])
-    # Any look at the clicks would raise AssertionError instead.
-    with mock.patch.object(ev.EventStream, "detector_times", side_effect=AssertionError):
-        with pytest.raises(ValueError, match=argument):
-            an.build_histogram(stream, *roles)
+    assert an.build_histogram(stream, chain=CHAIN).total == 0
 
 
 def restricted_stream():
-    """A simulated stream whose start darks were drawn only where they can pair."""
+    """A fig2 stream whose start darks were drawn only where they can pair, and its chain."""
     cfg = SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=2.0, seed=3)
     stream = ev.simulate(cfg)
     assert stream.complete_for == ("bob", "alice", 3.0)
     assert stream.undrawn["bob", "dark"] > 0
-    return stream
+    return stream, cfg.chain
 
 
 @pytest.mark.parametrize(
     "kwargs, argument",
     [
         ({"start_detector": "alice", "stop_detector": "bob"}, "start_detector"),
-        ({"range_ns": (-3.05, 3.0)}, "range_ns"),
-        ({"range_ns": (-3.0, 3.05)}, "range_ns"),
-        ({"range_ns": (-10.0, 10.0)}, "range_ns"),
+        ({"histogram_half_range_ns": 3.05}, "range_ns"),
+        ({"histogram_bin_ns": 0.01, "histogram_half_range_ns": 3.01}, "range_ns"),
+        ({"histogram_half_range_ns": 10.0}, "range_ns"),
     ],
 )
 def test_histogram_refuses_what_a_restricted_stream_cannot_serve(kwargs, argument):
-    stream = restricted_stream()
+    stream, chain = restricted_stream()
+    chain = dataclasses.replace(chain, **kwargs)
+    # Any look at the clicks would raise AssertionError instead.
     with mock.patch.object(ev.EventStream, "detector_times", side_effect=AssertionError):
         with pytest.raises(ValueError, match=argument):
-            an.build_histogram(stream, **kwargs)
+            an.build_histogram(stream, chain=chain)
 
 
 def test_restricted_stream_serves_its_range_and_any_narrower_one():
-    stream = restricted_stream()
-    assert an.build_histogram(stream).total > 0
-    assert an.build_histogram(stream, range_ns=(-1.0, 2.0)).total > 0
+    stream, chain = restricted_stream()
+    assert an.build_histogram(stream, chain=chain).total > 0
+    narrow = dataclasses.replace(chain, histogram_half_range_ns=1.0)
+    assert an.build_histogram(stream, chain=narrow).total > 0
     assert stream.n_clicks("bob", "dark") > 100 * stream.detector_times("bob", "dark").size
-
-
-def test_histogram_defaults_are_the_chain_defaults():
-    # So the default call serves any stream drawn for the default chain.
-    chain = ch.ChainConfig()
-    half = chain.histogram_half_range_ns
-    params = inspect.signature(an.build_histogram).parameters
-    names = ("start_detector", "stop_detector", "bin_width_ns", "range_ns")
-    assert [params[n].default for n in names] == [
-        chain.start_detector,
-        chain.stop_detector,
-        chain.histogram_bin_ns,
-        (-half, half),
-    ]
 
 
 def test_hand_built_stream_serves_every_geometry():
     stream = hand_stream([(1.0, "bob"), (1.2, "alice"), (20.0, "alice"), (30.0, "bob")])
     assert stream.complete_for is None
-    assert an.build_histogram(stream, "alice", "bob", range_ns=(-50.0, 50.0)).total == 2
-    assert an.build_histogram(stream, "bob", "alice", range_ns=(-50.0, 50.0)).total == 2
+    for start, stop in (("alice", "bob"), ("bob", "alice")):
+        chain = ch.ChainConfig(
+            start_detector=start, stop_detector=stop, histogram_half_range_ns=50.0
+        )
+        assert an.build_histogram(stream, chain=chain).total == 2
 
 
 def test_histogram_addition_matches_union_for_disjoint_streams():
@@ -206,54 +172,44 @@ def test_histogram_addition_matches_union_for_disjoint_streams():
     a = hand_stream(first, duration_ns=1e9)
     b = hand_stream(second, duration_ns=1e9)
     union = hand_stream(first + second, duration_ns=1e9)
-    assert an.build_histogram(union) == an.build_histogram(a) + an.build_histogram(b)
-
-
-def test_difference_rounded_below_range_records_nothing():
-    # At 1e18 ns one ulp is 128 ns, so start + 1 ns rounds back to the start
-    # and the tied stop is "paired" at a difference of 0 < range minimum.
-    stream = hand_stream([(1e18, "bob"), (1e18, "alice")], duration_ns=2e18)
-    assert an.build_histogram(stream, bin_width_ns=0.5, range_ns=(1.0, 4.0)).total == 0
+    hists = [an.build_histogram(stream, chain=CHAIN) for stream in (union, a, b)]
+    assert hists[0] == hists[1] + hists[2]
 
 
 def test_histogram_addition_rejects_different_grids():
     stream = hand_stream([])
-    h1 = an.build_histogram(stream)
-    h2 = an.build_histogram(stream, bin_width_ns=0.1)
+    h1 = an.build_histogram(stream, chain=CHAIN)
+    h2 = an.build_histogram(stream, chain=ch.ChainConfig(histogram_bin_ns=0.1))
     with pytest.raises(ValueError):
         h1 + h2
 
 
-def reference_counts(starts, stops, bin_width_ns, range_ns):
+def reference_counts(stream, chain):
     """First-stop pairing over every start, one searchsorted per start.
 
     The reference build_histogram must agree with: it scans all starts
-    instead of the candidates near some stop.  Differences that round
-    below the range minimum are dropped, as in build_histogram.
+    instead of merging blocks of them with their stops.  Differences that
+    round below the range minimum are dropped, as in build_histogram.
     """
-    lo, hi = range_ns
-    n_bins = max(int(round((hi - lo) / bin_width_ns)), 1)
+    starts = stream.detector_times(chain.start_detector)
+    stops = stream.detector_times(chain.stop_detector)
+    width, hi = chain.histogram_bin_ns, chain.histogram_half_range_ns
+    lo = -hi
+    n_bins = int(round((hi - lo) / width))
     counts = np.zeros(n_bins, dtype=np.int64)
     if starts.size and stops.size:
         first = np.searchsorted(stops, starts + lo, side="left")
         valid = first < stops.size
         tau = stops[first[valid]] - starts[valid]
         tau = tau[(tau >= lo) & (tau < hi)]
-        indices = np.floor((tau - lo) / bin_width_ns).astype(np.int64)
+        indices = np.floor((tau - lo) / width).astype(np.int64)
         indices = np.minimum(indices, n_bins - 1)
         counts = np.bincount(indices, minlength=n_bins)
     return counts
 
 
-# (bin width, range min, range max): grids on both sides of zero and on one.
-GRIDS = (
-    (0.05, -3.0, 3.0),
-    (0.25, -2.0, 1.5),
-    (0.25, 0.5, 2.0),
-    (0.5, 1.0, 4.0),
-    (1.0, -8.0, -2.0),
-    (2.0, -32.0, 32.0),
-)
+# (bin width, half-range): fine and coarse grids, few bins and many.
+GRIDS = ((0.05, 3.0), (0.25, 2.0), (0.5, 4.0), (2.0, 32.0))
 # Beyond 2**53 ns (about 9e15) one ulp of a time exceeds 1 ns.
 OFFSETS = (1e3, 2.0**53, 1e17, 2.0**57, 3.3e17, 1e18)
 
@@ -261,13 +217,14 @@ OFFSETS = (1e3, 2.0**53, 1e17, 2.0**57, 3.3e17, 1e18)
 @st.composite
 def group_records(draw):
     """A start-stop stream with starts placed on and around the range edges."""
-    width, lo, hi = draw(st.sampled_from(GRIDS))
+    width, hi = draw(st.sampled_from(GRIDS))
+    lo = -hi
     offset = draw(st.just(0.0) | st.sampled_from(OFFSETS) | st.floats(0.0, 1e18))
     # Clicks spread over 10 ns overlap many start ranges, over 10 us few.
     # Stops on |range edge| put starts at stop - edge right next to zero,
     # where stop - start rounds although start + lo does not.
     spread = draw(st.sampled_from((10.0, 100.0, 1e4)))
-    local = st.floats(0.0, spread) | st.sampled_from((abs(lo), abs(hi)))
+    local = st.floats(0.0, spread) | st.just(hi)
     stops = [offset + t for t in draw(st.lists(local, max_size=12))]
     starts = [offset + t for t in draw(st.lists(local, max_size=6))]
     if stops:
@@ -292,55 +249,44 @@ def group_records(draw):
             groups[name, origin] = sorted(t for t, d in zip(times, dark) if d == (origin == "dark"))
     duration_ns = 2.0 * max(starts + stops, default=0.0) + 1.0
     stream = ev.EventStream(groups, duration_ns=duration_ns)
-    return stream, start_detector, stop_detector, width, (lo, hi)
+    chain = ch.ChainConfig(
+        start_detector=start_detector,
+        stop_detector=stop_detector,
+        histogram_bin_ns=width,
+        histogram_half_range_ns=hi,
+    )
+    return stream, chain
 
 
-# Start one ulp past zero, lone stop at range minimum 1 ns: the exact
-# difference lies below the minimum, but 1 - 5e-324 rounds to 1, as does
-# start + lo, so the start pairs.  The second start finds no stop at all.
-NEAR_ZERO = (
-    ev.EventStream({("alice", "photon"): [1.0], ("bob", "dark"): [5e-324, 6.0]}, duration_ns=10.0),
-    "bob",
-    "alice",
-    0.5,
-    (1.0, 4.0),
+# At 1e18 ns one ulp is 128 ns, so the key 1e18 - 100 ns rounds onto the
+# stop at 1e18 - 128 ns: the start pairs with it at -128 ns, below the range
+# minimum, and records nothing.
+ROUNDED_ONTO_STOP = (
+    hand_stream([(1e18, "bob"), (1e18 - 128.0, "alice")], duration_ns=2e18),
+    ch.ChainConfig(histogram_bin_ns=0.5, histogram_half_range_ns=100.0),
 )
 # As many stops as starts, and the one that pairs is not the first.
 STOPS_EQUAL_STARTS = (
     hand_stream([(1.0, "bob"), (2.5, "bob"), (1.2, "alice"), (9.0, "alice")], duration_ns=10.0),
-    "bob",
-    "alice",
-    0.05,
-    (-3.0, 3.0),
+    CHAIN,
 )
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(group_records())
-@example(NEAR_ZERO)
+@example(ROUNDED_ONTO_STOP)
 @example(STOPS_EQUAL_STARTS)
 def test_histogram_matches_per_start_reference(record):
-    stream, start, stop, width, range_ns = record
-    expected = reference_counts(
-        stream.detector_times(start), stream.detector_times(stop), width, range_ns
-    )
+    stream, chain = record
+    expected = reference_counts(stream, chain)
+    if record is ROUNDED_ONTO_STOP:
+        assert expected.sum() == 0
     # Blocks of one, two and five starts put block edges between the starts
     # of every example.
     for block in (ev.BLOCK, 1, 2, 5):
         with mock.patch.object(ev, "BLOCK", block):
-            hist = an.build_histogram(stream, start, stop, bin_width_ns=width, range_ns=range_ns)
+            hist = an.build_histogram(stream, chain=chain)
         assert hist.counts.tolist() == expected.tolist(), block
-
-
-@pytest.mark.parametrize(
-    "range_ns", [(1.0, 1.0), (2.0, -2.0), (-math.inf, 3.0), (-3.0, math.inf), (math.nan, 3.0)]
-)
-def test_histogram_refuses_a_bad_range_before_pairing(range_ns):
-    stream = hand_stream([(1.0, "bob"), (1.2, "alice")])
-    # Any look at the clicks would raise AssertionError instead.
-    with mock.patch.object(ev.EventStream, "detector_times", side_effect=AssertionError):
-        with pytest.raises(ValueError, match="range_ns"):
-            an.build_histogram(stream, range_ns=range_ns)
 
 
 @pytest.mark.parametrize(
@@ -356,25 +302,20 @@ def test_histogram_equals_the_whole_array_search(cfg, n_blocks):
     # does: on starts and stops that interleave, and on a few starts among
     # ten times as many stops.
     stream = ev.simulate(cfg)
-    chain = cfg.chain
-    starts = stream.detector_times(chain.start_detector)
-    half = chain.histogram_half_range_ns
-    expected = reference_counts(
-        starts, stream.detector_times(chain.stop_detector), chain.histogram_bin_ns, (-half, half)
-    )
-    hist = an.build_histogram(stream)
-    assert len(ev.blocks(starts.size)) == n_blocks
+    hist = an.build_histogram(stream, chain=cfg.chain)
+    assert len(ev.blocks(stream.detector_times(cfg.chain.start_detector).size)) == n_blocks
     assert hist.total > 200
-    assert hist.counts.tolist() == expected.tolist()
+    assert hist.counts.tolist() == reference_counts(stream, cfg.chain).tolist()
 
 
 def test_histogram_memory_per_start_on_dense_stream(traced_peak):
     # About as many stops as starts, nearly all of which pair: merging BLOCK
     # starts at a time with their stops keeps the temporaries near 3.3 bytes
     # per start against 24 for one pass over the whole stream.
-    stream = ev.simulate(dense_config(duration_s=5.0, seed=271828))
+    cfg = dense_config(duration_s=5.0, seed=271828)
+    stream = ev.simulate(cfg)
     n_starts = stream.detector_times("bob").size
-    hist, peak = traced_peak(an.build_histogram, stream)
+    hist, peak = traced_peak(an.build_histogram, stream, chain=cfg.chain)
     assert n_starts > 450_000
     assert hist.total > 0.4 * n_starts
     assert peak <= 6 * n_starts
@@ -413,20 +354,21 @@ def test_locate_peaks_flat_histogram_fails():
 
 
 def test_locate_peaks_empty_histogram_fails():
-    hist = an.build_histogram(hand_stream([]))
+    hist = an.build_histogram(hand_stream([]), chain=CHAIN)
     with pytest.raises(an.PeaksNotFound):
         an.locate_peaks(hist, 0.66713)
 
 
 def test_locate_peaks_needs_range_covering_sides():
-    hist = an.build_histogram(hand_stream([(10.0, "bob"), (10.1, "alice")]), range_ns=(-0.5, 0.5))
+    stream = hand_stream([(10.0, "bob"), (10.1, "alice")])
+    hist = an.build_histogram(stream, chain=ch.ChainConfig(histogram_half_range_ns=0.5))
     with pytest.raises(an.PeaksNotFound):
         an.locate_peaks(hist, 0.66713)
 
 
 def test_phase_averaged_simulation_shows_one_two_one_areas():
     cfg = dense_config(duration_s=1.0, seed=77)
-    hist = an.build_histogram(ev.simulate(cfg))
+    hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
     windows = an.locate_peaks(hist, cfg.chain.bob_interferometer.delay_ns())
     central = an.count_window(hist, windows.central)
     early = an.count_window(hist, windows.side_early)
@@ -509,7 +451,7 @@ def test_estimate_accidentals_zero_dark_run_is_zero():
         jitter_ns=0.1,
     )
     cfg = SimConfig(chain=chain_cfg, visibility=1.0, duration_s=0.5, seed=78, phase_averaged=True)
-    hist = an.build_histogram(ev.simulate(cfg))
+    hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
     windows = an.locate_peaks(hist, chain_cfg.bob_interferometer.delay_ns())
     # Without darks the only background is foreign-pair pile-up, a fraction
     # of a permille of the central peak at this rate.
@@ -800,7 +742,7 @@ def run_small_sweep(alice_dark_per_ns, seed0):
             duration_s=duration,
             seed=seed0 + i,
         )
-        hist = an.build_histogram(ev.simulate(cfg))
+        hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
         per_point.append(hist)
         total = hist if total is None else total + hist
     windows = an.locate_peaks(total, chain_cfg.bob_interferometer.delay_ns())

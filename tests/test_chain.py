@@ -243,7 +243,22 @@ def test_detector_validation():
 
 
 def test_chain_config_validation():
-    with pytest.raises(ValueError):
-        ch.ChainConfig(start_detector="bob", stop_detector="bob")
-    with pytest.raises(ValueError):
-        ch.ChainConfig(jitter_ns=-0.1)
+    # build_histogram takes its roles and grid from a ChainConfig, so these
+    # refusals are the only ones between a chain and the pairing.
+    refused = [
+        {"start_detector": "bob", "stop_detector": "bob"},
+        {"start_detector": "alice", "stop_detector": "alice"},
+        {"start_detector": "carol", "stop_detector": "alice"},
+        {"start_detector": "bob", "stop_detector": "carol"},
+        {"start_detector": None, "stop_detector": "alice"},
+        {"jitter_ns": -0.1},
+        {"histogram_half_range_ns": 3.01},  # off the 0.05 ns grid
+        {"histogram_bin_ns": 0.0},
+        {"histogram_half_range_ns": 0.0},
+        {"histogram_half_range_ns": -2.0},
+        {"histogram_half_range_ns": math.inf},
+        {"histogram_half_range_ns": math.nan},
+    ]
+    for fields in refused:
+        with pytest.raises(ValueError):
+            ch.ChainConfig(**fields)

@@ -317,17 +317,21 @@ def test_range_short_of_the_side_peaks_is_refused_before_simulating(
     tmp_path, monkeypatch, capsys, command
 ):
     def never(cfg):
-        raise AssertionError("simulate ran on a range that cannot hold the side peaks")
+        raise AssertionError("simulate ran on a grid that cannot hold or resolve the side peaks")
 
     monkeypatch.setattr(cli, "simulate", never)
-    # +-0.5 ns cannot reach the side peaks at +-0.667 ns.
-    doc = {"chain": {"histogram_half_range_ns": 0.5}, "duration_s": 2.0}
-    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
-    err = capsys.readouterr().err
-    assert "chain.histogram_half_range_ns" in err and "0.6671 ns" in err
-    assert "physics" not in err
-    # The budget needs no histogram and still runs on the same document.
-    assert cli.main(["budget", "--config", write_config(tmp_path, doc)]) == 0
+    # +-0.5 ns cannot reach the side peaks at +-0.667 ns, and bins of a
+    # quarter of that delay or more cannot resolve them.
+    refused = [("histogram_half_range_ns", 0.5)]
+    refused += [("histogram_bin_ns", width) for width in (0.375, 0.5, 0.6, 1.0 / 3.0)]
+    for field, value in refused:
+        doc = {"chain": {field: value}, "duration_s": 2.0}
+        assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"chain.{field}" in err and "0.6671 ns" in err
+        assert "physics" not in err
+        # The budget needs no histogram and still runs on the same document.
+        assert cli.main(["budget", "--config", write_config(tmp_path, doc)]) == 0
 
 
 # ---------------------------------------------------------------------------

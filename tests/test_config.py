@@ -289,12 +289,4 @@ def test_any_document_is_rejected_or_runs(drawn):
         cfg = pc.sim_config_from_dict(doc)
     except InvalidConfigError:
         return
-    chain = cfg.chain
-    half = chain.histogram_half_range_ns
-    an.build_histogram(
-        simulate(cfg),
-        start_detector=chain.start_detector,
-        stop_detector=chain.stop_detector,
-        bin_width_ns=chain.histogram_bin_ns,
-        range_ns=(-half, half),
-    )
+    an.build_histogram(simulate(cfg), chain=cfg.chain)

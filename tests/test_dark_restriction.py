@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from photonlink import analysis as an
 from photonlink import chain as ch
-from photonlink import cli
 from photonlink import events as ev
 from photonlink.config import SimConfig
 from reference_sampler import reference_simulate
@@ -76,7 +76,7 @@ def ensemble(request):
                     "photons": [stream.groups[name, "photon"] for name in ev.DETECTORS],
                     "alice_darks": stream.groups["alice", "dark"],
                     "complete_for": stream.complete_for,
-                    "counts": cli._histogram(stream, chain).counts,
+                    "counts": an.build_histogram(stream, chain=chain).counts,
                     "start_darks": stream.n_clicks("bob", "dark"),
                     "stop_darks": stream.n_clicks("alice", "dark"),
                     "near": distance_to_nearest(darks[near], stops),

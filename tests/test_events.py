@@ -443,14 +443,7 @@ GOLDEN_RESTRICTED = json.loads(
 def golden_record(stream: ev.EventStream, chain: ch.ChainConfig) -> dict:
     """Drawn and undrawn clicks per group and the chain's histogram of a stream."""
     keys = [(det, origin) for det in ev.DETECTORS for origin in ev.ORIGINS]
-    half = chain.histogram_half_range_ns
-    hist = an.build_histogram(
-        stream,
-        start_detector=chain.start_detector,
-        stop_detector=chain.stop_detector,
-        bin_width_ns=chain.histogram_bin_ns,
-        range_ns=(-half, half),
-    )
+    hist = an.build_histogram(stream, chain=chain)
     return {
         "clicks": {f"{d}/{o}": int(stream.detector_times(d, o).size) for d, o in keys},
         "undrawn": {f"{d}/{o}": stream.undrawn[d, o] for d, o in keys},

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from photonlink import cli
+from photonlink import analysis as an
 from photonlink import events as ev
 from photonlink.config import SimConfig, sim_config_from_dict
 from photonlink.presets import preset_config
@@ -58,7 +58,7 @@ def ensemble(request):
         for seed in SEEDS:
             stream = photon_stream(dataclasses.replace(base, seed=seed), photon_times)
             counts.append([stream.n_clicks(name) for name in ev.DETECTORS])
-            hists.append(cli._histogram(stream, base.chain).counts)
+            hists.append(an.build_histogram(stream, chain=base.chain).counts)
         records[key] = (np.array(counts), np.array(hists))
     return records
 
