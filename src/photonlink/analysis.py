@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import EDGE_TOL_NS, ChainConfig
-from .events import EventStream, blocks
+from .chain import EDGE_TOL_NS, START_DETECTOR, STOP_DETECTOR, ChainConfig
+from .events import EventStream
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -58,6 +58,14 @@ BELL_THRESHOLD_VISIBILITY = 1.0 / math.sqrt(2.0)
 # locate_peaks searches a quarter spacing beyond each side peak, so the
 # histogram must reach this many peak spacings on both sides of zero.
 PEAK_REACH = 1.25
+# Starts per block of the start walk in build_histogram: it bounds the
+# merge's temporaries and changes no count.
+BLOCK = 1 << 15
+
+
+def blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK items that cover range(n) in order."""
+    return [slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
 
 
 class AnalysisError(ValueError):
@@ -98,8 +106,6 @@ class CoincidenceHistogram:
     range_min_ns: float
     range_max_ns: float
     counts: np.ndarray
-    start_detector: str
-    stop_detector: str
 
     def __post_init__(self) -> None:
         if not self.bin_width_ns > 0.0:
@@ -121,8 +127,6 @@ class CoincidenceHistogram:
             raise ValueError("counts must be non-negative")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        if self.start_detector == self.stop_detector:
-            raise ValueError("start and stop detectors must differ")
 
     @property
     def n_bins(self) -> int:
@@ -137,14 +141,8 @@ class CoincidenceHistogram:
         return int(self.counts.sum())
 
     def _axis(self) -> tuple:
-        """Grid and detector roles: what two histograms must share to compare or add."""
-        return (
-            self.bin_width_ns,
-            self.range_min_ns,
-            self.range_max_ns,
-            self.start_detector,
-            self.stop_detector,
-        )
+        """The grid: what two histograms must share to compare or add."""
+        return (self.bin_width_ns, self.range_min_ns, self.range_max_ns)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoincidenceHistogram):
@@ -155,15 +153,15 @@ class CoincidenceHistogram:
         if not isinstance(other, CoincidenceHistogram):
             return NotImplemented
         if self._axis() != other._axis():
-            raise ValueError("cannot add histograms with different grids or detector roles")
+            raise ValueError("cannot add histograms with different grids")
         return replace(self, counts=self.counts + other.counts)
 
 
 def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHistogram:
-    """Histogram of (stop - start) time differences on the chain's roles and grid.
+    """Histogram of (stop - start) time differences on the chain's grid.
 
-    ``chain.start_detector`` arms the converter and ``chain.stop_detector``
-    stops it; bins ``chain.histogram_bin_ns`` wide span
+    START_DETECTOR (Bob) arms the converter and STOP_DETECTOR (Alice) stops
+    it; bins ``chain.histogram_bin_ns`` wide span
     +-``chain.histogram_half_range_ns``.  For each start click the first stop
     click with difference >= the range minimum is taken; it contributes one
     count if the difference is below the range maximum, otherwise the start
@@ -175,28 +173,22 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
     counts the stops below it.  The starts ascend, so the ones that find a
     stop are a prefix of each block.
     ``simulate`` draws the start detector's darks only within reach of a
-    stop, so the record holds few starts that cannot pair; a chain whose start
-    detector or half-range such a stream is not complete for
+    stop, so the record holds few starts that cannot pair; a chain whose
+    half-range exceeds the one such a stream is complete for
     (``EventStream.complete_for``) is refused before any pairing.
     """
     hi, width = float(chain.histogram_half_range_ns), float(chain.histogram_bin_ns)
     lo = -hi
-    if events.complete_for is not None:
-        start, _, half = events.complete_for
-        if chain.start_detector != start:
-            raise ValueError(
-                f"chain.start_detector must be {start!r}, the start detector the stream was "
-                f"drawn for, got {chain.start_detector!r}"
-            )
-        if hi > half:
-            raise ValueError(
-                f"chain.histogram_half_range_ns must be at most {half}, the half-range the "
-                f"stream was drawn for, got {hi!r}"
-            )
+    half = events.complete_for
+    if half is not None and hi > half:
+        raise ValueError(
+            f"chain.histogram_half_range_ns must be at most {half}, the half-range the "
+            f"stream was drawn for, got {hi!r}"
+        )
     n_bins = int(round((hi - lo) / width))
     counts = np.zeros(n_bins, dtype=np.int64)
-    starts = events.detector_times(chain.start_detector)
-    stops = events.detector_times(chain.stop_detector)
+    starts = events.detector_times(START_DETECTOR)
+    stops = events.detector_times(STOP_DETECTOR)
     for part in blocks(starts.size):
         block = starts[part]
         first, last = np.searchsorted(stops, block[[0, -1]] + lo, side="left")
@@ -215,8 +207,6 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
         range_min_ns=lo,
         range_max_ns=hi,
         counts=counts,
-        start_detector=chain.start_detector,
-        stop_detector=chain.stop_detector,
     )
 
 

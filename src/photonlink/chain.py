@@ -21,6 +21,8 @@ from .quantum import OUTCOME_CLASSES
 __all__ = [
     "EDGE_TOL_NS",
     "SPEED_OF_LIGHT_M_PER_S",
+    "START_DETECTOR",
+    "STOP_DETECTOR",
     "ChainConfig",
     "DetectorParams",
     "FransonCheck",
@@ -43,6 +45,11 @@ SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
 # How far a histogram edge may sit from the bin grid and still count as on it.
 EDGE_TOL_NS = 1e-9
+
+# The time-to-digital converter's wiring: Bob's detector starts it and
+# Alice's stops it.  In both presets Bob's is the free-running one whose
+# clicks open the gates of Alice's gated detector.
+START_DETECTOR, STOP_DETECTOR = "bob", "alice"
 
 
 class ZeroBandwidthError(ValueError):
@@ -178,8 +185,7 @@ class ChainConfig:
     ``sfg`` is None for the direct (no transfer) configuration.  The timing
     fields below the detector records are shared by the rate budget and by
     the event simulator: one Gaussian timestamp jitter sigma, the nominal
-    central coincidence window used for budgeting, which detector starts and
-    which stops the time-difference converter, and the histogram defaults.
+    central coincidence window used for budgeting, and the histogram defaults.
     """
 
     source: SourceParams = field(default_factory=SourceParams)
@@ -194,8 +200,6 @@ class ChainConfig:
     sfg: SfgParams | None = None
     jitter_ns: float = 0.1
     coincidence_window_ns: float = 0.6
-    start_detector: str = "bob"
-    stop_detector: str = "alice"
     histogram_bin_ns: float = 0.05
     histogram_half_range_ns: float = 3.0
 
@@ -215,6 +219,11 @@ class ChainConfig:
                 f"histogram_half_range_ns={half!r} is not an integer multiple of "
                 f"histogram_bin_ns={width!r}"
             )
+        if round(steps) < 1:
+            raise ValueError(
+                f"histogram_half_range_ns={half!r} must be at least one "
+                f"histogram_bin_ns={width!r}"
+            )
         if self.sfg is not None:
             prob = _sfg_budget(self.sfg)
             if not prob <= 1.0:
@@ -225,12 +234,6 @@ class ChainConfig:
             raise ValueError(
                 "alice_detector.role and bob_detector.role are both 'gated': "
                 "each detector would wait for the other's click"
-            )
-        names = {self.start_detector, self.stop_detector}
-        if names != {"alice", "bob"}:
-            raise ValueError(
-                "start_detector/stop_detector must name 'alice' and 'bob', got "
-                f"{self.start_detector!r}/{self.stop_detector!r}"
             )
 
     def transfer_probability(self) -> float:
@@ -486,13 +489,13 @@ def expected_rates(chain: ChainConfig) -> RateReport:
         dark[name] = _dark_singles(chain, name, partner_singles)
         singles[name] = partner_singles = photon[name] + dark[name]
 
-    start_singles = singles[chain.start_detector]
-    stop_singles = singles[chain.stop_detector]
+    start_singles = singles[START_DETECTOR]
+    stop_singles = singles[STOP_DETECTOR]
 
     window_ns = chain.coincidence_window_ns
     accidental_uncorr = start_singles * stop_singles * window_ns * 1e-9
 
-    stop_det = chain.detector(chain.stop_detector)
+    stop_det = chain.detector(STOP_DETECTOR)
     if stop_det.role == "gated":
         # Darks inside the gate opened by the start click itself: flat in
         # the time difference, so the central window collects its share.

@@ -25,7 +25,7 @@ pair.  Its dark count is drawn whole; the darks that open a gate of a gated
 partner get times (marking), and of the rest only those within the
 histogram half-range plus one bin of some stop click get times
 (restriction).  The others are counted, not drawn: the stream keeps the
-start-stop histogram of the chain's geometry and every detector's click
+start-stop histogram on the chain's grid and every detector's click
 count exact in distribution, and records both.
 """
 
@@ -36,7 +36,7 @@ import math
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first simulate
 
-from .chain import DetectorParams
+from .chain import START_DETECTOR, STOP_DETECTOR, DetectorParams
 from .config import SimConfig
 from .quantum import OUTCOME_CLASSES
 
@@ -46,14 +46,6 @@ DETECTORS = ("alice", "bob")
 ORIGINS = ("photon", "dark")
 # The four click groups of a stream, in the order simulate assembles them.
 GROUPS = tuple((name, origin) for origin in ORIGINS for name in DETECTORS)
-# Starts per block of the start walk in analysis.build_histogram: it bounds
-# the merge's temporaries and changes no count.
-BLOCK = 1 << 15
-
-
-def blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most BLOCK items that cover range(n) in order."""
-    return [slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
 
 
 class EventStream:
@@ -67,9 +59,9 @@ class EventStream:
 
     ``undrawn`` maps a group key to the clicks it had but that were only
     counted, because none of them can pair; ``n_clicks`` adds them back.
-    ``complete_for`` is the (start detector, stop detector, half-range ns)
-    geometry whose histogram the stream still gives in full, or None when
-    every click is drawn and every geometry is served.
+    ``complete_for`` is the histogram half-range (ns) up to which the stream
+    still gives the start-stop histogram in full, or None when every click
+    is drawn and every half-range is served.
     """
 
     def __init__(
@@ -78,7 +70,7 @@ class EventStream:
         *,
         duration_ns: float,
         undrawn: dict | None = None,
-        complete_for: tuple[str, str, float] | None = None,
+        complete_for: float | None = None,
     ) -> None:
         undrawn = dict(undrawn or {})
         if not set(groups) | set(undrawn) <= set(GROUPS):
@@ -307,8 +299,8 @@ def simulate(config: SimConfig) -> EventStream:
     A start dark outside the windows has no stop within the histogram range
     and pairs with nothing, and given N the darks that opened no gate are iid
     uniform, so the stream gives the histogram of the fully drawn stream in
-    distribution; it records that it is complete only for the chain's
-    roles and half-range.  A gated start detector, or one without darks,
+    distribution; it records that it is complete only up to the chain's
+    half-range.  A gated start detector, or one without darks,
     leaves nothing undrawn.  Photon draws are consumed unconditionally so
     the photon record depends only on the source, analyzer, transfer, and
     detector-efficiency parameters.
@@ -319,7 +311,7 @@ def simulate(config: SimConfig) -> EventStream:
     from its two ends; no group is merged with another.
     """
     chain = config.chain
-    start, stop = chain.start_detector, chain.stop_detector
+    start, stop = START_DETECTOR, STOP_DETECTOR
     rng = np.random.default_rng(config.seed)
     duration_ns = config.duration_s * 1e9
     photon = dict(zip(DETECTORS, _photon_times(config, rng)))
@@ -327,7 +319,7 @@ def simulate(config: SimConfig) -> EventStream:
     # ---- dark counts -------------------------------------------------
     dark: dict[str, np.ndarray] = {}
     n_hidden = 0  # start-detector darks counted but not drawn
-    complete_for = None  # every geometry, unless the start detector's darks are restricted
+    complete_for = None  # every half-range, unless the start detector's darks are restricted
     for name in DETECTORS:  # free-running first, fixed alice -> bob order
         det = chain.detector(name)
         if det.role == "free_running":
@@ -335,7 +327,7 @@ def simulate(config: SimConfig) -> EventStream:
             n = rng.poisson(rate * duration_ns) if rate > 0.0 else 0
             if name == start and rate > 0.0:
                 n_hidden, dark[name] = n, np.empty(0, dtype=np.float64)
-                complete_for = (start, stop, chain.histogram_half_range_ns)
+                complete_for = chain.histogram_half_range_ns
             else:
                 dark[name] = rng.random(n)
                 dark[name] *= duration_ns

@@ -63,8 +63,6 @@ def synthetic_three_peak(
         range_min_ns=-3.0,
         range_max_ns=3.0,
         counts=counts,
-        start_detector="bob",
-        stop_detector="alice",
     )
 
 
@@ -113,7 +111,7 @@ def restricted_stream():
     """A fig2 stream whose start darks were drawn only where they can pair, and its chain."""
     cfg = SimConfig(chain=preset_config("fig2-baseline").chain, duration_s=2.0, seed=3)
     stream = ev.simulate(cfg)
-    assert stream.complete_for == ("bob", "alice", 3.0)
+    assert stream.complete_for == 3.0
     assert stream.undrawn["bob", "dark"] > 0
     return stream, cfg.chain
 
@@ -121,7 +119,8 @@ def restricted_stream():
 @pytest.mark.parametrize(
     "kwargs, argument",
     [
-        ({"start_detector": "alice", "stop_detector": "bob"}, "start_detector"),
+        # One ulp past the half-range the stream was drawn for.
+        ({"histogram_half_range_ns": math.nextafter(3.0, 4.0)}, "range_ns"),
         ({"histogram_half_range_ns": 3.05}, "range_ns"),
         ({"histogram_bin_ns": 0.01, "histogram_half_range_ns": 3.01}, "range_ns"),
         ({"histogram_half_range_ns": 10.0}, "range_ns"),
@@ -147,11 +146,10 @@ def test_restricted_stream_serves_its_range_and_any_narrower_one():
 def test_hand_built_stream_serves_every_geometry():
     stream = hand_stream([(1.0, "bob"), (1.2, "alice"), (20.0, "alice"), (30.0, "bob")])
     assert stream.complete_for is None
-    for start, stop in (("alice", "bob"), ("bob", "alice")):
-        chain = ch.ChainConfig(
-            start_detector=start, stop_detector=stop, histogram_half_range_ns=50.0
-        )
-        assert an.build_histogram(stream, chain=chain).total == 2
+    # The Bob start at 30 ns pairs only over +-50 ns, with the stop at 1.2 ns.
+    for half, total in ((3.0, 1), (50.0, 2)):
+        chain = ch.ChainConfig(histogram_half_range_ns=half)
+        assert an.build_histogram(stream, chain=chain).total == total
 
 
 def test_histogram_addition_matches_union_for_disjoint_streams():
@@ -191,8 +189,8 @@ def reference_counts(stream, chain):
     instead of merging blocks of them with their stops.  Differences that
     round below the range minimum are dropped, as in build_histogram.
     """
-    starts = stream.detector_times(chain.start_detector)
-    stops = stream.detector_times(chain.stop_detector)
+    starts = stream.detector_times(ch.START_DETECTOR)
+    stops = stream.detector_times(ch.STOP_DETECTOR)
     width, hi = chain.histogram_bin_ns, chain.histogram_half_range_ns
     lo = -hi
     n_bins = int(round((hi - lo) / width))
@@ -240,21 +238,15 @@ def group_records(draw):
                 t = float(np.nextafter(t, math.copysign(math.inf, ulps)))
             starts.append(t)
     starts = [t for t in starts if t >= 0.0]
-    start_detector, stop_detector = draw(st.permutations(ev.DETECTORS))
     # Each click is a photon or a dark; either group may end up empty.
     groups = {}
-    for name, times in ((start_detector, starts), (stop_detector, stops)):
+    for name, times in ((ch.START_DETECTOR, starts), (ch.STOP_DETECTOR, stops)):
         dark = draw(st.lists(st.booleans(), min_size=len(times), max_size=len(times)))
         for origin in ev.ORIGINS:
             groups[name, origin] = sorted(t for t, d in zip(times, dark) if d == (origin == "dark"))
     duration_ns = 2.0 * max(starts + stops, default=0.0) + 1.0
     stream = ev.EventStream(groups, duration_ns=duration_ns)
-    chain = ch.ChainConfig(
-        start_detector=start_detector,
-        stop_detector=stop_detector,
-        histogram_bin_ns=width,
-        histogram_half_range_ns=hi,
-    )
+    chain = ch.ChainConfig(histogram_bin_ns=width, histogram_half_range_ns=hi)
     return stream, chain
 
 
@@ -283,8 +275,8 @@ def test_histogram_matches_per_start_reference(record):
         assert expected.sum() == 0
     # Blocks of one, two and five starts put block edges between the starts
     # of every example.
-    for block in (ev.BLOCK, 1, 2, 5):
-        with mock.patch.object(ev, "BLOCK", block):
+    for block in (an.BLOCK, 1, 2, 5):
+        with mock.patch.object(an, "BLOCK", block):
             hist = an.build_histogram(stream, chain=chain)
         assert hist.counts.tolist() == expected.tolist(), block
 
@@ -303,7 +295,7 @@ def test_histogram_equals_the_whole_array_search(cfg, n_blocks):
     # ten times as many stops.
     stream = ev.simulate(cfg)
     hist = an.build_histogram(stream, chain=cfg.chain)
-    assert len(ev.blocks(stream.detector_times(cfg.chain.start_detector).size)) == n_blocks
+    assert len(an.blocks(stream.detector_times(ch.START_DETECTOR).size)) == n_blocks
     assert hist.total > 200
     assert hist.counts.tolist() == reference_counts(stream, cfg.chain).tolist()
 
@@ -346,8 +338,6 @@ def test_locate_peaks_flat_histogram_fails():
         range_min_ns=-3.0,
         range_max_ns=3.0,
         counts=np.full(120, 7, dtype=np.int64),
-        start_detector="bob",
-        stop_detector="alice",
     )
     with pytest.raises(an.PeaksNotFound):
         an.locate_peaks(hist, 0.66713)
@@ -428,8 +418,6 @@ def test_estimate_accidentals_uniform_floor(central, expected):
         range_min_ns=-3.0,
         range_max_ns=3.0,
         counts=counts,
-        start_detector="bob",
-        stop_detector="alice",
     )
     windows = an.PeakWindows(
         side_early=(-0.95, -0.45),

@@ -243,16 +243,12 @@ def test_detector_validation():
 
 
 def test_chain_config_validation():
-    # build_histogram takes its roles and grid from a ChainConfig, so these
-    # refusals are the only ones between a chain and the pairing.
+    # build_histogram takes its grid from a ChainConfig, so these refusals
+    # are the only ones between a chain and the pairing.
     refused = [
-        {"start_detector": "bob", "stop_detector": "bob"},
-        {"start_detector": "alice", "stop_detector": "alice"},
-        {"start_detector": "carol", "stop_detector": "alice"},
-        {"start_detector": "bob", "stop_detector": "carol"},
-        {"start_detector": None, "stop_detector": "alice"},
         {"jitter_ns": -0.1},
         {"histogram_half_range_ns": 3.01},  # off the 0.05 ns grid
+        {"histogram_bin_ns": 1.0, "histogram_half_range_ns": 1e-12},  # zero bins
         {"histogram_bin_ns": 0.0},
         {"histogram_half_range_ns": 0.0},
         {"histogram_half_range_ns": -2.0},

@@ -312,6 +312,18 @@ def test_histogram_grid_beyond_the_bin_cap_is_refused_before_simulating(
     assert "MAX_HISTOGRAM_BINS" in err
 
 
+def test_converter_role_fields_are_refused_before_simulating(tmp_path, monkeypatch, capsys):
+    # Bob's detector always starts the converter and Alice's stops it.
+    def never(cfg):
+        raise AssertionError("simulate ran on a document with retired fields")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    doc = {"chain": {"start_detector": "alice", "stop_detector": "bob"}}
+    assert cli.main(["histogram", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "start_detector" in err and "stop_detector" in err and "'chain'" in err
+
+
 @pytest.mark.parametrize("command", ["histogram", "sweep"])
 def test_range_short_of_the_side_peaks_is_refused_before_simulating(
     tmp_path, monkeypatch, capsys, command

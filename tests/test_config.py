@@ -172,8 +172,6 @@ SIM_FIELDS = {
 CHAIN_FIELDS = {
     "jitter_ns": _floats(0.0, 1.0),
     "coincidence_window_ns": _floats(0.01, 2.0),
-    "start_detector": st.sampled_from(["alice", "bob"]),
-    "stop_detector": st.sampled_from(["alice", "bob"]),
     "histogram_bin_ns": st.sampled_from([0.05, 0.07, 0.1]),
     "histogram_half_range_ns": st.sampled_from([1.0, 2.0, 3.0]),
 }

@@ -97,7 +97,7 @@ def test_photons_and_start_dark_count_match_reference_seed_by_seed(ensemble):
         for photons, ref_photons in zip(mine["photons"], ref["photons"]):
             np.testing.assert_array_equal(photons, ref_photons)
         assert mine["start_darks"] == ref["start_darks"]
-        assert mine["complete_for"] == ("bob", "alice", 3.0)
+        assert mine["complete_for"] == 3.0
         assert ref["complete_for"] is None
         assert mine["n_far"] == 0 or ensemble["name"] == "gated-stop"  # only parents lie far
         if ensemble["name"] == "free-stop":

@@ -232,7 +232,7 @@ def test_event_stream_refuses_nan_inside_a_group():
 def test_event_stream_counts_undrawn_clicks():
     groups = {("bob", "dark"): [1.0, 2.0], ("alice", "photon"): [3.0]}
     stream = ev.EventStream(
-        groups, duration_ns=10.0, undrawn={("bob", "dark"): 40}, complete_for=("bob", "alice", 3.0)
+        groups, duration_ns=10.0, undrawn={("bob", "dark"): 40}, complete_for=3.0
     )
     assert len(stream) == 3  # drawn clicks only
     assert stream.n_clicks("bob", "dark") == 42
