@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import EDGE_TOL_NS, START_DETECTOR, STOP_DETECTOR, ChainConfig
+from .chain import EDGE_TOL_BINS, START_DETECTOR, STOP_DETECTOR, ChainConfig
 from .events import EventStream
 from .quantum import VisibilityRangeError
 
@@ -113,8 +113,8 @@ class CoincidenceHistogram:
         if not self.range_min_ns < self.range_max_ns:
             raise ValueError("histogram range must have range_min < range_max")
         for name, value in (("range_min_ns", self.range_min_ns), ("range_max_ns", self.range_max_ns)):
-            k = round(value / self.bin_width_ns)
-            if abs(k * self.bin_width_ns - value) > EDGE_TOL_NS:
+            steps = value / self.bin_width_ns  # inf for a subnormal width; round() cannot take it
+            if not (math.isfinite(steps) and abs(round(steps) - steps) <= EDGE_TOL_BINS):
                 raise ValueError(
                     f"{name}={value!r} is not an integer multiple of the bin width"
                 )
@@ -240,8 +240,8 @@ class PeakWindows:
 
 def _bin_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> tuple[int, int]:
     """Index range [i, j) of bins lying fully inside [lo, hi]."""
-    i = math.ceil((lo - hist.range_min_ns) / hist.bin_width_ns - 1e-9)
-    j = math.floor((hi - hist.range_min_ns) / hist.bin_width_ns + 1e-9)
+    i = math.ceil((lo - hist.range_min_ns) / hist.bin_width_ns - EDGE_TOL_BINS)
+    j = math.floor((hi - hist.range_min_ns) / hist.bin_width_ns + EDGE_TOL_BINS)
     i = max(i, 0)
     j = min(j, hist.n_bins)
     return i, max(j, i)
@@ -365,7 +365,8 @@ def count_window(hist: CoincidenceHistogram, window: tuple[float, float]) -> int
     lo, hi = float(window[0]), float(window[1])
     if lo > hi:
         raise ValueError(f"window ({lo!r}, {hi!r}) is reversed")
-    if lo < hist.range_min_ns - EDGE_TOL_NS or hi > hist.range_max_ns + EDGE_TOL_NS:
+    tol = EDGE_TOL_BINS * hist.bin_width_ns
+    if lo < hist.range_min_ns - tol or hi > hist.range_max_ns + tol:
         raise OutOfRange(
             f"window ({lo}, {hi}) ns exceeds histogram range "
             f"({hist.range_min_ns}, {hist.range_max_ns}) ns"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .quantum import OUTCOME_CLASSES
 
 __all__ = [
-    "EDGE_TOL_NS",
+    "EDGE_TOL_BINS",
     "SPEED_OF_LIGHT_M_PER_S",
     "START_DETECTOR",
     "STOP_DETECTOR",
@@ -43,12 +43,12 @@ __all__ = [
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
-# How far a histogram edge may sit from the bin grid and still count as on it.
-EDGE_TOL_NS = 1e-9
+# How far, in bin widths, a histogram edge may sit from the bin grid and
+# still count as on it.
+EDGE_TOL_BINS = 1e-9
 
-# The time-to-digital converter's wiring: Bob's detector starts it and
-# Alice's stops it.  In both presets Bob's is the free-running one whose
-# clicks open the gates of Alice's gated detector.
+# The time-to-digital converter's wiring: Bob's detector runs free and starts
+# it; Alice's stops it and is gated, one gate centred on each of Bob's clicks.
 START_DETECTOR, STOP_DETECTOR = "bob", "alice"
 
 
@@ -152,18 +152,18 @@ class SfgParams:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Single-photon detector; gated detectors suppress darks outside gates.
+    """Single-photon detector: efficiency and dark-click probability per ns.
 
-    A gated detector opens a gate centered on each click of the partner
-    detector (the trigger wiring of the real setup); dark counts then occur
-    only inside gates, while photon detection itself is not gated, standing
-    in for an electronics delay that keeps the gate aligned with the photon.
+    Bob's detector runs free, so ``dark_prob_per_ns`` is its dark rate.
+    Alice's is gated: it opens a gate of ``ChainConfig.gate_width_ns``
+    centred on each of Bob's clicks (the trigger wiring of the real setup),
+    and its darks occur only inside gates, while photon detection itself is
+    not gated, standing in for an electronics delay that keeps the gate
+    aligned with the photon.
     """
 
     quantum_efficiency: float = 0.10
     dark_prob_per_ns: float = 3.0e-5
-    role: str = "free_running"  # or "gated"
-    gate_width_ns: float = 2.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.quantum_efficiency <= 1.0:
@@ -172,10 +172,6 @@ class DetectorParams:
             )
         if self.dark_prob_per_ns < 0.0:
             raise ValueError(f"dark_prob_per_ns must be >= 0, got {self.dark_prob_per_ns!r}")
-        if self.role not in ("free_running", "gated"):
-            raise ValueError(f"role must be 'free_running' or 'gated', got {self.role!r}")
-        if self.role == "gated" and self.gate_width_ns <= 0.0:
-            raise ValueError(f"gated detector needs gate_width_ns > 0, got {self.gate_width_ns!r}")
 
 
 @dataclass(frozen=True)
@@ -184,26 +180,28 @@ class ChainConfig:
 
     ``sfg`` is None for the direct (no transfer) configuration.  The timing
     fields below the detector records are shared by the rate budget and by
-    the event simulator: one Gaussian timestamp jitter sigma, the nominal
-    central coincidence window used for budgeting, and the histogram defaults.
+    the event simulator: the width of Alice's gates, one Gaussian timestamp
+    jitter sigma, the nominal central coincidence window used for budgeting,
+    and the histogram grid.
     """
 
     source: SourceParams = field(default_factory=SourceParams)
     alice_interferometer: InterferometerParams = field(default_factory=InterferometerParams)
     bob_interferometer: InterferometerParams = field(default_factory=InterferometerParams)
     alice_detector: DetectorParams = field(
-        default_factory=lambda: DetectorParams(
-            quantum_efficiency=0.14, dark_prob_per_ns=1.0e-5, role="gated"
-        )
+        default_factory=lambda: DetectorParams(quantum_efficiency=0.14, dark_prob_per_ns=1.0e-5)
     )
     bob_detector: DetectorParams = field(default_factory=DetectorParams)
     sfg: SfgParams | None = None
+    gate_width_ns: float = 2.5
     jitter_ns: float = 0.1
     coincidence_window_ns: float = 0.6
     histogram_bin_ns: float = 0.05
     histogram_half_range_ns: float = 3.0
 
     def __post_init__(self) -> None:
+        if not self.gate_width_ns > 0.0:
+            raise ValueError(f"gate_width_ns must be positive, got {self.gate_width_ns!r}")
         if self.jitter_ns < 0.0:
             raise ValueError(f"jitter_ns must be >= 0, got {self.jitter_ns!r}")
         if self.coincidence_window_ns <= 0.0:
@@ -214,7 +212,7 @@ class ChainConfig:
             raise ValueError("histogram_bin_ns and histogram_half_range_ns must be positive")
         half, width = self.histogram_half_range_ns, self.histogram_bin_ns
         steps = half / width  # inf for a subnormal width; round() cannot take it
-        if not math.isfinite(steps) or abs(round(steps) * width - half) > EDGE_TOL_NS:
+        if not math.isfinite(steps) or abs(round(steps) - steps) > EDGE_TOL_BINS:
             raise ValueError(
                 f"histogram_half_range_ns={half!r} is not an integer multiple of "
                 f"histogram_bin_ns={width!r}"
@@ -230,24 +228,12 @@ class ChainConfig:
                 raise ValueError(
                     f"chain.sfg gives a transfer probability of {prob:.4g}; it must not exceed 1"
                 )
-        if self.alice_detector.role == "gated" and self.bob_detector.role == "gated":
-            raise ValueError(
-                "alice_detector.role and bob_detector.role are both 'gated': "
-                "each detector would wait for the other's click"
-            )
 
     def transfer_probability(self) -> float:
         """Per-photon transfer probability of the SFG stage, 1.0 when absent."""
         if self.sfg is None:
             return 1.0
         return sfg_transfer_probability(self.sfg)
-
-    def detector(self, name: str) -> DetectorParams:
-        if name == "alice":
-            return self.alice_detector
-        if name == "bob":
-            return self.bob_detector
-        raise ValueError(f"unknown detector {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +414,10 @@ class RateReport:
     """Analytic singles, coincidence, and accidental rates (all per second).
 
     ``accidental_rate_uncorrelated`` is the textbook R_start x R_stop x
-    window product; ``accidental_rate_gated_darks`` adds the dark counts a
-    gated detector fires inside the very gates its partner's clicks opened,
-    which land flat across the coincidence window and dominate when the
-    free-running partner is dark-count heavy.  The predicted raw/net
+    window product; ``accidental_rate_gated_darks`` adds the dark counts
+    Alice's gated detector fires inside the very gates Bob's clicks opened,
+    which land flat across the coincidence window and dominate when Bob's
+    free-running detector is dark-count heavy.  The predicted raw/net
     visibility ratio is 1 - accidental fraction.
     """
 
@@ -452,22 +438,16 @@ class RateReport:
         return self.accidental_rate_uncorrelated_per_s + self.accidental_rate_gated_darks_per_s
 
 
-def _photon_singles(chain: ChainConfig, name: str) -> float:
-    """Pair rate x monitored port (OUTCOME_CLASSES reaching it) x losses x QE."""
-    side = ("alice", "bob").index(name)
+def _photon_singles(chain: ChainConfig, side: int) -> float:
+    """Pair rate x monitored port (OUTCOME_CLASSES reaching it) x losses x QE.
+
+    ``side`` indexes the arrival pairs of OUTCOME_CLASSES: 0 is Alice, 1 is Bob.
+    """
     port = sum(const for _, (const, _), arrival in OUTCOME_CLASSES if arrival[side] is not None)
     arm = (chain.alice_interferometer, chain.bob_interferometer)[side].transmission
-    transfer = chain.transfer_probability() if name == "bob" else 1.0
-    det = chain.detector(name).quantum_efficiency
+    transfer = chain.transfer_probability() if side == 1 else 1.0
+    det = (chain.alice_detector, chain.bob_detector)[side].quantum_efficiency
     return chain.source.pair_rate_per_s * port * arm * transfer * det
-
-
-def _dark_singles(chain: ChainConfig, name: str, partner_singles: float) -> float:
-    det = chain.detector(name)
-    if det.role == "free_running":
-        return det.dark_prob_per_ns * 1e9
-    # gated: one gate per partner click
-    return partner_singles * det.dark_prob_per_ns * det.gate_width_ns
 
 
 def expected_rates(chain: ChainConfig) -> RateReport:
@@ -478,30 +458,18 @@ def expected_rates(chain: ChainConfig) -> RateReport:
     product over the coincidence window with the gated-dark floor.  These
     are design-level estimates, the event simulator is the ground truth.
     """
-    # Free-running dark rates do not depend on the partner; gated ones do.
-    # Resolve a free-running detector first so a gated partner sees the full
-    # trigger rate (ChainConfig guarantees at least one is free-running).
-    order = ("bob", "alice") if chain.bob_detector.role == "free_running" else ("alice", "bob")
-    photon = {name: _photon_singles(chain, name) for name in order}
-    dark, singles = {}, {}
-    partner_singles = 0.0
-    for name in order:
-        dark[name] = _dark_singles(chain, name, partner_singles)
-        singles[name] = partner_singles = photon[name] + dark[name]
-
-    start_singles = singles[START_DETECTOR]
-    stop_singles = singles[STOP_DETECTOR]
+    alice_photon, bob_photon = _photon_singles(chain, 0), _photon_singles(chain, 1)
+    bob_dark = chain.bob_detector.dark_prob_per_ns * 1e9  # free-running
+    bob_singles = bob_photon + bob_dark
+    alice_dark_prob = chain.alice_detector.dark_prob_per_ns
+    alice_dark = bob_singles * alice_dark_prob * chain.gate_width_ns  # one gate per Bob click
+    alice_singles = alice_photon + alice_dark
 
     window_ns = chain.coincidence_window_ns
-    accidental_uncorr = start_singles * stop_singles * window_ns * 1e-9
-
-    stop_det = chain.detector(STOP_DETECTOR)
-    if stop_det.role == "gated":
-        # Darks inside the gate opened by the start click itself: flat in
-        # the time difference, so the central window collects its share.
-        accidental_gated = start_singles * stop_det.dark_prob_per_ns * window_ns
-    else:
-        accidental_gated = 0.0
+    accidental_uncorr = bob_singles * alice_singles * window_ns * 1e-9
+    # Alice's darks inside the gate opened by the start click itself: flat in
+    # the time difference, so the central window collects its share.
+    accidental_gated = bob_singles * alice_dark_prob * window_ns
 
     joint_survival = (
         chain.alice_interferometer.transmission
@@ -518,12 +486,12 @@ def expected_rates(chain: ChainConfig) -> RateReport:
     fraction = accidental_total / denominator if denominator > 0.0 else 0.0
 
     return RateReport(
-        alice_singles_per_s=singles["alice"],
-        bob_singles_per_s=singles["bob"],
-        alice_photon_rate_per_s=photon["alice"],
-        bob_photon_rate_per_s=photon["bob"],
-        alice_dark_rate_per_s=dark["alice"],
-        bob_dark_rate_per_s=dark["bob"],
+        alice_singles_per_s=alice_singles,
+        bob_singles_per_s=bob_singles,
+        alice_photon_rate_per_s=alice_photon,
+        bob_photon_rate_per_s=bob_photon,
+        alice_dark_rate_per_s=alice_dark,
+        bob_dark_rate_per_s=bob_dark,
         true_coincidence_rate_per_s=true_rate,
         accidental_rate_uncorrelated_per_s=accidental_uncorr,
         accidental_rate_gated_darks_per_s=accidental_gated,

@@ -3,13 +3,13 @@
 A config document has the same shape as ``dataclasses.asdict(SimConfig)``:
 top-level simulation fields plus a ``chain`` section whose sub-sections map
 one-to-one onto the parameter records in :mod:`photonlink.chain`.  A
-document, like a preset, states only what differs from the dataclass
-defaults.  A section that is present starts from its record's class
-defaults, not from the chain's default for that slot: a lone
-``alice_detector`` section gives a free-running Alice, not the chain's gated
-one.  Unknown fields, and values whose type does not match the field's
-default, are rejected with the offending field and section named, so typos
-fail loudly.  Each run's ``manifest.json`` holds the fully resolved config.
+document, like a preset, states only what differs from the defaults: each
+section starts from its slot's default in ``SimConfig()`` (a null ``sfg``
+from ``SfgParams()``), so ``{"chain": {"alice_detector": {"dark_prob_per_ns":
+2e-5}}}`` keeps Alice's quantum efficiency of 0.14.  Unknown fields, and
+values whose type does not match the field's default, are rejected with the
+offending field and section named, so typos fail loudly.  Each run's
+``manifest.json`` holds the fully resolved config.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class SimConfig:
             raise InvalidConfigError(
                 f"duration_s x (chain.source.pair_rate_per_s + expected singles) = "
                 f"{estimate:.3g} events exceeds MAX_EXPECTED_EVENTS = {MAX_EXPECTED_EVENTS:.3g}; "
-                "lower duration_s, pair_rate_per_s, or the detectors' dark_prob_per_ns "
-                "and gate_width_ns"
+                "lower duration_s, pair_rate_per_s, the detectors' dark_prob_per_ns "
+                "or chain.gate_width_ns"
             )
 
 
@@ -105,14 +105,13 @@ def _field_error(default, value) -> str | None:
         # rejects bools and strings, and NaN, +-Infinity and integers beyond the float range
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         return None if number and abs(value) <= sys.float_info.max else "a finite number"
-    if isinstance(default, str):
-        return None if isinstance(value, str) else "a string"
     return None  # nested sections are built and checked on their own
 
 
 # Every nested section of a config document and the record it builds, in
 # the order they are built; the section of a field that defaults to None
-# (chain.sfg) may also be null.
+# (chain.sfg) may also be null, and otherwise starts from the record's
+# class defaults.
 _SECTIONS = {
     "chain": ch.ChainConfig,
     "chain.source": ch.SourceParams,
@@ -124,17 +123,17 @@ _SECTIONS = {
 }
 
 
-def _build(cls, data: dict, path: str = ""):
-    """Build ``cls`` from the document section at ``path``, nested sections first."""
+def _build(base, data: dict, path: str = ""):
+    """``base`` with the document section at ``path`` applied, nested sections first."""
     section = path or "simulation"
     if not isinstance(data, dict):
         raise InvalidConfigError(f"section {section!r} must be an object, got {type(data).__name__}")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    defaults = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
     data = dict(data)
     for sub_path, sub_cls in _SECTIONS.items():
         parent, _, name = sub_path.rpartition(".")
         if parent == path and name in data and not (data[name] is None and defaults[name] is None):
-            data[name] = _build(sub_cls, data[name], sub_path)
+            data[name] = _build(defaults[name] or sub_cls(), data[name], sub_path)
     unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise InvalidConfigError(f"unknown field(s) {', '.join(unknown)} in section {section!r}")
@@ -143,7 +142,7 @@ def _build(cls, data: dict, path: str = ""):
         if expected is not None:
             raise InvalidConfigError(f"field {name} in section {section!r} must be {expected}")
     try:
-        return cls(**data)
+        return dataclasses.replace(base, **data)
     except InvalidConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -151,7 +150,7 @@ def _build(cls, data: dict, path: str = ""):
 
 
 def sim_config_from_dict(data: dict) -> SimConfig:
-    return _build(SimConfig, data)
+    return _build(SimConfig(), data)
 
 
 def read_document(path, what: str) -> dict:

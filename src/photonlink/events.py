@@ -12,21 +12,21 @@ success, and detector quantum efficiency thin each photon independently.
 Every (class, path bit, clicking sides) cell of the thinned pair process is
 then an independent Poisson process, so the photon clicks are drawn one
 cell at a time, with times only for clicks (colouring).  Dark counts are
-added per detector, uniformly for free-running detectors and inside
-partner-triggered gates for gated ones.
+added per detector: Bob's detector runs free, and Alice's is gated, with
+one gate centred on each of Bob's clicks.
 
 Everything is drawn from one numpy PCG64 generator in a fixed documented
 order, so a stream is a deterministic function of (config, seed), and all
 photon-related draws happen before any dark-count draws: changing dark
 rates never perturbs the photon events.
 
-The start detector's free-running darks are drawn only where they can
-pair.  Its dark count is drawn whole; the darks that open a gate of a gated
-partner get times (marking), and of the rest only those within the
-histogram half-range plus one bin of some stop click get times
-(restriction).  The others are counted, not drawn: the stream keeps the
-start-stop histogram on the chain's grid and every detector's click
-count exact in distribution, and records both.
+Bob's darks, the starts, are drawn only where they can pair.  Their count
+is drawn whole; the darks that open a gate holding an Alice dark get times
+(marking), and of the rest only those within the histogram half-range plus
+one bin of some Alice click get times (restriction).  The others are
+counted, not drawn: the stream keeps the start-stop histogram on the
+chain's grid and every detector's click count exact in distribution, and
+records both.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first simulate
 
-from .chain import START_DETECTOR, STOP_DETECTOR, DetectorParams
+from .chain import START_DETECTOR, STOP_DETECTOR, ChainConfig
 from .config import SimConfig
 from .quantum import OUTCOME_CLASSES
 
@@ -137,42 +137,38 @@ class EventStream:
 
 def _gated_dark_times(
     rng: np.random.Generator,
-    partner_photons: np.ndarray,
-    partner_darks: np.ndarray,
+    bob_photons: np.ndarray,
     n_hidden: int,
-    detector: DetectorParams,
+    chain: ChainConfig,
     duration_ns: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dark clicks of a gated detector, uniform inside partner-centered gates.
+    """Alice's dark clicks, uniform inside gates centred on Bob's clicks.
 
-    Every partner click opens one gate, photons first: gate ``i`` is
-    ``partner_darks[i - partner_photons.size]`` past the photons, and the
-    last ``n_hidden`` gates belong to partner darks that are only counted.
-    The gate is centered on the trigger click (the cable delays of the real
-    setup align the gate with the coincidence window), so gated darks form a
-    flat background across the time-difference range the gate covers.
+    Every Bob click opens one gate, photons first: the last ``n_hidden``
+    gates belong to Bob's darks, which are only counted.  The gate is
+    centered on the trigger click (the cable delays of the real setup align
+    the gate with the coincidence window), so gated darks form a flat
+    background across the time-difference range the gate covers.
 
     Hidden darks are iid uniform on [0, duration), so only the distinct
     hidden gates that hold a dark get a time, one uniform draw each
     (marking).  Returns the gated darks and those hidden-gate times.
     """
-    gate_width_ns = detector.gate_width_ns
-    n_photons = partner_photons.size
-    n_shown = n_photons + partner_darks.size
-    n_gates = n_shown + n_hidden
-    if n_gates == 0 or detector.dark_prob_per_ns <= 0.0:
+    gate_width_ns = chain.gate_width_ns
+    dark_prob_per_ns = chain.alice_detector.dark_prob_per_ns
+    n_photons = bob_photons.size
+    n_gates = n_photons + n_hidden
+    if n_gates == 0 or dark_prob_per_ns <= 0.0:
         return np.empty(0), np.empty(0)
-    n_darks = rng.poisson(detector.dark_prob_per_ns * gate_width_ns * n_gates)
+    n_darks = rng.poisson(dark_prob_per_ns * gate_width_ns * n_gates)
     if n_darks == 0:
         return np.empty(0), np.empty(0)
     gate_idx = rng.integers(0, n_gates, size=n_darks)
     offsets = (rng.random(n_darks) - 0.5) * gate_width_ns
     on_photon = gate_idx < n_photons
-    on_hidden = gate_idx >= n_shown
-    on_dark = ~(on_photon | on_hidden)
+    on_hidden = ~on_photon
     triggers = np.empty(n_darks)
-    triggers[on_photon] = partner_photons[gate_idx[on_photon]]
-    triggers[on_dark] = partner_darks[gate_idx[on_dark] - n_photons]
+    triggers[on_photon] = bob_photons[gate_idx[on_photon]]
     hit, gate_of_dark = np.unique(gate_idx[on_hidden], return_inverse=True)
     parents = rng.random(hit.size)
     parents *= duration_ns
@@ -283,27 +279,24 @@ def simulate(config: SimConfig) -> EventStream:
     click count, emission times, then Alice's and Bob's jitters for the
     sides that click; then the darks:
 
-    1. Free-running darks, Alice before Bob: a detector with a positive rate
-       draws its count N, then N uniform times, except the start detector,
-       which keeps only N.
-    2. Gated darks, Alice before Bob: count, gate indices, offsets, and
-       when the gate-opening partner is the start detector, one time for
-       each distinct start-detector dark gate that holds a dark.  These
-       times (the parents) are start-detector darks.
+    1. Bob's free-running darks: when his rate is positive, their count N
+       only.
+    2. Alice's gated darks: count, gate indices, offsets, then one time for
+       each distinct Bob-dark gate that holds a dark.  These times (the
+       parents) are Bob's darks.
     3. When N exceeds the parents P: windows reaching histogram half-range
-       plus one bin around every stop click (photon or dark), merged and cut
-       to [0, duration), of total length L; binomial(N - P, L / duration)
-       start-detector darks drawn uniformly inside them.  The remaining
-       darks are counted in ``EventStream.undrawn``.
+       plus one bin around every Alice click (photon or dark), merged and
+       cut to [0, duration), of total length L; binomial(N - P, L / duration)
+       Bob darks drawn uniformly inside them.  The remaining darks are
+       counted in ``EventStream.undrawn``.
 
-    A start dark outside the windows has no stop within the histogram range
-    and pairs with nothing, and given N the darks that opened no gate are iid
-    uniform, so the stream gives the histogram of the fully drawn stream in
-    distribution; it records that it is complete only up to the chain's
-    half-range.  A gated start detector, or one without darks,
-    leaves nothing undrawn.  Photon draws are consumed unconditionally so
-    the photon record depends only on the source, analyzer, transfer, and
-    detector-efficiency parameters.
+    A Bob dark outside the windows has no Alice click within the histogram
+    range and pairs with nothing, and given N the darks that opened no gate
+    are iid uniform, so the stream gives the histogram of the fully drawn
+    stream in distribution; it records that it is complete only up to the
+    chain's half-range.  Without Bob darks nothing is left undrawn.  Photon
+    draws are consumed unconditionally so the photon record depends only on
+    the source, analyzer, transfer, and detector-efficiency parameters.
 
     Assembly: the four source groups (Alice photons, Bob photons, Alice
     darks, Bob darks) are kept apart, one per (detector, origin) key of
@@ -317,30 +310,11 @@ def simulate(config: SimConfig) -> EventStream:
     photon = dict(zip(DETECTORS, _photon_times(config, rng)))
 
     # ---- dark counts -------------------------------------------------
-    dark: dict[str, np.ndarray] = {}
-    n_hidden = 0  # start-detector darks counted but not drawn
-    complete_for = None  # every half-range, unless the start detector's darks are restricted
-    for name in DETECTORS:  # free-running first, fixed alice -> bob order
-        det = chain.detector(name)
-        if det.role == "free_running":
-            rate = det.dark_prob_per_ns
-            n = rng.poisson(rate * duration_ns) if rate > 0.0 else 0
-            if name == start and rate > 0.0:
-                n_hidden, dark[name] = n, np.empty(0, dtype=np.float64)
-                complete_for = chain.histogram_half_range_ns
-            else:
-                dark[name] = rng.random(n)
-                dark[name] *= duration_ns
-    for name, partner in (("alice", "bob"), ("bob", "alice")):
-        det = chain.detector(name)
-        if det.role == "gated":
-            hidden = n_hidden if partner == start else 0
-            dark[name], parents = _gated_dark_times(
-                rng, photon[partner], dark[partner], hidden, det, duration_ns
-            )
-            if hidden:
-                dark[partner] = parents
-                n_hidden -= parents.size
+    rate = chain.bob_detector.dark_prob_per_ns
+    n_hidden = rng.poisson(rate * duration_ns) if rate > 0.0 else 0  # counted, not drawn
+    dark = {}
+    dark[stop], dark[start] = _gated_dark_times(rng, photon[start], n_hidden, chain, duration_ns)
+    n_hidden -= dark[start].size
 
     # ---- assemble the stream -----------------------------------------
     groups = {}
@@ -353,6 +327,8 @@ def simulate(config: SimConfig) -> EventStream:
         near = _near_stop_times(rng, stops, n_hidden, reach, duration_ns)
         groups[start, "dark"] = _inside(np.concatenate((groups[start, "dark"], near)), duration_ns)
         undrawn[start, "dark"] = n_hidden - near.size
+    # Restricted Bob darks serve the chain's half-range; without them, every one.
+    complete_for = chain.histogram_half_range_ns if rate > 0.0 else None
     return EventStream(groups, duration_ns=duration_ns, undrawn=undrawn, complete_for=complete_for)
 
 

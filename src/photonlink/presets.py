@@ -4,7 +4,7 @@ Two presets ship with the package:
 
 ``fig2-baseline``
     Both photons of each pair are analyzed directly: fiber interferometers
-    on both arms, an InGaAs detector gated by the free-running partner.
+    on both arms, Alice's InGaAs detector gated by Bob's free-running one.
     Configured for a net visibility of 0.970 with an accidental floor that
     drags the raw visibility to roughly 0.874.
 
@@ -16,10 +16,11 @@ Two presets ship with the package:
 
 Values quoted to the component data sheets live in the chain defaults;
 what the presets pin down are the operating points: pair rate, collection
-duration per phase point, and the detector background levels that set the
-accidental fraction.  Every field a preset leaves out takes its record's
-default.  The per-point durations are chosen so a 21-point phase sweep
-collects a few hundred coincidences per point.
+duration per phase point, Alice's 8 ns gates, and Bob's detector, whose
+background level sets the accidental fraction.  Every field a preset leaves
+out keeps its default in ``SimConfig()``, as in any config document.  The
+per-point durations are chosen so a 21-point phase sweep collects a few
+hundred coincidences per point.
 """
 
 from __future__ import annotations
@@ -49,17 +50,8 @@ PRESETS: dict[str, dict] = {
         "seed": 11,
         "chain": {
             "source": {"pair_rate_per_s": 2000.0},
-            "alice_detector": {
-                "quantum_efficiency": 0.14,
-                "dark_prob_per_ns": 1.0e-5,
-                "role": "gated",
-                "gate_width_ns": 8.0,
-            },
-            "bob_detector": {
-                "quantum_efficiency": 0.10,
-                "dark_prob_per_ns": 3.0e-5,
-                "role": "free_running",
-            },
+            "bob_detector": {"quantum_efficiency": 0.10, "dark_prob_per_ns": 3.0e-5},
+            "gate_width_ns": 8.0,
         },
     },
     "fig3-transfer": {
@@ -74,19 +66,13 @@ PRESETS: dict[str, dict] = {
             },
             # bulk optics after the conversion stage
             "bob_interferometer": {"transmission": 0.30},
-            "alice_detector": {
-                "quantum_efficiency": 0.14,
-                "dark_prob_per_ns": 1.0e-5,
-                "role": "gated",
-                "gate_width_ns": 8.0,
-            },
             "bob_detector": {
                 # free-running silicon APD; background level covers dark
                 # counts plus leakage from the conversion pump reservoir
                 "quantum_efficiency": 0.60,
                 "dark_prob_per_ns": 4.9e-5,
-                "role": "free_running",
             },
+            "gate_width_ns": 8.0,
             # the conversion stage at its data-sheet values
             "sfg": {},
         },

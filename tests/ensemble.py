@@ -4,7 +4,7 @@
 
 Runs N fresh-seed sweeps (seeds S .. S+N-1, not the preset seeds) of each
 preset through ``cli._run_sweep``, once with ``events.simulate`` (photon
-clicks drawn per outcome cell, start-detector darks drawn only where they
+clicks drawn per outcome cell, Bob's free-running darks drawn only where they
 can pair) and once with the reference sampler of ``reference_sampler.py``
 (every pair and every dark drawn).  The two differ in both the photon and
 the dark half, so no stream is shared between them.  For each preset and

@@ -6,10 +6,10 @@ they can pair, counting the rest.  This module keeps the per-pair photon
 sampler and the dark section that draws every dark.  Photon draw order:
 pair count, emission times, per-pair phases (only when phase-averaging),
 outcome class, shared path bit, Alice and Bob thinning, Alice and Bob
-jitter.  Then the darks: free-running ones, Alice before Bob (count, then
-uniform times); then gated ones, Alice before Bob (count, gate indices,
-offsets).  The tests use it as the sampler the production one must equal in
-distribution, and ``golden_counts.json`` pins it.
+jitter.  Then the darks: Bob's free-running ones (count, then uniform
+times); then Alice's gated ones (count, gate indices, offsets).  The tests
+use it as the sampler the production one must equal in distribution, and
+``golden_counts.json`` pins it.
 
 It also keeps ``events._photon_times`` and ``events._near_stop_times`` as
 they were before they stopped holding each click twice, for tests that
@@ -29,18 +29,18 @@ from photonlink.quantum import OUTCOME_CLASSES
 
 def gated_dark_times(
     rng: np.random.Generator,
-    partner_photons: np.ndarray,
-    partner_darks: np.ndarray,
+    bob_photons: np.ndarray,
+    bob_darks: np.ndarray,
     dark_prob_per_ns: float,
     gate_width_ns: float,
 ) -> np.ndarray:
-    """Dark clicks of a gated detector, uniform inside partner-centered gates.
+    """Alice's dark clicks, uniform inside gates centred on Bob's clicks.
 
-    Every partner click opens one gate, photons first: gate ``i`` is
-    ``partner_darks[i - partner_photons.size]`` past the photons.
+    Every Bob click opens one gate, photons first: gate ``i`` is
+    ``bob_darks[i - bob_photons.size]`` past the photons.
     """
-    n_photons = partner_photons.size
-    n_gates = n_photons + partner_darks.size
+    n_photons = bob_photons.size
+    n_gates = n_photons + bob_darks.size
     if n_gates == 0 or dark_prob_per_ns <= 0.0:
         return np.empty(0, dtype=np.float64)
     n_darks = rng.poisson(dark_prob_per_ns * gate_width_ns * n_gates)
@@ -50,8 +50,8 @@ def gated_dark_times(
     offsets = (rng.random(n_darks) - 0.5) * gate_width_ns
     on_photon = gate_idx < n_photons
     triggers = np.empty(n_darks)
-    triggers[on_photon] = partner_photons[gate_idx[on_photon]]
-    triggers[~on_photon] = partner_darks[gate_idx[~on_photon] - n_photons]
+    triggers[on_photon] = bob_photons[gate_idx[on_photon]]
+    triggers[~on_photon] = bob_darks[gate_idx[~on_photon] - n_photons]
     return triggers + offsets
 
 
@@ -187,19 +187,12 @@ def reference_simulate(
     duration_ns = config.duration_s * 1e9
     photon = dict(zip(ev.DETECTORS, photon_times(config, rng)))
 
-    dark: dict[str, np.ndarray] = {}
-    for name in ev.DETECTORS:  # free-running first, fixed alice -> bob order
-        det = chain.detector(name)
-        if det.role == "free_running":
-            rate = det.dark_prob_per_ns
-            dark[name] = rng.random(rng.poisson(rate * duration_ns) if rate > 0.0 else 0)
-            dark[name] *= duration_ns
-    for name, partner in (("alice", "bob"), ("bob", "alice")):
-        det = chain.detector(name)
-        if det.role == "gated":
-            dark[name] = gated_dark_times(
-                rng, photon[partner], dark[partner], det.dark_prob_per_ns, det.gate_width_ns
-            )
+    rate = chain.bob_detector.dark_prob_per_ns
+    dark = {"bob": rng.random(rng.poisson(rate * duration_ns) if rate > 0.0 else 0)}
+    dark["bob"] *= duration_ns
+    dark["alice"] = gated_dark_times(
+        rng, photon["bob"], dark["bob"], chain.alice_detector.dark_prob_per_ns, chain.gate_width_ns
+    )
 
     groups = {}
     for name, origin in ev.GROUPS:

@@ -182,6 +182,14 @@ def test_histogram_addition_rejects_different_grids():
         h1 + h2
 
 
+def test_histogram_refuses_edges_off_its_grid():
+    # "On the grid" is judged in bin widths: 1.4 bins is off it at any width.
+    an.CoincidenceHistogram(0.05, -3.0, 3.0, np.zeros(120))
+    for width, edge in ((0.05, 3.01), (1e-9, 1.4e-9)):
+        with pytest.raises(ValueError, match="integer multiple"):
+            an.CoincidenceHistogram(width, -edge, edge, np.zeros(3))
+
+
 def reference_counts(stream, chain):
     """First-stop pairing over every start, one searchsorted per start.
 
@@ -706,12 +714,10 @@ def run_small_sweep(alice_dark_per_ns, seed0):
         alice_interferometer=ch.InterferometerParams(transmission=1.0),
         bob_interferometer=ch.InterferometerParams(transmission=1.0),
         alice_detector=ch.DetectorParams(
-            quantum_efficiency=1.0,
-            dark_prob_per_ns=alice_dark_per_ns,
-            role="gated",
-            gate_width_ns=8.0,
+            quantum_efficiency=1.0, dark_prob_per_ns=alice_dark_per_ns
         ),
         bob_detector=ch.DetectorParams(quantum_efficiency=1.0, dark_prob_per_ns=0.0),
+        gate_width_ns=8.0,
         jitter_ns=0.1,
     )
     phis = np.linspace(0.0, 2.0 * math.pi, 9)

@@ -149,23 +149,22 @@ def test_reservoir_coherence_margins():
 
 def test_accidental_rate_product_formula():
     # Classic start x stop x window product: 1e4/s x 1e3/s x 1 ns = 0.01/s.
-    # Configure both detectors free-running with dark rates that land the
-    # singles at those round numbers and a photon rate of zero.
+    # With a photon rate of zero, Bob's free-running darks set his 1e4/s,
+    # and Alice's gated darks, 1e4 gates/s x 1e-2/ns x 10 ns, her 1e3/s.
+    # Her darks inside the gate of the start click itself add 1e4/s x
+    # 1e-2/ns x 1 ns = 100/s, flat across the window.
     cfg = ch.ChainConfig(
         source=ch.SourceParams(pair_rate_per_s=0.0),
-        alice_detector=ch.DetectorParams(
-            quantum_efficiency=0.14, dark_prob_per_ns=1.0e-6, role="free_running"
-        ),
-        bob_detector=ch.DetectorParams(
-            quantum_efficiency=0.10, dark_prob_per_ns=1.0e-5, role="free_running"
-        ),
+        alice_detector=ch.DetectorParams(quantum_efficiency=0.14, dark_prob_per_ns=1.0e-2),
+        bob_detector=ch.DetectorParams(quantum_efficiency=0.10, dark_prob_per_ns=1.0e-5),
+        gate_width_ns=10.0,
         coincidence_window_ns=1.0,
     )
     report = ch.expected_rates(cfg)
     assert report.bob_singles_per_s == pytest.approx(1.0e4)
     assert report.alice_singles_per_s == pytest.approx(1.0e3)
     assert report.accidental_rate_uncorrelated_per_s == pytest.approx(0.01, rel=1e-9)
-    assert report.accidental_rate_gated_darks_per_s == 0.0
+    assert report.accidental_rate_gated_darks_per_s == pytest.approx(100.0, rel=1e-9)
     assert report.true_coincidence_rate_per_s == 0.0
 
 
@@ -178,8 +177,11 @@ def test_singles_composition():
     assert report.bob_dark_rate_per_s == pytest.approx(3.0e-5 * 1e9)
     assert report.bob_singles_per_s == pytest.approx(expect_bob_photon + 3.0e4)
     # Alice is gated: dark rate proportional to Bob's singles
-    expect_alice_dark = report.bob_singles_per_s * 1.0e-5 * 2.5
+    expect_alice_dark = report.bob_singles_per_s * 1.0e-5 * cfg.gate_width_ns
     assert report.alice_dark_rate_per_s == pytest.approx(expect_alice_dark)
+    assert report.alice_singles_per_s == pytest.approx(
+        report.alice_photon_rate_per_s + expect_alice_dark
+    )
 
 
 def test_true_rate_uses_transfer_probability():
@@ -201,14 +203,6 @@ def test_accidental_fraction_and_predicted_ratio():
     expect_fraction = total_acc / (total_acc + report.true_coincidence_rate_per_s)
     assert report.accidental_fraction == pytest.approx(expect_fraction, rel=1e-12)
     assert report.predicted_raw_over_net == pytest.approx(1.0 - expect_fraction, rel=1e-12)
-
-
-def test_both_detectors_gated_rejected():
-    with pytest.raises(ValueError, match="alice_detector.role and bob_detector.role"):
-        ch.ChainConfig(
-            alice_detector=ch.DetectorParams(quantum_efficiency=0.14, role="gated"),
-            bob_detector=ch.DetectorParams(quantum_efficiency=0.10, role="gated"),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +231,19 @@ def test_detector_validation():
     with pytest.raises(ValueError):
         ch.DetectorParams(quantum_efficiency=0.0)
     with pytest.raises(ValueError):
-        ch.DetectorParams(role="chopped")
-    with pytest.raises(ValueError):
-        ch.DetectorParams(role="gated", gate_width_ns=0.0)
+        ch.DetectorParams(dark_prob_per_ns=-1e-6)
 
 
 def test_chain_config_validation():
     # build_histogram takes its grid from a ChainConfig, so these refusals
     # are the only ones between a chain and the pairing.
     refused = [
+        {"gate_width_ns": 0.0},
+        {"gate_width_ns": -2.5},
+        {"gate_width_ns": math.nan},
         {"jitter_ns": -0.1},
         {"histogram_half_range_ns": 3.01},  # off the 0.05 ns grid
+        {"histogram_bin_ns": 1e-9, "histogram_half_range_ns": 1.4e-9},  # 1.4 bins
         {"histogram_bin_ns": 1.0, "histogram_half_range_ns": 1e-12},  # zero bins
         {"histogram_bin_ns": 0.0},
         {"histogram_half_range_ns": 0.0},

@@ -262,17 +262,16 @@ def test_transfer_probability_above_one_is_a_config_error(tmp_path, capsys, comm
         (("chain", "source", "pair_rate_per_s"), [1]),
         (("phase_averaged",), "yes"),
         (("visibility",), True),
-        (("chain", "alice_detector", "role"), 5),
+        (("chain", "gate_width_ns"), "5"),
         # expected event counts beyond MAX_EXPECTED_EVENTS, refused before any draw
         (("duration_s",), 1e300),
         (("chain", "source", "pair_rate_per_s"), 1e300),
-        (("chain", "alice_detector", "gate_width_ns"), 1e300),
+        (("chain", "gate_width_ns"), 1e300),
         (("chain", "histogram_bin_ns"), 1e-320),  # 3 / 1e-320 overflows to inf
     ],
 )
 def test_bad_field_is_a_config_error(tmp_path, capsys, keys, value):
-    doc = fast_chain(darks=True)
-    doc["chain"]["alice_detector"]["role"] = "gated"  # so gate_width_ns sets a dark rate
+    doc = fast_chain(darks=True)  # so gate_width_ns sets a dark rate
     section = doc
     for key in keys[:-1]:
         section = section[key]
@@ -312,16 +311,33 @@ def test_histogram_grid_beyond_the_bin_cap_is_refused_before_simulating(
     assert "MAX_HISTOGRAM_BINS" in err
 
 
-def test_converter_role_fields_are_refused_before_simulating(tmp_path, monkeypatch, capsys):
-    # Bob's detector always starts the converter and Alice's stops it.
+@pytest.mark.parametrize(
+    "section, fields",
+    [
+        ("chain", {"start_detector": "alice", "stop_detector": "bob"}),
+        ("chain.alice_detector", {"role": "free_running"}),
+        ("chain.bob_detector", {"role": "gated"}),
+        ("chain.alice_detector", {"gate_width_ns": 8.0}),
+        ("chain.bob_detector", {"gate_width_ns": 8.0}),
+    ],
+    ids=["start-stop", "alice-role", "bob-role", "alice-gate", "bob-gate"],
+)
+def test_converter_role_fields_are_refused_before_simulating(
+    tmp_path, monkeypatch, capsys, section, fields
+):
+    # Bob's detector always runs free and starts the converter; Alice's
+    # stops it, gated by his clicks, with one chain.gate_width_ns.
     def never(cfg):
         raise AssertionError("simulate ran on a document with retired fields")
 
     monkeypatch.setattr(cli, "simulate", never)
-    doc = {"chain": {"start_detector": "alice", "stop_detector": "bob"}}
+    doc = target = {}
+    for key in section.split("."):
+        target = target.setdefault(key, {})
+    target.update(fields)
     assert cli.main(["histogram", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
-    assert "start_detector" in err and "stop_detector" in err and "'chain'" in err
+    assert all(name in err for name in fields) and f"'{section}'" in err
 
 
 @pytest.mark.parametrize("command", ["histogram", "sweep"])

@@ -49,7 +49,18 @@ def test_invalid_value_names_the_section():
         pc.sim_config_from_dict(doc)
 
 
+def test_section_starts_from_its_slot_default():
+    # Alice's slot default is not DetectorParams(): a section that sets her
+    # dark probability keeps her quantum efficiency of 0.14.
+    cfg = pc.sim_config_from_dict({"chain": {"alice_detector": {"dark_prob_per_ns": 2e-5}}})
+    assert cfg.chain.alice_detector == ch.DetectorParams(
+        quantum_efficiency=0.14, dark_prob_per_ns=2e-5
+    )
+    assert cfg.chain.bob_detector == ch.ChainConfig().bob_detector
+
+
 def test_both_detectors_gated_is_a_config_error(tmp_path):
+    # Alice's detector is always the gated one: a document naming roles is refused.
     path = tmp_path / "gated.json"
     roles = {"alice_detector": {"role": "gated"}, "bob_detector": {"role": "gated"}}
     path.write_text(json.dumps({"chain": roles}))
@@ -67,7 +78,7 @@ def test_undefined_event_estimate_is_refused():
     # Bob's dark rate overflows to inf; Alice's gated darks are then inf x 0 = NaN.
     doc = {
         "chain": {
-            "alice_detector": {"role": "gated", "dark_prob_per_ns": 0.0},
+            "alice_detector": {"dark_prob_per_ns": 0.0},
             "bob_detector": {"dark_prob_per_ns": 1e300},
         }
     }
@@ -138,8 +149,8 @@ def test_baseline_preset_operating_point():
     cfg = preset_config("fig2-baseline")
     assert cfg.visibility == 0.970
     assert cfg.chain.sfg is None
-    assert cfg.chain.alice_detector.role == "gated"
-    assert cfg.chain.bob_detector.role == "free_running"
+    assert cfg.chain.alice_detector == ch.ChainConfig().alice_detector
+    assert cfg.chain.gate_width_ns == 8.0
     assert cfg.chain.source.pair_rate_per_s == 2000.0
 
 
@@ -171,6 +182,7 @@ SIM_FIELDS = {
 }
 CHAIN_FIELDS = {
     "jitter_ns": _floats(0.0, 1.0),
+    "gate_width_ns": _floats(0.1, 10.0),
     "coincidence_window_ns": _floats(0.01, 2.0),
     "histogram_bin_ns": st.sampled_from([0.05, 0.07, 0.1]),
     "histogram_half_range_ns": st.sampled_from([1.0, 2.0, 3.0]),
@@ -188,8 +200,6 @@ INTERFEROMETER_FIELDS = {
 DETECTOR_FIELDS = {
     "quantum_efficiency": _floats(0.01, 1.0),
     "dark_prob_per_ns": _floats(0.0, 1e-3),
-    "role": st.sampled_from(["free_running", "gated"]),
-    "gate_width_ns": _floats(0.1, 10.0),
 }
 SFG_FIELDS = {
     "reservoir_power_w": _floats(0.0, 2.0),
@@ -234,15 +244,12 @@ PAST_CAP = (
             "chain": st.fixed_dictionaries(
                 {
                     "alice_detector": st.fixed_dictionaries(
-                        {
-                            "role": st.just("gated"),
-                            "dark_prob_per_ns": _floats(1e-5, 1e-3),
-                            "gate_width_ns": _floats(1e10, 1e300),
-                        }
+                        {"dark_prob_per_ns": _floats(1e-5, 1e-3)}
                     ),
                     "bob_detector": st.fixed_dictionaries(
-                        {"role": st.just("free_running"), "dark_prob_per_ns": _floats(1e-5, 1e-3)}
+                        {"dark_prob_per_ns": _floats(1e-5, 1e-3)}
                     ),
+                    "gate_width_ns": _floats(1e10, 1e300),
                 }
             )
         }

@@ -19,7 +19,7 @@ from photonlink.config import SimConfig, sim_config_from_dict
 from photonlink.presets import preset_config
 from reference_sampler import reference_photon_times
 from test_dark_restriction import P_MIN, Z_MAX, z_of_means
-from test_events import DENSE_DOCUMENT, GOLDEN_DOCUMENTS, phases
+from test_events import DENSE_DOCUMENT, phases
 
 SEEDS = range(200)
 FIG3 = preset_config("fig3-transfer")
@@ -33,9 +33,6 @@ CONFIGS = {
         DENSE, chain=phases(DENSE.chain, 0.7), visibility=0.9, phase_averaged=False, duration_s=0.01
     ),
     "dense-averaged": dataclasses.replace(DENSE, duration_s=0.01),
-    "gated-bob": dataclasses.replace(
-        sim_config_from_dict(GOLDEN_DOCUMENTS["gated-bob"]), duration_s=0.1
-    ),
 }
 
 
