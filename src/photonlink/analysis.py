@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_BINS, START_DETECTOR, STOP_DETECTOR, ChainConfig
-from .events import EventStream
+from .events import BLOCK, ORIGINS, EventStream
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -58,14 +58,6 @@ BELL_THRESHOLD_VISIBILITY = 1.0 / math.sqrt(2.0)
 # locate_peaks searches a quarter spacing beyond each side peak, so the
 # histogram must reach this many peak spacings on both sides of zero.
 PEAK_REACH = 1.25
-# Starts per block of the start walk in build_histogram: it bounds the
-# merge's temporaries and changes no count.
-BLOCK = 1 << 15
-
-
-def blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most BLOCK items that cover range(n) in order."""
-    return [slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
 
 
 class AnalysisError(ValueError):
@@ -167,11 +159,11 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
     count if the difference is below the range maximum, otherwise the start
     records nothing.  An empty stream yields an all-zero histogram.
 
-    One pass walks the start detector's clicks, BLOCK at a time: one stable
-    argsort merges a block's keys (start + range minimum) with the stops
-    between them, keys first, so a key's merged position less its index
-    counts the stops below it.  The starts ascend, so the ones that find a
-    stop are a prefix of each block.
+    One pass walks the start detector's clicks in blocks (``_pair_block``)
+    and pairs each with each origin's stops in place: one stable argsort
+    merges a block's keys (start + range minimum) with the stops between
+    them, keys first, so a key's merged position less its index counts the
+    stops below it.  Each start keeps the earlier of its origins' first stops.
     ``simulate`` draws the start detector's darks only within reach of a
     stop, so the record holds few starts that cannot pair; a chain whose
     half-range exceeds the one such a stream is complete for
@@ -188,16 +180,11 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
     n_bins = int(round((hi - lo) / width))
     counts = np.zeros(n_bins, dtype=np.int64)
     starts = events.detector_times(START_DETECTOR)
-    stops = events.detector_times(STOP_DETECTOR)
-    for part in blocks(starts.size):
-        block = starts[part]
-        first, last = np.searchsorted(stops, block[[0, -1]] + lo, side="left")
-        merged = np.concatenate((block + lo, stops[first:last]))  # keys first: side="left"
-        paired = np.flatnonzero(merged.argsort(kind="stable") < block.size)
-        del merged
-        paired -= np.arange(-first, block.size - first)  # merged position - index + first
-        n_valid = np.searchsorted(paired, stops.size)  # paired ascends with the starts
-        tau = stops.take(paired[:n_valid]) - block[:n_valid]
+    stops = [t for o in ORIGINS if (t := events.detector_times(STOP_DETECTOR, o)).size]
+    done = 0
+    while done < starts.size:
+        tau = _pair_block(starts[done : done + BLOCK], lo, stops)
+        done += tau.size
         tau = np.compress((tau >= lo) & (tau < hi), tau)  # start + lo may round onto a stop
         indices = np.floor((tau - lo) / width).astype(np.int64)
         indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
@@ -208,6 +195,33 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
         range_max_ns=hi,
         counts=counts,
     )
+
+
+def _pair_block(starts: np.ndarray, lo: float, stops: list[np.ndarray]) -> np.ndarray:
+    """One block of ascending starts: each one's delay to its first stop >= start + lo, or inf.
+
+    Key m joins while m + 1 keys and each array's stops between key 0 and key
+    m number at most BLOCK; key 0 always joins.
+    """
+    n, firsts = starts.size, [times.searchsorted(starts[0] + lo) for times in stops]
+    for times, first in zip(stops, firsts):
+        fits = min(max(first + BLOCK - times.size, 0), n)  # their limits lie past the last stop
+        while fits < n:  # bisect: key m fits while the stop BLOCK - 1 - m past the first >= it
+            m = (fits + n) // 2
+            if starts[m] + lo <= times[first + BLOCK - 1 - m]:
+                fits = m + 1
+            else:
+                n = m
+    keys, first_stop = starts[:n] + lo, np.full(n, np.inf)
+    for times, first in zip(stops, firsts):
+        merged = np.concatenate((keys, times[first : times.searchsorted(keys[-1])]))
+        index = np.flatnonzero(merged.argsort(kind="stable") < n)  # keys first: side="left"
+        del merged
+        index -= np.arange(-first, n - first)  # merged position - key index + first
+        n_valid = index.searchsorted(times.size)  # index ascends with the keys
+        np.minimum(first_stop[:n_valid], times.take(index[:n_valid]), out=first_stop[:n_valid])
+    first_stop -= starts[:n]  # the delays
+    return first_stop
 
 
 # ---------------------------------------------------------------------------

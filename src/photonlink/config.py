@@ -37,12 +37,12 @@ __all__ = [
 
 
 # Largest expected duration_s x (pair rate + Alice singles + Bob singles) one
-# simulate() call may draw.  The dense criterion-09 source peaks at about 5
-# bytes per expected event above the interpreter's 35 MB (111 MB for 16 M,
-# 150 MB for 24 M), so the cap bounds one run near 0.2 GB.  The estimate
-# still counts every expected single, also the start detector's free-running
-# darks that simulate only counts and does not draw: unchanged on purpose, so
-# a document refused before is refused still.
+# simulate() call may draw.  The dense criterion-09 source peaks at about 4
+# bytes per expected event, one 8-byte click per two, above the interpreter's
+# 35 MB (97 MB for 16 M, 128 MB for 24 M): a run near 0.15 GB at the cap.  The
+# estimate still counts every expected single, also the start detector's darks
+# that simulate only counts and does not draw: unchanged on purpose, so a
+# document refused before is refused still.
 MAX_EXPECTED_EVENTS = 3.0e7
 
 # Most bins one histogram grid, 2 x histogram_half_range_ns / histogram_bin_ns,

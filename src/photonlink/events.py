@@ -46,6 +46,7 @@ DETECTORS = ("alice", "bob")
 ORIGINS = ("photon", "dark")
 # The four click groups of a stream, in the order simulate assembles them.
 GROUPS = tuple((name, origin) for origin in ORIGINS for name in DETECTORS)
+BLOCK = 1 << 13  # items per block of each block walk: bounds its temporaries, changes no value
 
 
 class EventStream:
@@ -55,7 +56,7 @@ class EventStream:
     times, sorted and inside [0, duration); a missing key is an empty
     group.  The origin tag (photon or dark) exists for simulation
     diagnostics only; analysis code never needs it, exactly like a real
-    counter card.  The arrays are read-only views.
+    counter card.  The arrays are read-only views, their order checked by block.
 
     ``undrawn`` maps a group key to the clicks it had but that were only
     counted, because none of them can pair; ``n_clicks`` adds them back.
@@ -87,7 +88,8 @@ class EventStream:
                 raise ValueError(f"group {key} must be a 1-d array")
             if times.size and not (0.0 <= times[0] and times[-1] < self.duration_ns):
                 raise ValueError(f"group {key}: event times must lie in [0, duration)")
-            if not np.all(times[1:] >= times[:-1]):  # also false at any NaN
+            parts = (times[start : start + BLOCK + 1] for start in range(0, times.size, BLOCK))
+            if any(np.count_nonzero(p[1:] >= p[:-1]) < p.size - 1 for p in parts):  # NaN: not >=
                 raise ValueError(f"group {key}: event times must be sorted ascending, without NaN")
             times.flags.writeable = False
             self.groups[key] = times
@@ -225,10 +227,12 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     before 1, and the clicking sides as Alice, Bob, then both.  Each side's
     array is allocated once, with ``_capacity`` slots for its cells' mean
     clicks, and copied into a larger one only if a cell overflows it.  Each
-    cell then draws its click count, one emission time per click and a
-    jitter per clicking side, Alice first, into the next slice of that
-    side's array.  Phase-averaging uses V cos(phi) = 0, the mean over a
-    uniform per-pair phase, which no click records.
+    cell then draws its click count, one emission time per click into the
+    next slice of its last clicking side, and a jitter per clicking side,
+    Alice first: the first side's into its own slice, the last side's BLOCK
+    at a time into one reused buffer, each added in place (z j + e + offset,
+    as whole-array draws give).  Phase-averaging uses V cos(phi) = 0, the
+    mean over a uniform per-pair phase, which no click records.
     """
     chain = config.chain
     arms = (chain.alice_interferometer, chain.bob_interferometer)
@@ -255,20 +259,29 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
                 cells.append((mean_pairs * p, {i: delay[i] * arrival[i][bit] for i in clicking}))
     clicks = [np.empty(_capacity(sum(m for m, at in cells if side in at))) for side in (0, 1)]
     filled = [0, 0]
+    normals = np.empty(BLOCK)
     for mean, offsets in cells:
         n = rng.poisson(mean)
-        emission = rng.random(n)
-        emission *= duration_ns
-        for side, offset in offsets.items():
+        t = {}
+        for side in offsets:
             start, end = filled[side], filled[side] + n
             if end > clicks[side].size:
                 clicks[side] = np.concatenate((clicks[side][:start], np.empty(n)))
-            t = clicks[side][start:end]
-            rng.standard_normal(out=t)
-            t *= chain.jitter_ns
-            t += emission
-            t += offset
-            filled[side] = end
+            t[side], filled[side] = clicks[side][start:end], end
+        *first, last = offsets
+        emission = rng.random(out=t[last])
+        emission *= duration_ns
+        for side in first:
+            rng.standard_normal(out=t[side])
+            t[side] *= chain.jitter_ns
+            t[side] += emission
+            t[side] += offsets[side]
+        for start in range(0, n, BLOCK):
+            tail = emission[start : start + BLOCK]
+            z = rng.standard_normal(out=normals[: tail.size])
+            z *= chain.jitter_ns
+            tail += z  # e + z j: the float value of z j + e
+            tail += offsets[last]
     return [times[:n] for times, n in zip(clicks, filled)]
 
 

@@ -129,10 +129,13 @@ def restricted_stream():
 def test_histogram_refuses_what_a_restricted_stream_cannot_serve(kwargs, argument):
     stream, chain = restricted_stream()
     chain = dataclasses.replace(chain, **kwargs)
-    # Any look at the clicks would raise AssertionError instead.
+    # build_histogram reads the starts and each origin's stops through
+    # detector_times and pairs them in _pair_block: any look at the clicks
+    # would raise AssertionError instead.
     with mock.patch.object(ev.EventStream, "detector_times", side_effect=AssertionError):
-        with pytest.raises(ValueError, match=argument):
-            an.build_histogram(stream, chain=chain)
+        with mock.patch.object(an, "_pair_block", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=argument):
+                an.build_histogram(stream, chain=chain)
 
 
 def test_restricted_stream_serves_its_range_and_any_narrower_one():
@@ -214,6 +217,29 @@ def reference_counts(stream, chain):
     return counts
 
 
+def walked_histogram(stream, chain):
+    """build_histogram's histogram and block count; each block must keep the block rule."""
+    walked, real = [], an._pair_block
+
+    def pair_block(starts, lo, stops):
+        delays = real(starts, lo, stops)
+        walked.append((starts + lo, stops, delays.size))
+        return delays
+
+    with mock.patch.object(an, "_pair_block", pair_block):
+        hist = an.build_histogram(stream, chain=chain)
+    for keys, stops, n in walked:
+        # Each merge holds the block's keys and one array's stops between its
+        # ends, at most BLOCK items; one more key would overfill one of them.
+        firsts = [times.searchsorted(keys[0]) for times in stops]
+        items = [n + t.searchsorted(keys[n - 1]) - f for t, f in zip(stops, firsts)]
+        assert max(items, default=n) <= an.BLOCK
+        if n < keys.size:
+            more = [n + 1 + t.searchsorted(keys[n]) - f for t, f in zip(stops, firsts)]
+            assert max(more) > an.BLOCK
+    return hist, len(walked)
+
+
 # (bin width, half-range): fine and coarse grids, few bins and many.
 GRIDS = ((0.05, 3.0), (0.25, 2.0), (0.5, 4.0), (2.0, 32.0))
 # Beyond 2**53 ns (about 9e15) one ulp of a time exceeds 1 ns.
@@ -281,44 +307,75 @@ def test_histogram_matches_per_start_reference(record):
     expected = reference_counts(stream, chain)
     if record is ROUNDED_ONTO_STOP:
         assert expected.sum() == 0
-    # Blocks of one, two and five starts put block edges between the starts
-    # of every example.
+    # Blocks of one, two and five items put block edges between the starts
+    # of every example; a block takes at least one start, so the walk ends.
     for block in (an.BLOCK, 1, 2, 5):
         with mock.patch.object(an, "BLOCK", block):
-            hist = an.build_histogram(stream, chain=chain)
+            hist, _ = walked_histogram(stream, chain)
         assert hist.counts.tolist() == expected.tolist(), block
+
+
+def counts_of(taus, chain):
+    """Counts of the bins build_histogram files these differences under."""
+    hi, width = chain.histogram_half_range_ns, chain.histogram_bin_ns
+    n_bins = int(round(2 * hi / width))
+    indices = np.floor((np.array(taus) + hi) / width).astype(np.int64)
+    return np.bincount(indices, minlength=n_bins).tolist()
+
+
+@pytest.mark.parametrize("block", [an.BLOCK, 1, 2])
+def test_histogram_takes_the_earlier_first_stop_over_the_origins(block):
+    # The start at 10 ns finds Alice's dark at 10.25 ns before her photon
+    # at 11 ns; at 20.5 ns her photon and her dark share a time and count
+    # once; the dark start at 30 ns finds no dark at all, only her photon.
+    stream = ev.EventStream(
+        {
+            ("bob", "photon"): [10.0, 20.0],
+            ("bob", "dark"): [30.0],
+            ("alice", "photon"): [11.0, 20.5, 31.0],
+            ("alice", "dark"): [10.25, 20.5],
+        },
+        duration_ns=100.0,
+    )
+    with mock.patch.object(an, "BLOCK", block):
+        hist = an.build_histogram(stream, chain=CHAIN)
+    assert hist.counts.tolist() == counts_of([0.25, 0.5, 1.0], CHAIN)
+    assert hist.counts.tolist() == reference_counts(stream, CHAIN).tolist()
 
 
 @pytest.mark.parametrize(
     "cfg, n_blocks",
     [
-        (dense_config(duration_s=2.0, seed=31), 7),
-        (dataclasses.replace(preset_config("fig3-transfer"), duration_s=20.0, seed=7), 1),
+        (dense_config(duration_s=2.0, seed=31), 49),
+        (dataclasses.replace(preset_config("fig3-transfer"), duration_s=20.0, seed=7), 4),
     ],
     ids=["criterion-09", "fig3-point"],
 )
 def test_histogram_equals_the_whole_array_search(cfg, n_blocks):
-    # The block merge pairs each start as one searchsorted over all starts
-    # does: on starts and stops that interleave, and on a few starts among
-    # ten times as many stops.
+    # The block walk pairs each start as one searchsorted over all stops
+    # does: on starts and stops that interleave, where a block holds about
+    # BLOCK / 2 of each, and on a few starts among ten times as many stops,
+    # where the stops between a block's ends cut it after a few hundred
+    # starts.
     stream = ev.simulate(cfg)
-    hist = an.build_histogram(stream, chain=cfg.chain)
-    assert len(an.blocks(stream.detector_times(ch.START_DETECTOR).size)) == n_blocks
+    hist, walked = walked_histogram(stream, cfg.chain)
+    assert walked == n_blocks
     assert hist.total > 200
     assert hist.counts.tolist() == reference_counts(stream, cfg.chain).tolist()
 
 
 def test_histogram_memory_per_start_on_dense_stream(traced_peak):
-    # About as many stops as starts, nearly all of which pair: merging BLOCK
-    # starts at a time with their stops keeps the temporaries near 3.3 bytes
-    # per start against 24 for one pass over the whole stream.
+    # About as many stops as starts, nearly all of which pair: blocks whose
+    # merge holds at most BLOCK keys and stops keep the temporaries near
+    # 0.5 bytes per start, against 3.3 for blocks of 2^15 starts and 24 for
+    # one pass over the whole stream.
     cfg = dense_config(duration_s=5.0, seed=271828)
     stream = ev.simulate(cfg)
     n_starts = stream.detector_times("bob").size
     hist, peak = traced_peak(an.build_histogram, stream, chain=cfg.chain)
     assert n_starts > 450_000
     assert hist.total > 0.4 * n_starts
-    assert peak <= 6 * n_starts
+    assert peak <= 1 * n_starts
 
 
 # ---------------------------------------------------------------------------

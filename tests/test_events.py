@@ -229,6 +229,23 @@ def test_event_stream_refuses_nan_inside_a_group():
         ev.EventStream({("bob", "dark"): [1.0, math.nan, 2.0]}, duration_ns=10.0)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, ev.BLOCK])
+def test_event_stream_checks_the_order_across_block_edges(block, monkeypatch):
+    # A descent or a NaN at any place, block edges included, is refused;
+    # equal neighbours are not a descent.
+    monkeypatch.setattr(ev, "BLOCK", block)
+    ascending = [1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert len(ev.EventStream({("bob", "dark"): ascending}, duration_ns=10.0)) == 7
+    for i in range(1, len(ascending) - 1):
+        swapped, nan = list(ascending), list(ascending)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        nan[i] = math.nan
+        for times in (swapped, nan):
+            if times != ascending:
+                with pytest.raises(ValueError, match="sorted ascending"):
+                    ev.EventStream({("bob", "dark"): times}, duration_ns=10.0)
+
+
 def test_event_stream_counts_undrawn_clicks():
     groups = {("bob", "dark"): [1.0, 2.0], ("alice", "photon"): [3.0]}
     stream = ev.EventStream(
@@ -530,26 +547,41 @@ def test_near_stop_times_equal_the_gathered_windows(stops):
     assert np.array_equal(near, gathered_near_stop_times(np.random.default_rng(1), *args))
 
 
+@pytest.mark.parametrize(
+    "document",
+    [{**DENSE_DOCUMENT, "duration_s": 1.0}, _preset_one_second("fig3-transfer", 5)],
+    ids=["criterion-09", "fig3"],
+)
+def test_simulate_does_not_depend_on_the_block_size(document, monkeypatch):
+    # Blocks of one and of seven items put block edges inside the jitter
+    # draws of one-sided and two-sided cells and inside the order check.
+    cfg = sim_config_from_dict(document)
+    stream = ev.simulate(cfg)
+    for block in (1, 7):
+        monkeypatch.setattr(ev, "BLOCK", block)
+        assert ev.simulate(cfg) == stream, block
+
+
 def test_simulate_peak_memory_per_event(traced_peak):
     # A dozen live pair-sized temporaries cost 178 bytes per event on the
     # dense source.  Drawing one outcome cell at a time into each side's one
-    # array holds each click once, plus one cell's emission times and the
-    # few spare slots of each side: about 10.  Holding the cells and their
-    # concatenation at once cost 17.
+    # array holds each click once, plus the few spare slots of each side and
+    # one BLOCK of normals: about 8.6.  Holding one cell's emission times
+    # beside them cost 10, and the cells and their concatenation at once 17.
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 1.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 150_000
-    assert peak <= 12 * len(stream)
+    assert peak <= 9 * len(stream)
 
 
 def test_simulate_peak_memory_on_five_dense_seconds(traced_peak):
-    # Each click is held once, 8 bytes, plus the largest cell's emission
-    # times: about 9 bytes per event, the same as on one second.  tracemalloc
-    # counts each side's whole array from the start, about 10.
+    # Each click is held once, 8 bytes, and nothing run-sized beside it:
+    # tracemalloc counts each side's whole array from the start, about 8.2
+    # bytes per event (10.1 while one cell's emission times sat beside it).
     cfg = sim_config_from_dict({**DENSE_DOCUMENT, "duration_s": 5.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 900_000
-    assert peak <= 12 * len(stream)
+    assert peak <= 9 * len(stream)
 
 
 def test_simulate_peak_memory_on_a_long_fig3_point(traced_peak):
@@ -557,8 +589,15 @@ def test_simulate_peak_memory_on_a_long_fig3_point(traced_peak):
     # darks are restricted, and nearly each stop is its own window.  The
     # clicks (8 bytes), the merged stops (7) and a mask plus three float64
     # arrays per window (23) make about 38 bytes per drawn click.  Gathering
-    # the windows through break indices cost 59.
+    # the windows through break indices cost 59.  Pairing reads the stops
+    # per origin in place and merges at most BLOCK items at a time: about
+    # 1.7 bytes per drawn click, half of it Bob's photons and darks merged
+    # into one start record and half one merge's fixed-size arrays, where a
+    # merged copy of the stops and one block spanning them cost 25.
     cfg = sim_config_from_dict({**_preset_one_second("fig3-transfer", 5), "duration_s": 120.0})
     stream, peak = traced_peak(ev.simulate, cfg)
     assert len(stream) > 150_000
     assert peak <= 42 * len(stream)
+    hist, peak = traced_peak(an.build_histogram, stream, chain=cfg.chain)
+    assert hist.total > 0
+    assert peak <= 2 * len(stream)
