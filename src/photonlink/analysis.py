@@ -37,13 +37,13 @@ __all__ = [
     "PEAK_REACH",
     "CoincidenceHistogram",
     "PeakWindows",
+    "WindowTally",
     "FringePoint",
     "FringeFit",
     "BellResult",
     "build_histogram",
     "locate_peaks",
-    "count_window",
-    "estimate_accidentals",
+    "tally_windows",
     "fit_fringe",
     "fidelity_from_visibility",
     "bell_parameter",
@@ -261,15 +261,48 @@ def _bin_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> tuple[int, i
     return i, max(j, i)
 
 
-def _background_tally(hist: CoincidenceHistogram, intervals) -> tuple[int, int]:
-    """(number of complete bins, total counts) over (low, high) background intervals."""
-    n_bins = 0
-    total = 0
-    for lo, hi in intervals:
-        i, j = _bin_slice(hist, lo, hi)
-        n_bins += j - i
-        total += int(hist.counts[i:j].sum())
-    return n_bins, total
+@dataclass(frozen=True)
+class WindowTally:
+    """Whole-bin counts of one histogram over one ``PeakWindows``.
+
+    ``accidentals`` is the floor expected in each peak window: the
+    background counts per ns times the nominal shared width
+    ``central[1] - central[0]``, not the width of the whole bins counted
+    (ROADMAP item 1).
+    """
+
+    side_early: int
+    central: int
+    side_late: int
+    background: int
+    background_bins: int
+    accidentals: float
+
+    def area_ratio(self) -> float:
+        """Central over mean side area, each less the accidental floor."""
+        side_net = 0.5 * (self.side_early + self.side_late - 2.0 * self.accidentals)
+        if side_net <= 0.0:
+            raise PeaksNotFound("side windows hold no counts beyond the background level")
+        return (self.central - self.accidentals) / side_net
+
+
+def tally_windows(hist: CoincidenceHistogram, windows: PeakWindows) -> WindowTally:
+    """Count the bins lying fully inside each peak window and background interval."""
+    peaks = (windows.side_early, windows.central, windows.side_late)
+    tol = EDGE_TOL_BINS * hist.bin_width_ns
+    for lo, hi in peaks:
+        if lo < hist.range_min_ns - tol or hi > hist.range_max_ns + tol:
+            raise OutOfRange(
+                f"window ({lo}, {hi}) ns exceeds histogram range "
+                f"({hist.range_min_ns}, {hist.range_max_ns}) ns"
+            )
+    bins = [_bin_slice(hist, lo, hi) for lo, hi in (*peaks, *windows.background)]
+    counts = [int(hist.counts[i:j].sum()) for i, j in bins]
+    n_bins, background = sum(j - i for i, j in bins[3:]), sum(counts[3:])
+    if n_bins == 0:
+        raise NoBackground("background intervals contain no complete bins")
+    accidentals = background / (n_bins * hist.bin_width_ns) * (windows.central[1] - windows.central[0])
+    return WindowTally(*counts[:3], background, n_bins, accidentals)
 
 
 def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> PeakWindows:
@@ -352,8 +385,9 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
             "widen the histogram range or narrow the windows"
         )
 
-    n_bg_bins, bg_total = _background_tally(hist, background)
-    bg_mean = bg_total / n_bg_bins
+    found = PeakWindows(*windows, background=tuple(background))
+    tally = tally_windows(hist, found)
+    bg_mean = tally.background / tally.background_bins
     threshold = max(5.0 * bg_mean, 5.0)
     weak = [
         f"peak near {target:+.3f} ns: max bin {height} < {threshold:.1f}"
@@ -365,43 +399,7 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
             "fewer than three significant peaks (background mean "
             f"{bg_mean:.2f}/bin): " + "; ".join(weak)
         )
-
-    return PeakWindows(
-        side_early=windows[0],
-        central=windows[1],
-        side_late=windows[2],
-        background=tuple(background),
-    )
-
-
-def count_window(hist: CoincidenceHistogram, window: tuple[float, float]) -> int:
-    """Total counts in bins lying fully inside the window."""
-    lo, hi = float(window[0]), float(window[1])
-    if lo > hi:
-        raise ValueError(f"window ({lo!r}, {hi!r}) is reversed")
-    tol = EDGE_TOL_BINS * hist.bin_width_ns
-    if lo < hist.range_min_ns - tol or hi > hist.range_max_ns + tol:
-        raise OutOfRange(
-            f"window ({lo}, {hi}) ns exceeds histogram range "
-            f"({hist.range_min_ns}, {hist.range_max_ns}) ns"
-        )
-    i, j = _bin_slice(hist, lo, hi)
-    return int(hist.counts[i:j].sum())
-
-
-def estimate_accidentals(hist: CoincidenceHistogram, windows: PeakWindows) -> float:
-    """Expected accidental counts inside the central window.
-
-    The off-peak background intervals give a mean count per ns, which is
-    scaled by the central window's width.  Because all three peak windows
-    share one width, the same number applies to the side windows.
-    """
-    n_bins, total = _background_tally(hist, windows.background)
-    if n_bins == 0:
-        raise NoBackground("background intervals contain no complete bins")
-    per_ns = total / (n_bins * hist.bin_width_ns)
-    width = windows.central[1] - windows.central[0]
-    return per_ns * width
+    return found
 
 
 # ---------------------------------------------------------------------------

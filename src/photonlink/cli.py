@@ -226,10 +226,12 @@ def cmd_budget(args) -> int:
 def _run_sweep(cfg: SimConfig, n_phases: int):
     """Simulate a Bob-phase sweep and fit the central-window fringe.
 
-    Returns (points, fit, windows, accidental_rate).  The combined phase of
-    each point is Alice's configured phase plus the swept Bob phase;
-    per-point streams use sub-seeds derived from the config seed so the
-    whole sweep is one deterministic function of it.
+    Returns (points, fit, windows, tally); ``tally`` is the summed
+    histogram's ``an.tally_windows``, whose floor sets the accidental rate.
+    Each point counts its own histogram's central window at the combined
+    phase: Alice's configured phase plus the swept Bob phase.  Per-point
+    streams use sub-seeds derived from the config seed so the whole sweep is
+    one deterministic function of it.
     """
     chain = cfg.chain
     phases = np.linspace(0.0, 2.0 * math.pi, n_phases)
@@ -246,14 +248,14 @@ def _run_sweep(cfg: SimConfig, n_phases: int):
 
     total = sum(histograms[1:], histograms[0])
     windows = an.locate_peaks(total, chain.bob_interferometer.delay_ns())
-    acc_rate = an.estimate_accidentals(total, windows) / (n_phases * cfg.duration_s)
+    tally = an.tally_windows(total, windows)
     combined = chain.alice_interferometer.phase_rad + phases
     points = [
-        an.FringePoint(float(phi), an.count_window(h, windows.central), cfg.duration_s)
+        an.FringePoint(float(phi), an.tally_windows(h, windows).central, cfg.duration_s)
         for phi, h in zip(combined, histograms)
     ]
-    fit = an.fit_fringe(points, accidental_rate_per_s=acc_rate)
-    return points, fit, windows, acc_rate
+    fit = an.fit_fringe(points, accidental_rate_per_s=tally.accidentals / (n_phases * cfg.duration_s))
+    return points, fit, windows, tally
 
 
 def cmd_sweep(args) -> int:
@@ -266,7 +268,7 @@ def cmd_sweep(args) -> int:
     _check_peak_reach(cfg.chain)
     out_dir = _resolve_out(args)
 
-    points, fit, windows, acc_rate = _run_sweep(cfg, args.phases)
+    points, fit, windows, _ = _run_sweep(cfg, args.phases)
     bell = an.bell_parameter(fit.v_net)
     fidelity = an.fidelity_from_visibility(fit.v_net)
 
@@ -286,7 +288,7 @@ def cmd_sweep(args) -> int:
             "fidelity": fidelity,
             "bell": dataclasses.asdict(bell),
             "windows": _windows_dict(windows),
-            "accidental_rate_per_s": acc_rate,
+            "accidental_rate_per_s": fit.accidental_level_per_s,
             "transfer_probability": cfg.chain.transfer_probability() if cfg.chain.sfg else None,
             "n_phases": args.phases,
             "duration_per_point_s": cfg.duration_s,
@@ -312,18 +314,13 @@ def cmd_histogram(args) -> int:
 
     hist = an.build_histogram(simulate(cfg), chain=chain)
     windows = an.locate_peaks(hist, chain.bob_interferometer.delay_ns())
-    accidental = an.estimate_accidentals(hist, windows)
-    central = an.count_window(hist, windows.central)
-    early = an.count_window(hist, windows.side_early)
-    late = an.count_window(hist, windows.side_late)
-    side_net = 0.5 * (early + late - 2.0 * accidental)
-    if side_net <= 0.0:
-        raise an.PeaksNotFound("side windows hold no counts beyond the background level")
-    ratio = (central - accidental) / side_net
+    tally = an.tally_windows(hist, windows)
+    ratio = tally.area_ratio()
 
     print(f"histogram [{label}]: {hist.total} pairs in range")
-    print(f"  central window {windows.central[0]:+.3f}..{windows.central[1]:+.3f} ns: {central}")
-    print(f"  side windows: {early} / {late}  accidental per window: {accidental:.1f}")
+    print(f"  central window {windows.central[0]:+.3f}..{windows.central[1]:+.3f} ns: {tally.central}")
+    print(f"  side windows: {tally.side_early} / {tally.side_late}  "
+          f"accidental per window: {tally.accidentals:.1f}")
     print(f"  central:side area ratio {ratio:.3f} (background subtracted)")
 
     if out_dir is not None:
@@ -331,8 +328,8 @@ def cmd_histogram(args) -> int:
         payload = {
             "label": label,
             "windows": _windows_dict(windows),
-            "counts": {"central": central, "side_early": early, "side_late": late},
-            "accidental_per_window": accidental,
+            "counts": {key: getattr(tally, key) for key in ("central", "side_early", "side_late")},
+            "accidental_per_window": tally.accidentals,
             "area_ratio_central_to_side": ratio,
             "expected_delay_ns": chain.bob_interferometer.delay_ns(),
         }

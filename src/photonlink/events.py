@@ -122,14 +122,7 @@ class EventStream:
         """Ascending timestamps of one detector, optionally of one origin only."""
         if origin is not None:
             return self.groups[name, origin]
-        photons, darks = (self.groups[name, origin] for origin in ORIGINS)
-        if not photons.size:
-            return darks
-        if not darks.size:
-            return photons
-        merged = np.concatenate((photons, darks))
-        merged.sort(kind="stable")  # merges two sorted runs
-        return merged
+        return _merged(*(self.groups[name, origin] for origin in ORIGINS))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +328,7 @@ def simulate(config: SimConfig) -> EventStream:
         groups[name, origin] = _inside((photon if origin == "photon" else dark)[name], duration_ns)
     undrawn = {}
     if n_hidden:  # no window build when every start dark is drawn
-        stops = np.sort(np.concatenate((groups[stop, "photon"], groups[stop, "dark"])))
+        stops = _merged(groups[stop, "photon"], groups[stop, "dark"])
         reach = chain.histogram_half_range_ns + chain.histogram_bin_ns
         near = _near_stop_times(rng, stops, n_hidden, reach, duration_ns)
         groups[start, "dark"] = _inside(np.concatenate((groups[start, "dark"], near)), duration_ns)
@@ -350,3 +343,14 @@ def _inside(times: np.ndarray, duration_ns: float) -> np.ndarray:
     times.sort()
     lo, hi = np.searchsorted(times, [0.0, duration_ns])
     return times[lo:hi]
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two ascending arrays merged into one; either one itself when the other is empty."""
+    if not a.size:
+        return b
+    if not b.size:
+        return a
+    merged = np.concatenate((a, b))
+    merged.sort(kind="stable")  # merges two sorted runs
+    return merged

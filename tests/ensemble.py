@@ -62,10 +62,10 @@ def sweep_values(name: str, seeds: list[int], n_phases: int, reference: bool) ->
     with mock.patch.object(cli, "simulate", sampler):
         for seed in seeds:
             cfg = dataclasses.replace(preset_config(name), seed=seed)
-            points, fit, _, acc_rate = cli._run_sweep(cfg, n_phases)
+            points, fit, _, _ = cli._run_sweep(cfg, n_phases)
             for q in ("v_raw", "v_net", "v_raw_err", "v_net_err"):
                 values[q].append(getattr(fit, q))
-            values["acc_rate"].append(acc_rate)
+            values["acc_rate"].append(fit.accidental_level_per_s)
             values["mean_counts"].append(np.mean([p.coincidences for p in points]))
     return {q: np.array(v) for q, v in values.items()}
 

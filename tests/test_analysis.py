@@ -424,40 +424,49 @@ def test_locate_peaks_needs_range_covering_sides():
 def test_phase_averaged_simulation_shows_one_two_one_areas():
     cfg = dense_config(duration_s=1.0, seed=77)
     hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
-    windows = an.locate_peaks(hist, cfg.chain.bob_interferometer.delay_ns())
-    central = an.count_window(hist, windows.central)
-    early = an.count_window(hist, windows.side_early)
-    late = an.count_window(hist, windows.side_late)
-    assert central >= 10_000
-    assert central / early == pytest.approx(2.0, rel=0.05)
-    assert central / late == pytest.approx(2.0, rel=0.05)
+    tally = an.tally_windows(hist, an.locate_peaks(hist, cfg.chain.bob_interferometer.delay_ns()))
+    assert tally.central >= 10_000
+    assert tally.central / tally.side_early == pytest.approx(2.0, rel=0.05)
+    assert tally.central / tally.side_late == pytest.approx(2.0, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
-# window counting and accidentals
+# window tally and accidentals
 # ---------------------------------------------------------------------------
 
 
-def test_count_window_whole_range_and_empty_window():
+def flat_windows(central=(-0.25, 0.25), background=((-3.0, -2.0), (2.0, 3.0)), **peaks):
+    """Peak windows at 0 and about +-0.7 ns; keywords replace any of them."""
+    sides = {"side_early": (-0.95, -0.45), "side_late": (0.45, 0.95), **peaks}
+    return an.PeakWindows(central=central, background=background, **sides)
+
+
+def test_tally_counts_the_whole_range():
     hist = synthetic_three_peak()
-    assert an.count_window(hist, (-3.0, 3.0)) == hist.total
-    assert an.count_window(hist, (0.1, 0.1)) == 0
+    tally = an.tally_windows(
+        hist, flat_windows((-1.0, 1.0), ((-3.0, 3.0),), side_early=(-3.0, -1.0), side_late=(1.0, 3.0))
+    )
+    assert tally.side_early + tally.central + tally.side_late == hist.total
+    assert (tally.background, tally.background_bins) == (hist.total, hist.n_bins)
 
 
-def test_count_window_only_full_bins():
+def test_tally_counts_only_whole_bins():
     hist = synthetic_three_peak(background_per_bin=10)
-    # A window narrower than one bin, straddling no full bin, counts zero.
-    assert an.count_window(hist, (0.02, 0.08)) == 0
-    # Shifting to cover exactly one full bin picks up that bin alone.
-    assert an.count_window(hist, (2.50, 2.55)) == 10
+    # A window narrower than one bin, straddling no full bin, counts zero;
+    # one covering exactly one full bin picks up that bin alone.
+    tally = an.tally_windows(hist, flat_windows((0.02, 0.08), side_late=(2.50, 2.55)))
+    assert (tally.central, tally.side_late) == (0, 10)
+    # A background interval narrower than one bin adds no bin.
+    tally = an.tally_windows(hist, flat_windows(background=((-3.0, -2.0), (2.501, 2.549))))
+    assert (tally.background, tally.background_bins) == (200, 20)
 
 
-def test_count_window_out_of_range():
+def test_tally_refuses_peak_windows_out_of_range():
     hist = synthetic_three_peak()
     with pytest.raises(an.OutOfRange):
-        an.count_window(hist, (-3.5, 0.0))
+        an.tally_windows(hist, flat_windows(side_early=(-3.5, -0.45)))
     with pytest.raises(an.OutOfRange):
-        an.count_window(hist, (0.0, 3.2))
+        an.tally_windows(hist, flat_windows(side_late=(0.45, 3.2)))
 
 
 @pytest.mark.parametrize(
@@ -470,31 +479,26 @@ def test_count_window_out_of_range():
             id="off-grid",
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 1: estimate_accidentals scales by the window width, "
-                "count_window counts only its full bins",
+                raises=AssertionError,
+                reason="ROADMAP item 1: the tally scales the floor by the nominal window "
+                "width but counts only its full bins",
             ),
         ),
     ],
 )
-def test_estimate_accidentals_uniform_floor(central, expected):
-    counts = np.full(120, 5, dtype=np.int64)
+def test_tally_uniform_floor(central, expected):
     hist = an.CoincidenceHistogram(
         bin_width_ns=0.05,
         range_min_ns=-3.0,
         range_max_ns=3.0,
-        counts=counts,
+        counts=np.full(120, 5, dtype=np.int64),
     )
-    windows = an.PeakWindows(
-        side_early=(-0.95, -0.45),
-        central=central,
-        side_late=(0.45, 0.95),
-        background=((-3.0, -2.0), (2.0, 3.0)),
-    )
-    assert an.estimate_accidentals(hist, windows) == pytest.approx(expected)
-    assert an.count_window(hist, central) == pytest.approx(expected)
+    tally = an.tally_windows(hist, flat_windows(central))
+    assert tally.accidentals == pytest.approx(expected)
+    assert tally.central == pytest.approx(expected)
 
 
-def test_estimate_accidentals_zero_dark_run_is_zero():
+def test_tally_floor_of_a_zero_dark_run_is_zero():
     chain_cfg = ch.ChainConfig(
         source=ch.SourceParams(pair_rate_per_s=100_000.0),
         alice_interferometer=ch.InterferometerParams(transmission=1.0),
@@ -505,23 +509,27 @@ def test_estimate_accidentals_zero_dark_run_is_zero():
     )
     cfg = SimConfig(chain=chain_cfg, visibility=1.0, duration_s=0.5, seed=78, phase_averaged=True)
     hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
-    windows = an.locate_peaks(hist, chain_cfg.bob_interferometer.delay_ns())
+    tally = an.tally_windows(hist, an.locate_peaks(hist, chain_cfg.bob_interferometer.delay_ns()))
     # Without darks the only background is foreign-pair pile-up, a fraction
     # of a permille of the central peak at this rate.
-    central = an.count_window(hist, windows.central)
-    assert an.estimate_accidentals(hist, windows) < 1e-3 * central
+    assert tally.accidentals < 1e-3 * tally.central
 
 
-def test_estimate_accidentals_requires_background_bins():
+def test_tally_requires_background_bins():
     hist = synthetic_three_peak()
-    windows = an.PeakWindows(
-        side_early=(-0.95, -0.45),
-        central=(-0.25, 0.25),
-        side_late=(0.45, 0.95),
-        background=((-2.999, -2.998),),  # narrower than one bin
-    )
     with pytest.raises(an.NoBackground):
-        an.estimate_accidentals(hist, windows)
+        an.tally_windows(hist, flat_windows(background=((-2.999, -2.998),)))  # under one bin
+
+
+def test_area_ratio_refuses_sides_at_the_floor():
+    # A central peak alone: the side windows hold the flat floor and nothing
+    # more, so there is no side area to divide by.
+    tally = an.tally_windows(synthetic_three_peak(side=0, sigma_ns=0.05), flat_windows())
+    assert (tally.side_early, tally.side_late, tally.accidentals) == (50, 50, pytest.approx(50.0))
+    with pytest.raises(an.PeaksNotFound):
+        tally.area_ratio()
+    # Net central 200 over the mean net side (60 + 40) / 2.
+    assert an.WindowTally(110, 250, 90, 40, 4, 50.0).area_ratio() == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +805,9 @@ def run_small_sweep(alice_dark_per_ns, seed0):
         per_point.append(hist)
         total = hist if total is None else total + hist
     windows = an.locate_peaks(total, chain_cfg.bob_interferometer.delay_ns())
-    acc_rate = an.estimate_accidentals(total, windows) / (len(phis) * duration)
+    acc_rate = an.tally_windows(total, windows).accidentals / (len(phis) * duration)
     points = [
-        an.FringePoint(float(phi), an.count_window(h, windows.central), duration)
+        an.FringePoint(float(phi), an.tally_windows(h, windows).central, duration)
         for phi, h in zip(phis, per_point)
     ]
     return an.fit_fringe(points, accidental_rate_per_s=acc_rate)
@@ -821,10 +829,8 @@ def test_central_window_accidentals_match_the_budget(name):
     # background bins the rate is measured from (a few thousand counts, so
     # about 5 %), was fixed before the first run.
     cfg = preset_config(name)
-    with mock.patch.object(an, "estimate_accidentals", wraps=an.estimate_accidentals) as spy:
-        *_, measured = cli._run_sweep(cfg, 21)
-    total, windows = spy.call_args.args
-    _, background = an._background_tally(total, windows.background)
+    _, fit, _, tally = cli._run_sweep(cfg, 21)
+    measured, background = fit.accidental_level_per_s, tally.background
     sigma = measured / math.sqrt(background)
     predicted = ch.expected_rates(cfg.chain).accidental_rate_total_per_s
     assert background > 1000

@@ -7,8 +7,11 @@ import pytest
 # Deleted from photonlink.events: long acquisitions add histograms instead.
 SHARD_API = ("ConfigMismatchError", "config_hash", "merge", "read_events", "write_events")
 # Deleted wrappers: config documents resolve through config.sim_config_from_dict
-# alone, and records become dicts through dataclasses.asdict.
-RETIRED = ("chain_from_dict", "fit_to_dict", "sim_config_to_dict")
+# alone, records become dicts through dataclasses.asdict, and a histogram is
+# counted over its peak windows by analysis.tally_windows alone.
+RETIRED = (
+    "chain_from_dict", "fit_to_dict", "sim_config_to_dict", "count_window", "estimate_accidentals"
+)
 
 
 @pytest.mark.parametrize("name", ["quantum", "chain", "config", "events", "analysis", "presets"])
