@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_BINS, START_DETECTOR, STOP_DETECTOR, ChainConfig
+from .config import InvalidConfigError
 from .events import BLOCK, ORIGINS, EventStream
 from .quantum import VisibilityRangeError
 
@@ -107,9 +108,7 @@ class CoincidenceHistogram:
         for name, value in (("range_min_ns", self.range_min_ns), ("range_max_ns", self.range_max_ns)):
             steps = value / self.bin_width_ns  # inf for a subnormal width; round() cannot take it
             if not (math.isfinite(steps) and abs(round(steps) - steps) <= EDGE_TOL_BINS):
-                raise ValueError(
-                    f"{name}={value!r} is not an integer multiple of the bin width"
-                )
+                raise ValueError(f"{name}={value!r} is not an integer multiple of the bin width")
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1 or counts.size != self.n_bins:
             raise ValueError(
@@ -161,8 +160,8 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
 
     One pass walks the start detector's clicks in blocks (``_pair_block``)
     and pairs each with each origin's stops in place: one stable argsort
-    merges a block's keys (start + range minimum) with the stops between
-    them, keys first, so a key's merged position less its index counts the
+    merges a block's keys (start + range minimum) with a fixed share of the
+    stops, keys first, so a key's merged position less its index counts the
     stops below it.  Each start keeps the earlier of its origins' first stops.
     ``simulate`` draws the start detector's darks only within reach of a
     stop, so the record holds few starts that cannot pair; a chain whose
@@ -189,32 +188,26 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
         indices = np.floor((tau - lo) / width).astype(np.int64)
         indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
         counts += np.bincount(indices, minlength=n_bins)
-    return CoincidenceHistogram(
-        bin_width_ns=width,
-        range_min_ns=lo,
-        range_max_ns=hi,
-        counts=counts,
-    )
+    return CoincidenceHistogram(width, lo, hi, counts)
 
 
 def _pair_block(starts: np.ndarray, lo: float, stops: list[np.ndarray]) -> np.ndarray:
     """One block of ascending starts: each one's delay to its first stop >= start + lo, or inf.
 
-    Key m joins while m + 1 keys and each array's stops between key 0 and key
-    m number at most BLOCK; key 0 always joins.
+    Up to max(BLOCK // 2, 1) keys (start + lo) join; each array's ``room``
+    stops from its first at or above key 0 fill the rest of BLOCK, and the
+    block ends at the last key at or below the stop ``room`` places on.  Stops
+    past the last key sort after every key; key 0 always joins.
     """
-    n, firsts = starts.size, [times.searchsorted(starts[0] + lo) for times in stops]
+    keys = starts[: max(BLOCK // 2, 1)] + lo
+    room, n = BLOCK - keys.size, keys.size
+    firsts = [times.searchsorted(keys[0]) for times in stops]
     for times, first in zip(stops, firsts):
-        fits = min(max(first + BLOCK - times.size, 0), n)  # their limits lie past the last stop
-        while fits < n:  # bisect: key m fits while the stop BLOCK - 1 - m past the first >= it
-            m = (fits + n) // 2
-            if starts[m] + lo <= times[first + BLOCK - 1 - m]:
-                fits = m + 1
-            else:
-                n = m
-    keys, first_stop = starts[:n] + lo, np.full(n, np.inf)
+        if first + room < times.size:
+            n = min(n, keys.searchsorted(times[first + room], side="right"))
+    keys, first_stop = keys[:n], np.full(n, np.inf)
     for times, first in zip(stops, firsts):
-        merged = np.concatenate((keys, times[first : times.searchsorted(keys[-1])]))
+        merged = np.concatenate((keys, times[first : first + room]))
         index = np.flatnonzero(merged.argsort(kind="stable") < n)  # keys first: side="left"
         del merged
         index -= np.arange(-first, n - first)  # merged position - key index + first
@@ -578,10 +571,15 @@ def bell_parameter(v: float) -> BellResult:
 
 
 def write_text(path, text: str) -> None:
-    """Write a whole output file at once: a failed run leaves no truncated file."""
+    """Write a whole output file at once: a failed write leaves no file of its own behind."""
     tmp = Path(f"{path}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:  # a directory at the path, or no permission
+        if tmp.is_file():
+            tmp.unlink()
+        raise InvalidConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_histogram_csv(hist: CoincidenceHistogram, path) -> None:

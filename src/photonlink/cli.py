@@ -92,7 +92,7 @@ def _resolve_config(args) -> tuple[SimConfig, str]:
 
     seed = args.seed if args.seed is not None else _env_override("PHOTONLINK_SEED", int, None)
     duration = getattr(args, "duration", None)
-    if duration is None:
+    if duration is None and hasattr(args, "duration"):  # budget takes no --duration
         duration = _env_override("PHOTONLINK_DURATION", float, None)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
@@ -377,7 +377,9 @@ def _rows_for_fit(doc: dict, label: str) -> list[dict]:
     v_net_interval = targets.get("v_net")
     if v_net_interval is None and "configured_visibility" in doc:
         v0 = _number(doc, "configured_visibility")
-        v_net_interval = (v0 - 0.02, min(v0 + 0.02, 1.0))
+        if not 0.0 <= v0 <= 1.0:
+            raise InvalidConfigError(f"field configured_visibility must lie in [0, 1], got {v0!r}")
+        v_net_interval = (max(v0 - 0.02, 0.0), min(v0 + 0.02, 1.0))
     if v_net_interval is not None:
         v_net = _number(fit, "v_net", "fit.")
         rows.append(_interval_row(f"v_net ({label})", v_net, v_net_interval))

@@ -229,14 +229,19 @@ def walked_histogram(stream, chain):
     with mock.patch.object(an, "_pair_block", pair_block):
         hist = an.build_histogram(stream, chain=chain)
     for keys, stops, n in walked:
-        # Each merge holds the block's keys and one array's stops between its
-        # ends, at most BLOCK items; one more key would overfill one of them.
+        # A block takes at most max(BLOCK // 2, 1) keys.  Each array's room
+        # stops from its first at or above key 0 fill the rest of BLOCK: the
+        # block keeps every key whose first stop lies at most room places on,
+        # and the next key's lies further in at least one array.
+        taken = min(max(an.BLOCK // 2, 1), keys.size)
+        room = an.BLOCK - taken
+        assert 1 <= n <= taken
         firsts = [times.searchsorted(keys[0]) for times in stops]
-        items = [n + t.searchsorted(keys[n - 1]) - f for t, f in zip(stops, firsts)]
+        items = [n + min(room, t.size - f) for t, f in zip(stops, firsts)]
         assert max(items, default=n) <= an.BLOCK
-        if n < keys.size:
-            more = [n + 1 + t.searchsorted(keys[n]) - f for t, f in zip(stops, firsts)]
-            assert max(more) > an.BLOCK
+        assert all(t.searchsorted(keys[n - 1]) - f <= room for t, f in zip(stops, firsts))
+        if n < taken:
+            assert any(t.searchsorted(keys[n]) - f > room for t, f in zip(stops, firsts))
     return hist, len(walked)
 
 
@@ -346,7 +351,7 @@ def test_histogram_takes_the_earlier_first_stop_over_the_origins(block):
 @pytest.mark.parametrize(
     "cfg, n_blocks",
     [
-        (dense_config(duration_s=2.0, seed=31), 49),
+        (dense_config(duration_s=2.0, seed=31), 50),
         (dataclasses.replace(preset_config("fig3-transfer"), duration_s=20.0, seed=7), 4),
     ],
     ids=["criterion-09", "fig3-point"],
@@ -355,8 +360,7 @@ def test_histogram_equals_the_whole_array_search(cfg, n_blocks):
     # The block walk pairs each start as one searchsorted over all stops
     # does: on starts and stops that interleave, where a block holds about
     # BLOCK / 2 of each, and on a few starts among ten times as many stops,
-    # where the stops between a block's ends cut it after a few hundred
-    # starts.
+    # where the block's share of stops cuts it after a few hundred starts.
     stream = ev.simulate(cfg)
     hist, walked = walked_histogram(stream, cfg.chain)
     assert walked == n_blocks

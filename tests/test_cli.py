@@ -129,6 +129,13 @@ def test_bad_seed_environment_variable(monkeypatch, capsys):
     assert "PHOTONLINK_SEED" in capsys.readouterr().err
 
 
+def test_budget_ignores_the_duration_environment_variable(tmp_path, monkeypatch):
+    # budget takes no --duration and draws nothing, so the variable has no flag to default.
+    monkeypatch.setenv("PHOTONLINK_DURATION", "1e9")
+    assert cli.main(["budget", "--preset", "fig2-baseline", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["duration_s"] == 240.0
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -221,6 +228,17 @@ def test_histogram_pure_darks_exits_with_physics_code(tmp_path, capsys):
     code = cli.main(["histogram", "--config", cfg])
     assert code == 3
     assert "physics" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_usage_error_and_leaves_no_temp_file(tmp_path, capsys):
+    doc = fast_chain(pair_rate=200_000.0, visibility=1.0, phase_averaged=True)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    (out / "peaks.json").mkdir(parents=True)
+    assert cli.main(["histogram", "--config", cfg, "--out", str(out)]) == 2
+    assert str(out / "peaks.json") in capsys.readouterr().err
+    assert (out / "peaks.json").is_dir()
+    assert not (out / "peaks.json.tmp").exists()
 
 
 def test_histogram_duration_flag_is_applied(tmp_path):
@@ -428,6 +446,26 @@ def test_report_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "--out" in err and str(blocker) in err
+
+
+def test_report_on_a_zero_visibility_sweep(tmp_path, capsys):
+    # The v_net band around a configured visibility of 0 is clamped to [0, 0.02].
+    cfg = write_config(tmp_path, fast_chain(visibility=0.0))
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", cfg, "--phases", "9", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(out / "fit.json")]) in (0, 4)
+    assert "[0, 0.02]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("visibility", [5.0, -1.0, float("nan")])
+def test_report_refuses_a_configured_visibility_outside_0_1(tmp_path, capsys, visibility):
+    path = tmp_path / "fit.json"
+    doc = {"fit": {"v_net": 0.9}, "configured_visibility": visibility, "fidelity": 0.95}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "configured_visibility" in err
 
 
 def test_report_unrecognized_document(tmp_path):
