@@ -13,8 +13,10 @@ inverse seconds, and time windows in nanoseconds throughout.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Annotated
 
 from .quantum import OUTCOME_CLASSES
 
@@ -64,6 +66,30 @@ class SaturationWarning(UserWarning):
 # parameter records
 # ---------------------------------------------------------------------------
 
+# A record field's bound is named by its annotation, which ``_check_bounds`` reads as a
+# string (``from __future__ import annotations``); a plain ``float`` need only be finite.
+Positive = Annotated[float, "> 0"]
+NonNegative = Annotated[float, ">= 0"]
+Efficiency = Annotated[float, "in (0, 1]"]
+_BOUNDS = {
+    "float": (lambda x: True, "be finite"),
+    "Positive": (lambda x: x > 0.0, "be positive"),
+    "NonNegative": (lambda x: x >= 0.0, "be >= 0"),
+    "Efficiency": (lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
+}
+
+
+def _check_bounds(record) -> None:
+    """Refuse, naming it, the first numeric field of ``record`` not finite or out of its bound."""
+    for f in fields(record):
+        if f.type in _BOUNDS:
+            within, rule = _BOUNDS[f.type]
+            value = getattr(record, f.name)
+            if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past the float range
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if not within(value):
+                raise ValueError(f"{f.name} must {rule}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -74,27 +100,23 @@ class SourceParams:
     the interferometers.
     """
 
-    pump_coherence_length_m: float = 300.0
-    signal_wavelength_nm: float = 1555.0  # travels to Alice
-    idler_wavelength_nm: float = 1312.0  # travels to Bob / the transfer stage
-    raw_bandwidth_nm: float = 15.0
-    alice_filter_bandwidth_nm: float = 15.0
-    pair_rate_per_s: float = 2000.0
+    pump_coherence_length_m: Positive = 300.0
+    signal_wavelength_nm: Positive = 1555.0  # travels to Alice
+    idler_wavelength_nm: Positive = 1312.0  # travels to Bob / the transfer stage
+    raw_bandwidth_nm: Positive = 15.0
+    alice_filter_bandwidth_nm: Positive = 15.0
+    pair_rate_per_s: NonNegative = 2000.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "pump_coherence_length_m",
-            "signal_wavelength_nm",
-            "idler_wavelength_nm",
-            "raw_bandwidth_nm",
-            "alice_filter_bandwidth_nm",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.pair_rate_per_s < 0.0:
-            raise ValueError(f"pair_rate_per_s must be >= 0, got {self.pair_rate_per_s!r}")
+        _check_bounds(self)
         if self.alice_filter_bandwidth_nm > self.raw_bandwidth_nm:
             raise ValueError("alice_filter_bandwidth_nm cannot exceed raw_bandwidth_nm")
+        for name, length in (
+            ("signal_wavelength_nm", self.alice_coherence_length_m()),
+            ("idler_wavelength_nm", self.bob_coherence_length_m()),
+        ):
+            if not 0.0 < length < math.inf:  # lambda^2 past the float range, or rounded to 0
+                raise ValueError(f"{name} gives a coherence length of {length!r} m; need (0, inf)")
 
     def alice_coherence_length_m(self) -> float:
         """Single-photon coherence length on Alice's (possibly filtered) arm."""
@@ -108,15 +130,11 @@ class SourceParams:
 class InterferometerParams:
     """Unbalanced analyzer; the imbalance is the optical path difference."""
 
-    path_imbalance_m: float = 0.20
+    path_imbalance_m: Positive = 0.20
     phase_rad: float = 0.0
-    transmission: float = 0.7  # excess transmission, port splitting excluded
+    transmission: Efficiency = 0.7  # excess transmission, port splitting excluded
 
-    def __post_init__(self) -> None:
-        if self.path_imbalance_m <= 0.0:
-            raise ValueError(f"path_imbalance_m must be positive, got {self.path_imbalance_m!r}")
-        if not 0.0 < self.transmission <= 1.0:
-            raise ValueError(f"transmission must lie in (0, 1], got {self.transmission!r}")
+    __post_init__ = _check_bounds
 
     def delay_ns(self) -> float:
         """Long-minus-short arrival-time difference in nanoseconds."""
@@ -127,27 +145,15 @@ class InterferometerParams:
 class SfgParams:
     """Sum-frequency transfer stage pumped by a strong coherent reservoir."""
 
-    efficiency_per_watt: float = 0.80
-    reservoir_power_w: float = 0.7
-    coupling_qubit: float = 0.4
-    coupling_reservoir: float = 0.4
-    input_wavelength_nm: float = 1312.0
-    output_wavelength_nm: float = 712.4
-    reservoir_coherence_length_m: float = 1000.0
+    efficiency_per_watt: Positive = 0.80
+    reservoir_power_w: Positive = 0.7
+    coupling_qubit: Efficiency = 0.4
+    coupling_reservoir: Efficiency = 0.4
+    input_wavelength_nm: Positive = 1312.0
+    output_wavelength_nm: Positive = 712.4
+    reservoir_coherence_length_m: Positive = 1000.0
 
-    def __post_init__(self) -> None:
-        for name in (
-            "efficiency_per_watt",
-            "reservoir_power_w",
-            "input_wavelength_nm",
-            "output_wavelength_nm",
-            "reservoir_coherence_length_m",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("coupling_qubit", "coupling_reservoir"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)!r}")
+    __post_init__ = _check_bounds
 
 
 @dataclass(frozen=True)
@@ -162,16 +168,10 @@ class DetectorParams:
     aligned with the photon.
     """
 
-    quantum_efficiency: float = 0.10
-    dark_prob_per_ns: float = 3.0e-5
+    quantum_efficiency: Efficiency = 0.10
+    dark_prob_per_ns: NonNegative = 3.0e-5
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quantum_efficiency <= 1.0:
-            raise ValueError(
-                f"quantum_efficiency must lie in (0, 1], got {self.quantum_efficiency!r}"
-            )
-        if self.dark_prob_per_ns < 0.0:
-            raise ValueError(f"dark_prob_per_ns must be >= 0, got {self.dark_prob_per_ns!r}")
+    __post_init__ = _check_bounds
 
 
 @dataclass(frozen=True)
@@ -193,33 +193,20 @@ class ChainConfig:
     )
     bob_detector: DetectorParams = field(default_factory=DetectorParams)
     sfg: SfgParams | None = None
-    gate_width_ns: float = 2.5
-    jitter_ns: float = 0.1
-    coincidence_window_ns: float = 0.6
-    histogram_bin_ns: float = 0.05
-    histogram_half_range_ns: float = 3.0
+    gate_width_ns: Positive = 2.5
+    jitter_ns: NonNegative = 0.1
+    coincidence_window_ns: Positive = 0.6
+    histogram_bin_ns: Positive = 0.05
+    histogram_half_range_ns: Positive = 3.0
 
     def __post_init__(self) -> None:
-        if not self.gate_width_ns > 0.0:
-            raise ValueError(f"gate_width_ns must be positive, got {self.gate_width_ns!r}")
-        if self.jitter_ns < 0.0:
-            raise ValueError(f"jitter_ns must be >= 0, got {self.jitter_ns!r}")
-        if self.coincidence_window_ns <= 0.0:
-            raise ValueError(
-                f"coincidence_window_ns must be positive, got {self.coincidence_window_ns!r}"
-            )
-        if self.histogram_bin_ns <= 0.0 or self.histogram_half_range_ns <= 0.0:
-            raise ValueError("histogram_bin_ns and histogram_half_range_ns must be positive")
+        _check_bounds(self)
         half, width = self.histogram_half_range_ns, self.histogram_bin_ns
         steps = half / width  # inf for a subnormal width; round() cannot take it
-        if not math.isfinite(steps) or abs(round(steps) - steps) > EDGE_TOL_BINS:
+        on_grid = math.isfinite(steps) and abs(round(steps) - steps) <= EDGE_TOL_BINS
+        if not (on_grid and round(steps) >= 1):
             raise ValueError(
-                f"histogram_half_range_ns={half!r} is not an integer multiple of "
-                f"histogram_bin_ns={width!r}"
-            )
-        if round(steps) < 1:
-            raise ValueError(
-                f"histogram_half_range_ns={half!r} must be at least one "
+                f"histogram_half_range_ns={half!r} is not a positive integer multiple of "
                 f"histogram_bin_ns={width!r}"
             )
         if self.sfg is not None:
@@ -251,7 +238,10 @@ def coherence_length(wavelength_nm: float, bandwidth_nm: float) -> float:
         raise ZeroBandwidthError(f"bandwidth must be positive, got {bandwidth_nm!r}")
     if wavelength_nm <= 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength_nm!r}")
-    return wavelength_nm**2 / bandwidth_nm * 1e-9
+    try:
+        return wavelength_nm**2 / bandwidth_nm * 1e-9
+    except OverflowError:  # lambda^2 beyond the float range
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -260,7 +250,8 @@ class FransonCheck:
 
     ``margin`` is the ratio of the actual quantity to the threshold it must
     clear, so margin >= 1 means the check passes with that factor to spare.
-    A margin of infinity (perfectly matched analyzers) is reported as-is.
+    A margin of infinity (perfectly matched analyzers) is reported as-is;
+    the JSON outputs write it as null.
     """
 
     name: str

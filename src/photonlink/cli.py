@@ -59,7 +59,9 @@ MAX_PHASES = 10_000
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    an.write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as strict JSON: each NaN or infinity, e.g. an unbounded margin, as null."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    an.write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _env_override(name: str, parse, current):

@@ -22,6 +22,7 @@ from photonlink import events as ev
 from photonlink import quantum as q
 from photonlink.config import SimConfig
 from photonlink.presets import preset_config
+from test_golden_outputs import read_json
 
 
 @contextlib.contextmanager
@@ -126,7 +127,7 @@ def test_06_baseline_fringe_reproduction(tmp_path):
         code = cli.main(["sweep", "--preset", "fig2-baseline", "--out", str(tmp_path)])
         elapsed = time.perf_counter() - start
         assert code == 0
-        doc = json.loads((tmp_path / "fit.json").read_text())
+        doc = read_json(tmp_path / "fit.json")
         v_net = doc["fit"]["v_net"]
         v_raw = doc["fit"]["v_raw"]
         counts = [
@@ -145,7 +146,7 @@ def test_07_transfer_fringe_reproduction(tmp_path):
         start = time.perf_counter()
         code = cli.main(["sweep", "--preset", "fig3-transfer", "--out", str(tmp_path)])
         assert code == 0
-        doc = json.loads((tmp_path / "fit.json").read_text())
+        doc = read_json(tmp_path / "fit.json")
         v_net = doc["fit"]["v_net"]
         v_raw = doc["fit"]["v_raw"]
         assert 0.95 <= v_net <= 1.0, f"v_net {v_net:.4f}"
@@ -204,7 +205,7 @@ def test_09_three_peak_histogram_structure(tmp_path):
         cfg_path.write_text(json.dumps(document))
         code = cli.main(["histogram", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert code == 0
-        doc = json.loads((tmp_path / "peaks.json").read_text())
+        doc = read_json(tmp_path / "peaks.json")
         delay = doc["expected_delay_ns"]
         assert delay == pytest.approx(0.66713, abs=1e-4)
         bin_ns = 0.05
@@ -261,8 +262,8 @@ def test_11_determinism(tmp_path):
         for name in ("fringe.csv", "fit.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         # manifests agree except for the wall clock they record
-        m1 = json.loads((out1 / "manifest.json").read_text())
-        m2 = json.loads((out2 / "manifest.json").read_text())
+        m1 = read_json(out1 / "manifest.json")
+        m2 = read_json(out2 / "manifest.json")
         m1.pop("wall_clock_s")
         m2.pop("wall_clock_s")
         assert m1 == m2

@@ -1,5 +1,6 @@
 """Tests for the analytic optics-chain calculus."""
 
+import dataclasses
 import math
 
 import pytest
@@ -210,9 +211,44 @@ def test_accidental_fraction_and_predicted_ratio():
 # ---------------------------------------------------------------------------
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def non_finite(record) -> list[dict]:
+    """NaN, +inf and -inf in each numeric field of ``record``, one field at a time."""
+    default = record()
+    names = [f.name for f in dataclasses.fields(record) if isinstance(getattr(default, f.name), float)]
+    return [{name: value} for name in names for value in NON_FINITE]
+
+
+def assert_refused(record, refused: list[dict]) -> None:
+    """Each entry fails to build ``record`` with a ValueError naming its first field."""
+    for fields in refused:
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            record(**fields)
+
+
 def test_source_rejects_filter_wider_than_raw():
     with pytest.raises(ValueError):
         ch.SourceParams(alice_filter_bandwidth_nm=20.0, raw_bandwidth_nm=15.0)
+
+
+def test_source_validation():
+    refused = non_finite(ch.SourceParams) + [
+        {"pump_coherence_length_m": 0.0},
+        {"raw_bandwidth_nm": -1.0},
+        {"pair_rate_per_s": -1.0},
+        # coherence lengths beyond the float range, or rounded to zero
+        {"signal_wavelength_nm": 1e300},
+        {"idler_wavelength_nm": 1e200},
+        {"signal_wavelength_nm": 5e-324},
+        {"idler_wavelength_nm": 5e-324},
+    ]
+    assert_refused(ch.SourceParams, refused)
+
+
+def test_coherence_length_beyond_the_float_range_is_infinite():
+    assert ch.coherence_length(1e300, 1.0) == math.inf
 
 
 def test_interferometer_delay():
@@ -227,30 +263,44 @@ def test_interferometer_rejects_bad_transmission():
         ch.InterferometerParams(transmission=1.2)
 
 
+def test_interferometer_validation():
+    refused = non_finite(ch.InterferometerParams) + [{"path_imbalance_m": 0.0}]
+    assert_refused(ch.InterferometerParams, refused)
+    ch.InterferometerParams(phase_rad=-7.0)  # any finite phase
+
+
+def test_sfg_validation():
+    refused = non_finite(ch.SfgParams) + [
+        {"efficiency_per_watt": 0.0},
+        {"reservoir_power_w": -0.7},
+        {"coupling_qubit": 0.0},
+        {"coupling_reservoir": 1.5},
+    ]
+    assert_refused(ch.SfgParams, refused)
+
+
 def test_detector_validation():
-    with pytest.raises(ValueError):
-        ch.DetectorParams(quantum_efficiency=0.0)
-    with pytest.raises(ValueError):
-        ch.DetectorParams(dark_prob_per_ns=-1e-6)
+    refused = non_finite(ch.DetectorParams) + [
+        {"quantum_efficiency": 0.0},
+        {"dark_prob_per_ns": -1e-6},
+    ]
+    assert_refused(ch.DetectorParams, refused)
 
 
 def test_chain_config_validation():
     # build_histogram takes its grid from a ChainConfig, so these refusals
     # are the only ones between a chain and the pairing.
-    refused = [
+    refused = non_finite(ch.ChainConfig) + [
         {"gate_width_ns": 0.0},
         {"gate_width_ns": -2.5},
-        {"gate_width_ns": math.nan},
         {"jitter_ns": -0.1},
+        {"coincidence_window_ns": 0.0},
         {"histogram_half_range_ns": 3.01},  # off the 0.05 ns grid
         {"histogram_bin_ns": 1e-9, "histogram_half_range_ns": 1.4e-9},  # 1.4 bins
         {"histogram_bin_ns": 1.0, "histogram_half_range_ns": 1e-12},  # zero bins
         {"histogram_bin_ns": 0.0},
         {"histogram_half_range_ns": 0.0},
         {"histogram_half_range_ns": -2.0},
-        {"histogram_half_range_ns": math.inf},
-        {"histogram_half_range_ns": math.nan},
     ]
-    for fields in refused:
-        with pytest.raises(ValueError):
-            ch.ChainConfig(**fields)
+    assert_refused(ch.ChainConfig, refused)
+    assert len(non_finite(ch.ChainConfig)) == 3 * 5  # the timing and grid fields, all found

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from photonlink import cli
+from test_golden_outputs import read_json
 
 
 def fast_chain(pair_rate=20_000.0, visibility=0.95, phase_averaged=False, darks=False):
@@ -64,15 +65,18 @@ def test_budget_baseline_preset_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") == 3
-    doc = json.loads((tmp_path / "budget.json").read_text())
+    doc = read_json(tmp_path / "budget.json")
     assert doc["transfer_probability"] is None
     assert doc["franson_passed"] is True
+    # Matched analyzers leave the margin unbounded: inf on the console, null in the file.
+    assert "(margin inf)" in out
+    assert [c["margin"] for c in doc["franson"] if c["name"] == "analyzers_matched"] == [None]
 
 
 def test_budget_transfer_preset_reports_conversion(tmp_path):
     code = cli.main(["budget", "--preset", "fig3-transfer", "--out", str(tmp_path)])
     assert code == 0
-    doc = json.loads((tmp_path / "budget.json").read_text())
+    doc = read_json(tmp_path / "budget.json")
     assert doc["transfer_probability"] == pytest.approx(0.0486, abs=1e-4)
     assert doc["reservoir"]["ok"] is True
 
@@ -133,7 +137,7 @@ def test_budget_ignores_the_duration_environment_variable(tmp_path, monkeypatch)
     # budget takes no --duration and draws nothing, so the variable has no flag to default.
     monkeypatch.setenv("PHOTONLINK_DURATION", "1e9")
     assert cli.main(["budget", "--preset", "fig2-baseline", "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "manifest.json").read_text())["duration_s"] == 240.0
+    assert read_json(tmp_path / "manifest.json")["duration_s"] == 240.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +153,10 @@ def test_sweep_writes_fringe_and_fit(tmp_path, capsys):
     lines = (out / "fringe.csv").read_text().splitlines()
     assert lines[0] == "phase_rad,coincidences,duration_s"
     assert len(lines) == 10
-    doc = json.loads((out / "fit.json").read_text())
+    doc = read_json(out / "fit.json")
     assert doc["fit"]["v_net"] == pytest.approx(0.95, abs=0.05)
     assert doc["n_phases"] == 9
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     assert sorted(manifest["outputs"]) == ["fit.json", "fringe.csv", "manifest.json"]
     assert manifest["seed"] == 404
     assert "v_net" in capsys.readouterr().out
@@ -165,8 +169,8 @@ def test_sweep_is_reproducible_byte_for_byte(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--phases", "7", "--out", str(out2)]) == 0
     for name in ("fringe.csv", "fit.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    m1 = json.loads((out1 / "manifest.json").read_text())
-    m2 = json.loads((out2 / "manifest.json").read_text())
+    m1 = read_json(out1 / "manifest.json")
+    m2 = read_json(out2 / "manifest.json")
     m1.pop("wall_clock_s")
     m2.pop("wall_clock_s")
     assert m1 == m2
@@ -178,14 +182,14 @@ def test_sweep_seed_flag_changes_outputs(tmp_path):
     cli.main(["sweep", "--config", cfg, "--phases", "7", "--out", str(out1)])
     cli.main(["sweep", "--config", cfg, "--phases", "7", "--seed", "9", "--out", str(out2)])
     assert (out1 / "fringe.csv").read_bytes() != (out2 / "fringe.csv").read_bytes()
-    assert json.loads((out2 / "manifest.json").read_text())["seed"] == 9
+    assert read_json(out2 / "manifest.json")["seed"] == 9
 
 
 def test_sweep_flat_fringe_for_zero_visibility(tmp_path):
     cfg = write_config(tmp_path, fast_chain(visibility=0.0))
     out = tmp_path / "run"
     assert cli.main(["sweep", "--config", cfg, "--phases", "9", "--out", str(out)]) == 0
-    doc = json.loads((out / "fit.json").read_text())
+    doc = read_json(out / "fit.json")
     assert doc["fit"]["v_raw"] < 0.05
 
 
@@ -213,7 +217,7 @@ def test_histogram_phase_averaged_ratio(tmp_path, capsys):
     out = tmp_path / "run"
     code = cli.main(["histogram", "--config", cfg, "--out", str(out)])
     assert code == 0
-    peaks = json.loads((out / "peaks.json").read_text())
+    peaks = read_json(out / "peaks.json")
     assert peaks["area_ratio_central_to_side"] == pytest.approx(2.0, rel=0.05)
     header, *rows = (out / "histogram.csv").read_text().splitlines()
     assert header == "bin_center_ns,counts"
@@ -248,7 +252,7 @@ def test_histogram_duration_flag_is_applied(tmp_path):
         ["histogram", "--config", cfg, "--duration", "0.25", "--out", str(out)]
     )
     assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     assert manifest["duration_s"] == 0.25
 
 
@@ -286,6 +290,11 @@ def test_transfer_probability_above_one_is_a_config_error(tmp_path, capsys, comm
         (("chain", "source", "pair_rate_per_s"), 1e300),
         (("chain", "gate_width_ns"), 1e300),
         (("chain", "histogram_bin_ns"), 1e-320),  # 3 / 1e-320 overflows to inf
+        # coherence lengths beyond the float range, or rounded to zero
+        (("chain", "source", "signal_wavelength_nm"), 1e300),
+        (("chain", "source", "idler_wavelength_nm"), 1e200),
+        (("chain", "source", "signal_wavelength_nm"), 5e-324),
+        (("chain", "source", "idler_wavelength_nm"), 5e-324),
     ],
 )
 def test_bad_field_is_a_config_error(tmp_path, capsys, keys, value):
@@ -294,8 +303,9 @@ def test_bad_field_is_a_config_error(tmp_path, capsys, keys, value):
     for key in keys[:-1]:
         section = section[key]
     section[keys[-1]] = value
-    assert cli.main(["histogram", "--config", write_config(tmp_path, doc)]) == 2
-    assert keys[-1] in capsys.readouterr().err
+    for command in ("budget", "histogram"):
+        assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2, command
+        assert keys[-1] in capsys.readouterr().err, command
 
 
 def test_non_finite_duration_flag_is_a_config_error(tmp_path, capsys):
@@ -398,19 +408,29 @@ def test_report_passes_on_consistent_outputs(tmp_path, capsys):
     output = capsys.readouterr().out
     assert code == 0
     assert "PASS" in output and "FAIL" not in output
-    doc = json.loads((out / "report.json").read_text())
+    doc = read_json(out / "report.json")
     assert doc["passed"] is True
 
 
 def test_report_fails_on_doctored_visibility(tmp_path, capsys):
     out = run_small_pipeline(tmp_path)
-    doc = json.loads((out / "fit.json").read_text())
+    doc = read_json(out / "fit.json")
     doc["fit"]["v_net"] = 0.5
     doc["fidelity"] = 0.75
     (out / "fit.json").write_text(json.dumps(doc))
     code = cli.main(["report", str(out / "fit.json")])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_report_writes_a_nan_measurement_as_null(tmp_path):
+    out = run_small_pipeline(tmp_path)
+    doc = read_json(out / "fit.json")
+    doc["fit"]["v_net"] = float("nan")
+    (out / "fit.json").write_text(json.dumps(doc))
+    assert cli.main(["report", str(out / "fit.json"), "--out", str(out)]) == 4
+    rows = read_json(out / "report.json")["rows"]
+    assert [r["passed"] for r in rows if r["measured"] is None] == [False]
 
 
 def test_report_reads_budget_and_peaks_documents(tmp_path):

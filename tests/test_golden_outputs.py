@@ -6,7 +6,8 @@ and histogram for 10 s), and compares what they write with ``golden_outputs.json
 ``budget.json``, ``fringe.csv``, ``histogram.csv`` and ``peaks.json``, and
 ``fit.json`` field by field with floats at rel 1e-12, since the least-squares
 solver's last bits can vary by CPU.  ``manifest.json`` is left out: it
-records the wall clock.
+records the wall clock.  Every JSON output is also read strictly
+(``read_json``), so a NaN or Infinity in one fails here.
 
 A change that alters these outputs on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden_outputs.py`` and says so.
@@ -50,6 +51,15 @@ def numpy_version() -> str:
     return ".".join(np.__version__.split(".")[:2])
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} in a written JSON output; strict parsers reject it")
+
+
+def read_json(path: Path):
+    """The JSON document at ``path``, read strictly: NaN, Infinity and -Infinity raise."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 def record(name: str, work: Path) -> dict:
     """Run one case's commands into ``work``; return its digests and fit."""
     work.mkdir(parents=True, exist_ok=True)
@@ -64,11 +74,14 @@ def record(name: str, work: Path) -> dict:
         out_dir = work / command
         assert cli.main([command, *source, "--out", str(out_dir)]) == 0, (name, command)
         out.update({p.name: p for p in out_dir.iterdir()})
+    for path in out.values():
+        if path.suffix == ".json":
+            read_json(path)
     result = {
         "sha256": {f: hashlib.sha256(out[f].read_bytes()).hexdigest() for f in DIGESTED if f in out}
     }
     if "fit.json" in out:
-        result["fit"] = json.loads(out["fit.json"].read_text())
+        result["fit"] = read_json(out["fit.json"])
     return result
 
 
