@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_BINS, START_DETECTOR, STOP_DETECTOR, ChainConfig
+from .chain import NonNegative, Positive, check_kinds, on_grid
 from .config import InvalidConfigError
 from .events import BLOCK, ORIGINS, EventStream
 from .quantum import VisibilityRangeError
@@ -106,10 +107,11 @@ class CoincidenceHistogram:
         if not self.range_min_ns < self.range_max_ns:
             raise ValueError("histogram range must have range_min < range_max")
         for name, value in (("range_min_ns", self.range_min_ns), ("range_max_ns", self.range_max_ns)):
-            steps = value / self.bin_width_ns  # inf for a subnormal width; round() cannot take it
-            if not (math.isfinite(steps) and abs(round(steps) - steps) <= EDGE_TOL_BINS):
+            if not on_grid(value / self.bin_width_ns):
                 raise ValueError(f"{name}={value!r} is not an integer multiple of the bin width")
         counts = np.asarray(self.counts, dtype=np.int64)
+        if not np.array_equal(counts, self.counts):  # 1.7 would be stored as 1
+            raise ValueError("counts must be integers")
         if counts.ndim != 1 or counts.size != self.n_bins:
             raise ValueError(
                 f"counts must be a 1-d array of length {self.n_bins}, got shape {counts.shape}"
@@ -409,14 +411,10 @@ class FringePoint:
     """
 
     combined_phase_rad: float
-    coincidences: float
-    duration_s: float
+    coincidences: NonNegative
+    duration_s: Positive
 
-    def __post_init__(self) -> None:
-        if not self.coincidences >= 0.0:
-            raise ValueError(f"coincidence count cannot be negative, got {self.coincidences!r}")
-        if not self.duration_s > 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration_s!r}")
+    __post_init__ = check_kinds
 
 
 @dataclass(frozen=True)
@@ -524,8 +522,8 @@ def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
             f"phase span {span:.4f} rad is less than one full period"
         )
     acc = float(accidental_rate_per_s)
-    if acc < 0.0:
-        raise ValueError(f"accidental rate cannot be negative, got {accidental_rate_per_s!r}")
+    if not 0.0 <= acc < math.inf:
+        raise ValueError(f"accidental_rate_per_s must be finite and >= 0, got {acc!r}")
     rates = np.array([p.coincidences / p.duration_s for p in pts], dtype=float)
 
     a_raw, v_raw, phi0, v_raw_err = _fit_sinusoid(phases, rates)

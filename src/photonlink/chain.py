@@ -13,6 +13,7 @@ inverse seconds, and time windows in nanoseconds throughout.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
@@ -22,6 +23,7 @@ from .quantum import OUTCOME_CLASSES
 
 __all__ = [
     "EDGE_TOL_BINS",
+    "MAX_HISTOGRAM_BINS",
     "SPEED_OF_LIGHT_M_PER_S",
     "START_DETECTOR",
     "STOP_DETECTOR",
@@ -36,9 +38,11 @@ __all__ = [
     "SfgParams",
     "SourceParams",
     "ZeroBandwidthError",
+    "check_kinds",
     "coherence_length",
     "expected_rates",
     "franson_validity",
+    "on_grid",
     "reservoir_coherence_ok",
     "sfg_transfer_probability",
 ]
@@ -48,6 +52,12 @@ SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 # How far, in bin widths, a histogram edge may sit from the bin grid and
 # still count as on it.
 EDGE_TOL_BINS = 1e-9
+
+# Most bins one histogram grid, 2 x histogram_half_range_ns / histogram_bin_ns,
+# may have.  A sweep keeps one int64 histogram per point, so a sweep of
+# cli.MAX_PHASES = 10,000 points holds at most 10,000 x 1,000 x 8 B = 80 MB of
+# counts.  The defaults use 120 bins.
+MAX_HISTOGRAM_BINS = 1_000
 
 # The time-to-digital converter's wiring: Bob's detector runs free and starts
 # it; Alice's stops it and is gated, one gate centred on each of Bob's clicks.
@@ -66,29 +76,43 @@ class SaturationWarning(UserWarning):
 # parameter records
 # ---------------------------------------------------------------------------
 
-# A record field's bound is named by its annotation, which ``_check_bounds`` reads as a
-# string (``from __future__ import annotations``); a plain ``float`` need only be finite.
+# A record field's kind is named by its annotation, which ``check_kinds`` reads as a
+# string (``from __future__ import annotations``): its type, then, for a number, that
+# it is finite, then the kind's bound.  A plain ``float`` need only be a finite number.
 Positive = Annotated[float, "> 0"]
 NonNegative = Annotated[float, ">= 0"]
 Efficiency = Annotated[float, "in (0, 1]"]
-_BOUNDS = {
-    "float": (lambda x: True, "be finite"),
-    "Positive": (lambda x: x > 0.0, "be positive"),
-    "NonNegative": (lambda x: x >= 0.0, "be >= 0"),
-    "Efficiency": (lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
+Fraction = Annotated[float, "in [0, 1]"]
+Seed = Annotated[int, "in [0, 2**64)"]
+_TYPE_NAMES = {bool: "a boolean", numbers.Integral: "an integer", numbers.Real: "a number"}
+_KINDS = {
+    "bool": (bool, lambda x: True, ""),
+    "Seed": (numbers.Integral, lambda x: 0 <= x < 2**64, "fit an unsigned 64-bit integer"),
+    "float": (numbers.Real, lambda x: True, ""),
+    "Positive": (numbers.Real, lambda x: x > 0.0, "be positive"),
+    "NonNegative": (numbers.Real, lambda x: x >= 0.0, "be >= 0"),
+    "Efficiency": (numbers.Real, lambda x: 0.0 < x <= 1.0, "lie in (0, 1]"),
+    "Fraction": (numbers.Real, lambda x: 0.0 <= x <= 1.0, "lie in [0, 1]"),
 }
 
 
-def _check_bounds(record) -> None:
-    """Refuse, naming it, the first numeric field of ``record`` not finite or out of its bound."""
+def check_kinds(record) -> None:
+    """Refuse, naming it, the first field of ``record`` not of its kind; a bool is no number."""
     for f in fields(record):
-        if f.type in _BOUNDS:
-            within, rule = _BOUNDS[f.type]
+        if f.type in _KINDS:
+            cls, within, rule = _KINDS[f.type]
             value = getattr(record, f.name)
-            if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past the float range
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if isinstance(value, bool) != (cls is bool) or not isinstance(value, cls):
+                raise ValueError(f"{f.name} must be {_TYPE_NAMES[cls]}, got {value!r}")
+            if cls is numbers.Real and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")  # or an int past floats
             if not within(value):
                 raise ValueError(f"{f.name} must {rule}, got {value!r}")
+
+
+def on_grid(steps: float) -> bool:
+    """Whether ``steps``, a length over a bin width, is whole to within EDGE_TOL_BINS."""
+    return math.isfinite(steps) and abs(round(steps) - steps) <= EDGE_TOL_BINS  # round(inf) raises
 
 
 @dataclass(frozen=True)
@@ -108,7 +132,7 @@ class SourceParams:
     pair_rate_per_s: NonNegative = 2000.0
 
     def __post_init__(self) -> None:
-        _check_bounds(self)
+        check_kinds(self)
         if self.alice_filter_bandwidth_nm > self.raw_bandwidth_nm:
             raise ValueError("alice_filter_bandwidth_nm cannot exceed raw_bandwidth_nm")
         for name, length in (
@@ -134,7 +158,7 @@ class InterferometerParams:
     phase_rad: float = 0.0
     transmission: Efficiency = 0.7  # excess transmission, port splitting excluded
 
-    __post_init__ = _check_bounds
+    __post_init__ = check_kinds
 
     def delay_ns(self) -> float:
         """Long-minus-short arrival-time difference in nanoseconds."""
@@ -153,7 +177,7 @@ class SfgParams:
     output_wavelength_nm: Positive = 712.4
     reservoir_coherence_length_m: Positive = 1000.0
 
-    __post_init__ = _check_bounds
+    __post_init__ = check_kinds
 
 
 @dataclass(frozen=True)
@@ -171,7 +195,7 @@ class DetectorParams:
     quantum_efficiency: Efficiency = 0.10
     dark_prob_per_ns: NonNegative = 3.0e-5
 
-    __post_init__ = _check_bounds
+    __post_init__ = check_kinds
 
 
 @dataclass(frozen=True)
@@ -200,11 +224,15 @@ class ChainConfig:
     histogram_half_range_ns: Positive = 3.0
 
     def __post_init__(self) -> None:
-        _check_bounds(self)
+        check_kinds(self)
         half, width = self.histogram_half_range_ns, self.histogram_bin_ns
-        steps = half / width  # inf for a subnormal width; round() cannot take it
-        on_grid = math.isfinite(steps) and abs(round(steps) - steps) <= EDGE_TOL_BINS
-        if not (on_grid and round(steps) >= 1):
+        steps = half / width
+        if not 2.0 * steps <= MAX_HISTOGRAM_BINS:  # inf for a subnormal width
+            raise ValueError(
+                f"2 x histogram_half_range_ns / histogram_bin_ns = {2.0 * steps:.3g} bins "
+                f"exceeds MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS}"
+            )
+        if not (on_grid(steps) and round(steps) >= 1):
             raise ValueError(
                 f"histogram_half_range_ns={half!r} is not a positive integer multiple of "
                 f"histogram_bin_ns={width!r}"
@@ -234,9 +262,9 @@ def coherence_length(wavelength_nm: float, bandwidth_nm: float) -> float:
     For the pair photons at 1555 nm with the raw 15 nm bandwidth this gives
     about 161 micrometers, the scale every imbalance comparison runs against.
     """
-    if bandwidth_nm <= 0.0:
+    if not bandwidth_nm > 0.0:  # also NaN
         raise ZeroBandwidthError(f"bandwidth must be positive, got {bandwidth_nm!r}")
-    if wavelength_nm <= 0.0:
+    if not wavelength_nm > 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength_nm!r}")
     try:
         return wavelength_nm**2 / bandwidth_nm * 1e-9

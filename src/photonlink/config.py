@@ -6,9 +6,11 @@ one-to-one onto the parameter records in :mod:`photonlink.chain`.  A
 document, like a preset, states only what differs from the defaults: each
 section starts from its slot's default in ``SimConfig()`` (a null ``sfg``
 from ``SfgParams()``), so ``{"chain": {"alice_detector": {"dark_prob_per_ns":
-2e-5}}}`` keeps Alice's quantum efficiency of 0.14.  Unknown fields, and
-values whose type does not match the field's default, are rejected with the
-offending field and section named, so typos fail loudly.  Each run's
+2e-5}}}`` keeps Alice's quantum efficiency of 0.14.  Unknown fields are
+rejected here; each value is judged by its record, by the kind its field is
+annotated with (:func:`photonlink.chain.check_kinds`: type, finiteness,
+bound), the same rule a library caller meets.  Either refusal names the
+offending field and section, so typos fail loudly.  Each run's
 ``manifest.json`` holds the fully resolved config.
 """
 
@@ -16,18 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import chain as ch
+from .chain import Fraction, Positive, Seed
 
 __all__ = [
     "MAX_EXPECTED_EVENTS",
-    "MAX_HISTOGRAM_BINS",
     "InvalidConfigError",
     "SimConfig",
     "sim_config_from_dict",
@@ -45,12 +43,6 @@ __all__ = [
 # document refused before is refused still.
 MAX_EXPECTED_EVENTS = 3.0e7
 
-# Most bins one histogram grid, 2 x histogram_half_range_ns / histogram_bin_ns,
-# may have.  A sweep keeps one int64 histogram per point, so a sweep of
-# cli.MAX_PHASES = 10,000 points holds at most 10,000 x 1,000 x 8 B = 80 MB of
-# counts.  The defaults use 120 bins.
-MAX_HISTOGRAM_BINS = 1_000
-
 
 class InvalidConfigError(ValueError):
     """Simulation configuration is internally inconsistent."""
@@ -61,28 +53,16 @@ class SimConfig:
     """Everything simulate() needs: the chain, the state, and the run window."""
 
     chain: ch.ChainConfig = field(default_factory=ch.ChainConfig)
-    visibility: float = 0.97
-    duration_s: float = 1.0
-    seed: int = 0
+    visibility: Fraction = 0.97
+    duration_s: Positive = 1.0
+    seed: Seed = 0
     phase_averaged: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.visibility <= 1.0:
-            raise InvalidConfigError(f"visibility must lie in [0, 1], got {self.visibility!r}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise InvalidConfigError(
-                f"duration_s must be positive and finite, got {self.duration_s!r}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidConfigError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
-        n_bins = 2.0 * self.chain.histogram_half_range_ns / self.chain.histogram_bin_ns
-        if not n_bins <= MAX_HISTOGRAM_BINS:
-            raise InvalidConfigError(
-                f"2 x chain.histogram_half_range_ns / chain.histogram_bin_ns = {n_bins:.3g} bins "
-                f"exceeds MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS}"
-            )
+        try:
+            ch.check_kinds(self)
+        except ValueError as exc:
+            raise InvalidConfigError(str(exc)) from exc
         with warnings.catch_warnings():  # the budget warns on its own, not at config load
             warnings.simplefilter("ignore", ch.SaturationWarning)
             rates = ch.expected_rates(self.chain)
@@ -95,17 +75,6 @@ class SimConfig:
                 "lower duration_s, pair_rate_per_s, the detectors' dark_prob_per_ns "
                 "or chain.gate_width_ns"
             )
-
-
-def _field_error(default, value) -> str | None:
-    """What a supplied value must be, judged by its field's default; None when it is."""
-    if isinstance(default, bool):
-        return None if isinstance(value, bool) else "a boolean"
-    if isinstance(default, (int, float)):
-        # rejects bools and strings, and NaN, +-Infinity and integers beyond the float range
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return None if number and abs(value) <= sys.float_info.max else "a finite number"
-    return None  # nested sections are built and checked on their own
 
 
 # Every nested section of a config document and the record it builds, in
@@ -137,15 +106,9 @@ def _build(base, data: dict, path: str = ""):
     unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise InvalidConfigError(f"unknown field(s) {', '.join(unknown)} in section {section!r}")
-    for name, value in data.items():
-        expected = _field_error(defaults[name], value)
-        if expected is not None:
-            raise InvalidConfigError(f"field {name} in section {section!r} must be {expected}")
     try:
         return dataclasses.replace(base, **data)
-    except InvalidConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidConfigError(f"section {section!r}: {exc}") from exc
 
 

@@ -76,8 +76,12 @@ class EventStream:
         undrawn = dict(undrawn or {})
         if not set(groups) | set(undrawn) <= set(GROUPS):
             raise ValueError(f"group keys must be among {GROUPS}")
-        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in undrawn.values()):
+        counts = undrawn.values()
+        if not all(isinstance(n, (int, np.integer)) and type(n) is not bool and n >= 0 for n in counts):
             raise ValueError("undrawn click counts must be non-negative integers")
+        number = isinstance(complete_for, (int, float)) and type(complete_for) is not bool
+        if complete_for is not None and not (number and 0.0 < complete_for < math.inf):
+            raise ValueError(f"complete_for must be None or positive and finite, got {complete_for!r}")
         self.duration_ns = float(duration_ns)
         self.undrawn = {key: int(undrawn.get(key, 0)) for key in GROUPS}
         self.complete_for = complete_for

@@ -151,7 +151,7 @@ def test_hand_built_stream_serves_every_geometry():
     assert stream.complete_for is None
     # The Bob start at 30 ns pairs only over +-50 ns, with the stop at 1.2 ns.
     for half, total in ((3.0, 1), (50.0, 2)):
-        chain = ch.ChainConfig(histogram_half_range_ns=half)
+        chain = ch.ChainConfig(histogram_bin_ns=0.1, histogram_half_range_ns=half)  # <= 1,000 bins
         assert an.build_histogram(stream, chain=chain).total == total
 
 
@@ -187,7 +187,9 @@ def test_histogram_addition_rejects_different_grids():
 
 def test_histogram_refuses_edges_off_its_grid():
     # "On the grid" is judged in bin widths: 1.4 bins is off it at any width.
-    an.CoincidenceHistogram(0.05, -3.0, 3.0, np.zeros(120))
+    an.CoincidenceHistogram(0.05, -3.0, 3.0, np.zeros(120))  # integral floats are counts
+    with pytest.raises(ValueError, match="integers"):
+        an.CoincidenceHistogram(0.05, -3.0, 3.0, np.full(120, 1.7))
     for width, edge in ((0.05, 3.01), (1e-9, 1.4e-9)):
         with pytest.raises(ValueError, match="integer multiple"):
             an.CoincidenceHistogram(width, -edge, edge, np.zeros(3))
@@ -599,8 +601,9 @@ def test_fit_rejects_insufficient_data():
 
 
 def test_fit_rejects_negative_accidentals():
-    with pytest.raises(ValueError):
-        an.fit_fringe(synthetic_fringe(0.9), accidental_rate_per_s=-1.0)
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="accidental_rate_per_s"):
+            an.fit_fringe(synthetic_fringe(0.9), accidental_rate_per_s=rate)
 
 
 def test_fit_poisson_noise_recovers_visibility():
@@ -726,10 +729,18 @@ def test_bound_scans_meet_the_bound():
 
 
 def test_fringe_point_validation():
-    with pytest.raises(ValueError):
-        an.FringePoint(0.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        an.FringePoint(0.0, 10.0, 0.0)
+    refused = [
+        ((0.0, -1.0, 1.0), "coincidences"),
+        ((0.0, 10.0, 0.0), "duration_s"),
+        ((math.nan, 10.0, 1.0), "combined_phase_rad"),  # reached LAPACK before
+        ((math.inf, 10.0, 1.0), "combined_phase_rad"),
+        ((0.0, True, 1.0), "coincidences"),
+        ((0.0, 10.0, "1"), "duration_s"),
+    ]
+    for args, name in refused:
+        with pytest.raises(ValueError, match=name):
+            an.FringePoint(*args)
+    an.FringePoint(np.float64(1.0), np.int64(10), 1)  # numpy and integer numbers are numbers
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import numbers
 
 import pytest
 
+from photonlink import analysis as an
 from photonlink import chain as ch
+from photonlink.config import InvalidConfigError, SimConfig, sim_config_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +36,12 @@ def test_coherence_length_rejects_bad_bandwidth():
         ch.coherence_length(1555.0, 0.0)
     with pytest.raises(ch.ZeroBandwidthError):
         ch.coherence_length(1555.0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ch.ZeroBandwidthError):
+        ch.coherence_length(1555.0, math.nan)
+    with pytest.raises(ValueError, match="wavelength"):
         ch.coherence_length(-5.0, 1.0)
+    with pytest.raises(ValueError, match="wavelength"):
+        ch.coherence_length(math.nan, 15.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +218,70 @@ def test_accidental_fraction_and_predicted_ratio():
 # ---------------------------------------------------------------------------
 
 
-NON_FINITE = (math.nan, math.inf, -math.inf)
+# Not finite numbers, or not numbers at all: a bool is not a number.
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, True, "1.0", None)
+
+# The section of a config document each record is built from.
+SECTIONS = {
+    SimConfig: "simulation",
+    ch.ChainConfig: "chain",
+    ch.SourceParams: "chain.source",
+    ch.InterferometerParams: "chain.bob_interferometer",
+    ch.DetectorParams: "chain.alice_detector",
+    ch.SfgParams: "chain.sfg",
+}
 
 
 def non_finite(record) -> list[dict]:
-    """NaN, +inf and -inf in each numeric field of ``record``, one field at a time."""
-    default = record()
-    names = [f.name for f in dataclasses.fields(record) if isinstance(getattr(default, f.name), float)]
-    return [{name: value} for name in names for value in NON_FINITE]
+    """Each of BAD_NUMBERS in each number field of ``record``, one field at a time."""
+    kinds = {f.name: ch._KINDS.get(f.type, (None,))[0] for f in dataclasses.fields(record)}
+    names = [name for name, cls in kinds.items() if cls is numbers.Real]
+    return [{name: value} for name in names for value in BAD_NUMBERS]
 
 
 def assert_refused(record, refused: list[dict]) -> None:
-    """Each entry fails to build ``record`` with a ValueError naming its first field."""
+    """Each entry fails to build ``record`` with a ValueError naming its first field, and fails
+    to load as a config document with an InvalidConfigError naming the field and the section."""
+    section = SECTIONS[record]
     for fields in refused:
-        with pytest.raises(ValueError, match=next(iter(fields))):
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=name):
             record(**fields)
+        document = fields
+        for key in reversed(section.split(".") if record is not SimConfig else []):
+            document = {key: document}
+        with pytest.raises(InvalidConfigError) as refusal:
+            sim_config_from_dict(document)
+        assert name in str(refusal.value) and repr(section) in str(refusal.value), fields
+
+
+def test_every_value_field_has_a_kind():
+    # Nested records (built by a default factory) and the optional sfg record
+    # are checked on their own; every other field needs a kind.
+    for record in (*SECTIONS, an.FringePoint):
+        for f in dataclasses.fields(record):
+            if f.default_factory is dataclasses.MISSING and f.default is not None:
+                assert f.type in ch._KINDS, f"{record.__name__}.{f.name}: {f.type}"
+
+
+def test_sim_config_validation():
+    refused = non_finite(SimConfig) + [
+        {"visibility": -0.1},
+        {"visibility": 1.5},
+        {"duration_s": 0.0},
+        {"seed": True},
+        {"seed": 1.0},
+        {"seed": "1"},
+        {"seed": None},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"phase_averaged": "no"},
+        {"phase_averaged": 1},
+        {"phase_averaged": None},
+    ]
+    assert_refused(SimConfig, refused)
+    assert len(non_finite(SimConfig)) == len(BAD_NUMBERS) * 2  # visibility and duration_s
+    SimConfig(seed=2**64 - 1, visibility=1)  # an integer is a number
 
 
 def test_source_rejects_filter_wider_than_raw():
@@ -238,6 +294,7 @@ def test_source_validation():
         {"pump_coherence_length_m": 0.0},
         {"raw_bandwidth_nm": -1.0},
         {"pair_rate_per_s": -1.0},
+        {"pair_rate_per_s": "2000"},
         # coherence lengths beyond the float range, or rounded to zero
         {"signal_wavelength_nm": 1e300},
         {"idler_wavelength_nm": 1e200},
@@ -301,6 +358,9 @@ def test_chain_config_validation():
         {"histogram_bin_ns": 0.0},
         {"histogram_half_range_ns": 0.0},
         {"histogram_half_range_ns": -2.0},
+        {"histogram_bin_ns": 1e-5},  # 600,000 bins, past MAX_HISTOGRAM_BINS
+        {"histogram_bin_ns": 5e-324},  # a subnormal width: infinitely many bins
     ]
     assert_refused(ch.ChainConfig, refused)
-    assert len(non_finite(ch.ChainConfig)) == 3 * 5  # the timing and grid fields, all found
+    assert len(non_finite(ch.ChainConfig)) == len(BAD_NUMBERS) * 5  # the timing and grid fields
+    ch.ChainConfig(histogram_bin_ns=0.006, histogram_half_range_ns=3.0)  # 1,000 bins, at the cap

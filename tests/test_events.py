@@ -256,9 +256,18 @@ def test_event_stream_counts_undrawn_clicks():
     assert stream.n_clicks("bob") == 42
     assert stream.n_clicks("alice") == 1
     assert stream != ev.EventStream(groups, duration_ns=10.0)  # same clicks, fewer singles
-    for undrawn in ({("bob", "dark"): -1}, {("bob", "dark"): 1.5}, {("carol", "dark"): 1}):
+    for undrawn in (
+        {("bob", "dark"): -1},
+        {("bob", "dark"): 1.5},
+        {("bob", "dark"): True},
+        {("carol", "dark"): 1},
+    ):
         with pytest.raises(ValueError):
             ev.EventStream(groups, duration_ns=10.0, undrawn=undrawn)
+    # A NaN half-range would turn off build_histogram's refusal of wider grids.
+    for complete_for in (math.nan, math.inf, 0.0, -1.0, "3", True):
+        with pytest.raises(ValueError, match="complete_for"):
+            ev.EventStream(groups, duration_ns=10.0, complete_for=complete_for)
 
 
 def test_detector_times_merges_the_two_origins():
