@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_BINS, START_DETECTOR, STOP_DETECTOR, ChainConfig
-from .chain import NonNegative, Positive, check_kinds, on_grid
+from .chain import Fraction, NonNegative, Positive, check_kinds, on_grid
 from .config import InvalidConfigError
-from .events import BLOCK, ORIGINS, EventStream
+from .events import BLOCK, ORIGINS, EventStream, simulate
 from .quantum import VisibilityRangeError
 
 __all__ = [
@@ -40,12 +40,14 @@ __all__ = [
     "CoincidenceHistogram",
     "PeakWindows",
     "WindowTally",
+    "Measurement",
     "FringePoint",
     "FringeFit",
     "BellResult",
     "build_histogram",
     "locate_peaks",
     "tally_windows",
+    "measure",
     "fit_fringe",
     "fidelity_from_visibility",
     "bell_parameter",
@@ -96,22 +98,23 @@ class CoincidenceHistogram:
     grid and can be added bin-wise.
     """
 
-    bin_width_ns: float
+    bin_width_ns: Positive
     range_min_ns: float
     range_max_ns: float
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.bin_width_ns > 0.0:
-            raise ValueError(f"bin width must be positive, got {self.bin_width_ns!r}")
+        check_kinds(self)
         if not self.range_min_ns < self.range_max_ns:
             raise ValueError("histogram range must have range_min < range_max")
         for name, value in (("range_min_ns", self.range_min_ns), ("range_max_ns", self.range_max_ns)):
             if not on_grid(value / self.bin_width_ns):
                 raise ValueError(f"{name}={value!r} is not an integer multiple of the bin width")
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if not np.array_equal(counts, self.counts):  # 1.7 would be stored as 1
-            raise ValueError("counts must be integers")
+        counts = np.asarray(self.counts)
+        whole = counts.dtype.kind != "f" or np.all((abs(counts) < 2.0**63) & (np.trunc(counts) == counts))
+        if not whole:  # judged before the cast, which would store 1.7 as 1 and warn of NaN
+            raise ValueError("counts must be finite integers")
+        counts = counts.astype(np.int64, copy=False).view()  # read-only below, not the caller's
         if counts.ndim != 1 or counts.size != self.n_bins:
             raise ValueError(
                 f"counts must be a 1-d array of length {self.n_bins}, got shape {counts.shape}"
@@ -427,22 +430,16 @@ class FringeFit:
     square roots of the fit covariance diagonal.
     """
 
-    v_raw: float
-    v_net: float
-    v_raw_err: float
-    v_net_err: float
+    v_raw: Fraction
+    v_net: Fraction
+    v_raw_err: NonNegative
+    v_net_err: NonNegative
     phase_offset_rad: float
     mean_level_per_s: float
-    accidental_level_per_s: float
-    residual_rms: float
+    accidental_level_per_s: NonNegative
+    residual_rms: NonNegative
 
-    def __post_init__(self) -> None:
-        for name in ("v_raw", "v_net"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value!r} outside [0, 1]")
-        if self.accidental_level_per_s < 0.0:
-            raise ValueError("accidental level cannot be negative")
+    __post_init__ = check_kinds
 
 
 @dataclass(frozen=True)
@@ -539,6 +536,53 @@ def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
         accidental_level_per_s=acc,
         residual_rms=residual,
     )
+
+
+# ---------------------------------------------------------------------------
+# measurement
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """A measurement's summed histogram, its windows and tally, and each run's FringePoint."""
+
+    histogram: CoincidenceHistogram
+    windows: PeakWindows
+    tally: WindowTally
+    points: tuple[FringePoint, ...]
+
+
+def measure(chain: ChainConfig, configs) -> Measurement:
+    """Simulate each config, histogram it on ``chain``'s grid, then locate and tally the sum.
+
+    A grid that cannot hold or resolve the side peaks is refused before the
+    first draw.  ``configs`` may be lazy; each run's stream dies before the next.
+    """
+    half, delay = chain.histogram_half_range_ns, chain.bob_interferometer.delay_ns()
+    if half < PEAK_REACH * delay:
+        raise InvalidConfigError(
+            f"chain.histogram_half_range_ns = {half} ns is below {PEAK_REACH} x Bob's "
+            f"interferometer delay of {delay:.4g} ns, so the side peaks fall outside it"
+        )
+    # locate_peaks searches a quarter delay around each peak, at least one bin.
+    if chain.histogram_bin_ns >= 0.25 * delay:
+        raise InvalidConfigError(
+            f"chain.histogram_bin_ns = {chain.histogram_bin_ns} ns is not below a quarter of "
+            f"Bob's interferometer delay of {delay:.4g} ns, so its peaks cannot be told apart"
+        )
+    histograms, settings = [], []
+    for cfg in configs:
+        histograms.append(build_histogram(simulate(cfg), chain=chain))
+        alice, bob = cfg.chain.alice_interferometer, cfg.chain.bob_interferometer
+        settings.append((alice.phase_rad + bob.phase_rad, cfg.duration_s))
+    total = sum(histograms[1:], histograms[0])
+    windows = locate_peaks(total, delay)
+    points = tuple(
+        FringePoint(phase, tally_windows(h, windows).central, duration)
+        for h, (phase, duration) in zip(histograms, settings)
+    )
+    return Measurement(total, windows, tally_windows(total, windows), points)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ __all__ = [
     "SfgParams",
     "SourceParams",
     "ZeroBandwidthError",
+    "check_kind",
     "check_kinds",
     "coherence_length",
     "expected_rates",
@@ -96,18 +97,24 @@ _KINDS = {
 }
 
 
+def check_kind(name: str, value, kind: str) -> None:
+    """Refuse, naming it, a ``value`` not of ``kind``, a key of _KINDS; a bool is no number."""
+    cls, within, rule = _KINDS[kind]
+    if isinstance(value, bool) != (cls is bool) or not isinstance(value, cls):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[cls]}, got {value!r}")
+    # A float32 would overflow in a compare with the float max, an int past it in math.isfinite.
+    finite = abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+    if cls is numbers.Real and not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not within(value):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 def check_kinds(record) -> None:
-    """Refuse, naming it, the first field of ``record`` not of its kind; a bool is no number."""
+    """Refuse, naming it, the first field of ``record`` not of the kind its annotation names."""
     for f in fields(record):
         if f.type in _KINDS:
-            cls, within, rule = _KINDS[f.type]
-            value = getattr(record, f.name)
-            if isinstance(value, bool) != (cls is bool) or not isinstance(value, cls):
-                raise ValueError(f"{f.name} must be {_TYPE_NAMES[cls]}, got {value!r}")
-            if cls is numbers.Real and not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{f.name} must be finite, got {value!r}")  # or an int past floats
-            if not within(value):
-                raise ValueError(f"{f.name} must {rule}, got {value!r}")
+            check_kind(f.name, getattr(record, f.name), f.type)
 
 
 def on_grid(steps: float) -> bool:

@@ -1,17 +1,16 @@
 """Command-line interface.
 
-Four commands cover the workflow end to end:
+Four commands cover the workflow end to end; ``sweep`` and ``histogram`` measure
+through ``analysis.measure``, then only fit, print and write:
 
 ``budget``
     Analytic link budget, no Monte Carlo: transfer probability, coherence
     lengths, interferometer validity checks, reservoir check, expected
     rates.  Exits 3 when a validity check fails.
 ``sweep``
-    Phase sweep of Bob's analyzer: per-point event simulation, coincidence
-    windowing, raw/net fringe fit; writes fringe.csv, fit.json, manifest.
+    Phase sweep of Bob's analyzer, raw/net fringe fit; writes fringe.csv, fit.json, manifest.
 ``histogram``
-    One simulation run, its start-stop histogram, the located peak windows
-    and the background-subtracted central/side area ratio.
+    One run's start-stop histogram, peak windows and background-subtracted central/side ratio.
 ``report``
     Compare the JSON outputs of prior commands against the reference
     targets; exits 4 when any row fails.
@@ -29,19 +28,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import analysis as an
 from . import chain as ch
 from .config import InvalidConfigError, SimConfig, load_config, read_document
-from .events import simulate
+from .events import sweep_points
 from .presets import PEAK_RATIO_TARGET, REPORT_TARGETS, preset_config, preset_names
 
 EXIT_OK = 0
@@ -133,27 +129,6 @@ def _write_manifest(
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _point_seeds(root_seed: int, n: int) -> list[int]:
-    children = np.random.SeedSequence(root_seed).spawn(n)
-    return [int(c.generate_state(1, np.uint64)[0]) for c in children]
-
-
-def _check_peak_reach(chain: ch.ChainConfig) -> None:
-    """Refuse, before simulating, a histogram grid that cannot hold or resolve the side peaks."""
-    half, delay = chain.histogram_half_range_ns, chain.bob_interferometer.delay_ns()
-    if half < an.PEAK_REACH * delay:
-        raise InvalidConfigError(
-            f"chain.histogram_half_range_ns = {half} ns is below {an.PEAK_REACH} x Bob's "
-            f"interferometer delay of {delay:.4g} ns, so the side peaks fall outside it"
-        )
-    # locate_peaks searches a quarter delay around each peak, at least one bin.
-    if chain.histogram_bin_ns >= 0.25 * delay:
-        raise InvalidConfigError(
-            f"chain.histogram_bin_ns = {chain.histogram_bin_ns} ns is not below a quarter of "
-            f"Bob's interferometer delay of {delay:.4g} ns, so its peaks cannot be told apart"
-        )
-
-
 def _windows_dict(windows: an.PeakWindows) -> dict:
     return {
         "side_early_ns": list(windows.side_early),
@@ -225,41 +200,6 @@ def cmd_budget(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_sweep(cfg: SimConfig, n_phases: int):
-    """Simulate a Bob-phase sweep and fit the central-window fringe.
-
-    Returns (points, fit, windows, tally); ``tally`` is the summed
-    histogram's ``an.tally_windows``, whose floor sets the accidental rate.
-    Each point counts its own histogram's central window at the combined
-    phase: Alice's configured phase plus the swept Bob phase.  Per-point
-    streams use sub-seeds derived from the config seed so the whole sweep is
-    one deterministic function of it.
-    """
-    chain = cfg.chain
-    phases = np.linspace(0.0, 2.0 * math.pi, n_phases)
-    seeds = _point_seeds(cfg.seed, n_phases)
-    histograms: list[an.CoincidenceHistogram] = []
-    for phi, seed in zip(phases, seeds):
-        chain_i = dataclasses.replace(
-            chain,
-            bob_interferometer=dataclasses.replace(chain.bob_interferometer, phase_rad=float(phi)),
-        )
-        point = dataclasses.replace(cfg, chain=chain_i, seed=seed)
-        # Each point's stream dies before the next simulate.
-        histograms.append(an.build_histogram(simulate(point), chain=chain))
-
-    total = sum(histograms[1:], histograms[0])
-    windows = an.locate_peaks(total, chain.bob_interferometer.delay_ns())
-    tally = an.tally_windows(total, windows)
-    combined = chain.alice_interferometer.phase_rad + phases
-    points = [
-        an.FringePoint(float(phi), an.tally_windows(h, windows).central, cfg.duration_s)
-        for phi, h in zip(combined, histograms)
-    ]
-    fit = an.fit_fringe(points, accidental_rate_per_s=tally.accidentals / (n_phases * cfg.duration_s))
-    return points, fit, windows, tally
-
-
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     cfg, label = _resolve_config(args)
@@ -267,14 +207,15 @@ def cmd_sweep(args) -> int:
         raise InvalidConfigError(f"a sweep needs at least 5 phase points, got {args.phases}")
     if args.phases > MAX_PHASES:
         raise InvalidConfigError(f"--phases allows at most {MAX_PHASES} points, got {args.phases}")
-    _check_peak_reach(cfg.chain)
     out_dir = _resolve_out(args)
 
-    points, fit, windows, _ = _run_sweep(cfg, args.phases)
+    run = an.measure(cfg.chain, sweep_points(cfg, args.phases))
+    accidental_rate = run.tally.accidentals / (args.phases * cfg.duration_s)  # per window and s
+    fit = an.fit_fringe(run.points, accidental_rate_per_s=accidental_rate)
     bell = an.bell_parameter(fit.v_net)
     fidelity = an.fidelity_from_visibility(fit.v_net)
 
-    for p in points:
+    for p in run.points:
         print(f"  phase {p.combined_phase_rad:6.3f} rad: {int(p.coincidences):6d} coincidences")
     print(f"sweep [{label}]: v_raw={fit.v_raw:.4f}+-{fit.v_raw_err:.4f} "
           f"v_net={fit.v_net:.4f}+-{fit.v_net_err:.4f}")
@@ -282,14 +223,14 @@ def cmd_sweep(args) -> int:
           f"({'violates' if bell.violation else 'does not violate'} the classical bound)")
 
     if out_dir is not None:
-        an.write_fringe_csv(points, out_dir / "fringe.csv")
+        an.write_fringe_csv(run.points, out_dir / "fringe.csv")
         payload = {
             "label": label,
             "configured_visibility": cfg.visibility,
             "fit": dataclasses.asdict(fit),
             "fidelity": fidelity,
             "bell": dataclasses.asdict(bell),
-            "windows": _windows_dict(windows),
+            "windows": _windows_dict(run.windows),
             "accidental_rate_per_s": fit.accidental_level_per_s,
             "transfer_probability": cfg.chain.transfer_probability() if cfg.chain.sfg else None,
             "n_phases": args.phases,
@@ -310,13 +251,10 @@ def cmd_sweep(args) -> int:
 def cmd_histogram(args) -> int:
     started = time.perf_counter()
     cfg, label = _resolve_config(args)
-    _check_peak_reach(cfg.chain)
     out_dir = _resolve_out(args)
-    chain = cfg.chain
 
-    hist = an.build_histogram(simulate(cfg), chain=chain)
-    windows = an.locate_peaks(hist, chain.bob_interferometer.delay_ns())
-    tally = an.tally_windows(hist, windows)
+    run = an.measure(cfg.chain, [cfg])
+    hist, windows, tally = run.histogram, run.windows, run.tally
     ratio = tally.area_ratio()
 
     print(f"histogram [{label}]: {hist.total} pairs in range")
@@ -333,7 +271,7 @@ def cmd_histogram(args) -> int:
             "counts": {key: getattr(tally, key) for key in ("central", "side_early", "side_late")},
             "accidental_per_window": tally.accidentals,
             "area_ratio_central_to_side": ratio,
-            "expected_delay_ns": chain.bob_interferometer.delay_ns(),
+            "expected_delay_ns": cfg.chain.bob_interferometer.delay_ns(),
         }
         _write_json(out_dir / "peaks.json", payload)
         _write_manifest(out_dir, "histogram", label, cfg, ["histogram.csv", "peaks.json"], started)

@@ -32,15 +32,16 @@ records both.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first simulate
 
-from .chain import START_DETECTOR, STOP_DETECTOR, ChainConfig
+from .chain import START_DETECTOR, STOP_DETECTOR, ChainConfig, check_kind
 from .config import SimConfig
 from .quantum import OUTCOME_CLASSES
 
-__all__ = ["DETECTORS", "ORIGINS", "GROUPS", "EventStream", "simulate"]
+__all__ = ["DETECTORS", "ORIGINS", "GROUPS", "EventStream", "simulate", "sweep_points"]
 
 DETECTORS = ("alice", "bob")
 ORIGINS = ("photon", "dark")
@@ -79,9 +80,9 @@ class EventStream:
         counts = undrawn.values()
         if not all(isinstance(n, (int, np.integer)) and type(n) is not bool and n >= 0 for n in counts):
             raise ValueError("undrawn click counts must be non-negative integers")
-        number = isinstance(complete_for, (int, float)) and type(complete_for) is not bool
-        if complete_for is not None and not (number and 0.0 < complete_for < math.inf):
-            raise ValueError(f"complete_for must be None or positive and finite, got {complete_for!r}")
+        check_kind("duration_ns", duration_ns, "Positive")
+        if complete_for is not None:
+            check_kind("complete_for", complete_for, "Positive")
         self.duration_ns = float(duration_ns)
         self.undrawn = {key: int(undrawn.get(key, 0)) for key in GROUPS}
         self.complete_for = complete_for
@@ -340,6 +341,15 @@ def simulate(config: SimConfig) -> EventStream:
     # Restricted Bob darks serve the chain's half-range; without them, every one.
     complete_for = chain.histogram_half_range_ns if rate > 0.0 else None
     return EventStream(groups, duration_ns=duration_ns, undrawn=undrawn, complete_for=complete_for)
+
+
+def sweep_points(config: SimConfig, n: int):
+    """The ``n`` configs of a Bob-phase sweep over ``np.linspace(0, 2 pi, n)``, each its own seed."""
+    chain, root = config.chain, np.random.SeedSequence(config.seed)
+    for phi in np.linspace(0.0, 2.0 * math.pi, n):
+        bob = replace(chain.bob_interferometer, phase_rad=float(phi))
+        seed = int(root.spawn(1)[0].generate_state(1, np.uint64)[0])  # SeedSequence children, lazily
+        yield replace(config, chain=replace(chain, bob_interferometer=bob), seed=seed)
 
 
 def _inside(times: np.ndarray, duration_ns: float) -> np.ndarray:

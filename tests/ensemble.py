@@ -3,10 +3,13 @@
     python3 tests/ensemble.py [--seeds N] [--first-seed S] [--phases P]
 
 Runs N fresh-seed sweeps (seeds S .. S+N-1, not the preset seeds) of each
-preset through ``cli._run_sweep``, once with ``events.simulate`` (photon
-clicks drawn per outcome cell, Bob's free-running darks drawn only where they
-can pair) and once with the reference sampler of ``reference_sampler.py``
-(every pair and every dark drawn).  The two differ in both the photon and
+preset through the CLI's own path, ``analysis.measure`` over
+``events.sweep_points`` and then ``analysis.fit_fringe`` at the sweep's
+accidental rate, once with ``events.simulate`` (photon clicks drawn per
+outcome cell, Bob's free-running darks drawn only where they can pair) and
+once with the reference sampler of ``reference_sampler.py`` (every pair and
+every dark drawn), patched in over the ``simulate`` binding that
+``analysis.measure`` calls.  The two differ in both the photon and
 the dark half, so no stream is shared between them.  For each preset and
 sampler it prints mean +- standard error over seeds of ``v_raw``, ``v_net``
 and the measured accidental rate, and checks, with the tolerance fixed
@@ -41,8 +44,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from photonlink import analysis as an  # noqa: E402
 from photonlink import chain as ch  # noqa: E402
-from photonlink import cli  # noqa: E402
+from photonlink import events as ev  # noqa: E402
 from photonlink.presets import REPORT_TARGETS, preset_config  # noqa: E402
 from reference_sampler import reference_simulate  # noqa: E402
 
@@ -58,15 +62,17 @@ def sweep_values(name: str, seeds: list[int], n_phases: int, reference: bool) ->
     """Per-seed v_raw, v_net, their reported errors, the accidental rate and the
     mean central-window coincidences of one preset under one sampler."""
     values = {q: [] for q in (*QUANTITIES, "v_raw_err", "v_net_err", "mean_counts")}
-    sampler = reference_simulate if reference else cli.simulate
-    with mock.patch.object(cli, "simulate", sampler):
+    sampler = reference_simulate if reference else ev.simulate
+    with mock.patch.object(an, "simulate", sampler):
         for seed in seeds:
             cfg = dataclasses.replace(preset_config(name), seed=seed)
-            points, fit, _, _ = cli._run_sweep(cfg, n_phases)
+            run = an.measure(cfg.chain, ev.sweep_points(cfg, n_phases))
+            rate = run.tally.accidentals / (n_phases * cfg.duration_s)
+            fit = an.fit_fringe(run.points, accidental_rate_per_s=rate)
             for q in ("v_raw", "v_net", "v_raw_err", "v_net_err"):
                 values[q].append(getattr(fit, q))
             values["acc_rate"].append(fit.accidental_level_per_s)
-            values["mean_counts"].append(np.mean([p.coincidences for p in points]))
+            values["mean_counts"].append(np.mean([p.coincidences for p in run.points]))
     return {q: np.array(v) for q, v in values.items()}
 
 

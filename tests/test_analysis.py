@@ -12,7 +12,6 @@ from scipy.optimize import curve_fit
 
 from photonlink import analysis as an
 from photonlink import chain as ch
-from photonlink import cli
 from photonlink import events as ev
 from photonlink.config import SimConfig
 from photonlink.presets import preset_config
@@ -193,6 +192,26 @@ def test_histogram_refuses_edges_off_its_grid():
     for width, edge in ((0.05, 3.01), (1e-9, 1.4e-9)):
         with pytest.raises(ValueError, match="integer multiple"):
             an.CoincidenceHistogram(width, -edge, edge, np.zeros(3))
+
+
+def test_histogram_judges_its_numbers_by_kind():
+    # The grid's numbers follow chain.check_kinds: a bool is no bin width.
+    for width in (True, math.nan, math.inf, 0.0, -0.05, "0.05"):
+        with pytest.raises(ValueError, match="bin_width_ns"):
+            an.CoincidenceHistogram(width, -3, 3, np.zeros(6))
+    for edge in (math.nan, False):
+        with pytest.raises(ValueError, match="range_min_ns"):
+            an.CoincidenceHistogram(1.0, edge, 3.0, np.zeros(3))
+    # Non-finite or out-of-range counts are refused before the int64 cast,
+    # so numpy warns of no invalid cast (the suite turns warnings into errors).
+    for bad in (math.nan, math.inf, -math.inf, 1e30):
+        counts = np.zeros(6)
+        counts[2] = bad
+        with pytest.raises(ValueError, match="counts must be finite integers"):
+            an.CoincidenceHistogram(1.0, -3.0, 3.0, counts)
+    counts = np.zeros(6, dtype=np.int64)
+    assert not an.CoincidenceHistogram(1.0, -3.0, 3.0, counts).counts.flags.writeable
+    assert counts.flags.writeable  # the record's view is read-only, the caller's array is not
 
 
 def reference_counts(stream, chain):
@@ -606,6 +625,27 @@ def test_fit_rejects_negative_accidentals():
             an.fit_fringe(synthetic_fringe(0.9), accidental_rate_per_s=rate)
 
 
+def test_fringe_fit_validation():
+    good = dict(
+        v_raw=0.9, v_net=0.95, v_raw_err=0.01, v_net_err=0.01, phase_offset_rad=-0.5,
+        mean_level_per_s=-1.0, accidental_level_per_s=0.0, residual_rms=0.0,
+    )
+    an.FringeFit(**good)  # a negative level and any finite phase are kept
+    refused = [
+        {"v_raw": True},
+        {"v_net": 1.5},
+        {"v_raw_err": math.nan},
+        {"v_net_err": -1.0},
+        {"accidental_level_per_s": -1.0},
+        {"residual_rms": math.inf},
+        {"phase_offset_rad": math.nan},
+        {"mean_level_per_s": "1"},
+    ]
+    for fields in refused:
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            an.FringeFit(**{**good, **fields})
+
+
 def test_fit_poisson_noise_recovers_visibility():
     truth = 0.9
     phis = np.linspace(0.0, 2.0 * math.pi, 21)
@@ -802,10 +842,8 @@ def run_small_sweep(alice_dark_per_ns, seed0):
     )
     phis = np.linspace(0.0, 2.0 * math.pi, 9)
     duration = 0.8
-    total = None
-    per_point = []
-    for i, phi in enumerate(phis):
-        cfg = SimConfig(
+    configs = [
+        SimConfig(
             chain=dataclasses.replace(
                 chain_cfg,
                 alice_interferometer=dataclasses.replace(
@@ -816,16 +854,29 @@ def run_small_sweep(alice_dark_per_ns, seed0):
             duration_s=duration,
             seed=seed0 + i,
         )
-        hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
-        per_point.append(hist)
-        total = hist if total is None else total + hist
-    windows = an.locate_peaks(total, chain_cfg.bob_interferometer.delay_ns())
-    acc_rate = an.tally_windows(total, windows).accidentals / (len(phis) * duration)
-    points = [
-        an.FringePoint(float(phi), an.tally_windows(h, windows).central, duration)
-        for phi, h in zip(phis, per_point)
+        for i, phi in enumerate(phis)
     ]
-    return an.fit_fringe(points, accidental_rate_per_s=acc_rate)
+    run = an.measure(chain_cfg, configs)  # an Alice-phase sweep on the one path
+    acc_rate = run.tally.accidentals / (len(phis) * duration)
+    return an.fit_fringe(run.points, accidental_rate_per_s=acc_rate)
+
+
+def test_measure_sums_its_runs_and_tallies_each():
+    cfg = dataclasses.replace(preset_config("fig3-transfer"), duration_s=40.0)
+    run = an.measure(cfg.chain, ev.sweep_points(cfg, 5))
+    hists = [an.build_histogram(ev.simulate(p), chain=cfg.chain) for p in ev.sweep_points(cfg, 5)]
+    assert run.histogram == sum(hists[1:], hists[0])
+    assert run.windows == an.locate_peaks(run.histogram, cfg.chain.bob_interferometer.delay_ns())
+    assert run.tally == an.tally_windows(run.histogram, run.windows)
+    phases = cfg.chain.alice_interferometer.phase_rad + np.linspace(0.0, 2.0 * math.pi, 5)
+    assert run.points == tuple(
+        an.FringePoint(float(phi), an.tally_windows(h, run.windows).central, 40.0)
+        for phi, h in zip(phases, hists)
+    )
+    # One run: its own histogram, and one point at the configured phases.
+    single = an.measure(cfg.chain, [cfg])
+    assert single.histogram == an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
+    assert single.points[0].coincidences == single.tally.central
 
 
 def test_dark_counts_degrade_raw_but_not_net_visibility():
@@ -844,8 +895,8 @@ def test_central_window_accidentals_match_the_budget(name):
     # background bins the rate is measured from (a few thousand counts, so
     # about 5 %), was fixed before the first run.
     cfg = preset_config(name)
-    _, fit, _, tally = cli._run_sweep(cfg, 21)
-    measured, background = fit.accidental_level_per_s, tally.background
+    tally = an.measure(cfg.chain, ev.sweep_points(cfg, 21)).tally
+    measured, background = tally.accidentals / (21 * cfg.duration_s), tally.background
     sigma = measured / math.sqrt(background)
     predicted = ch.expected_rates(cfg.chain).accidental_rate_total_per_s
     assert background > 1000

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import numbers
 
+import numpy as np
 import pytest
 
 from photonlink import analysis as an
@@ -256,12 +257,20 @@ def assert_refused(record, refused: list[dict]) -> None:
 
 
 def test_every_value_field_has_a_kind():
-    # Nested records (built by a default factory) and the optional sfg record
-    # are checked on their own; every other field needs a kind.
-    for record in (*SECTIONS, an.FringePoint):
+    # Nested records (built by a default factory), the optional sfg record
+    # and a histogram's counts array are checked on their own; every other
+    # field needs a kind.
+    for record in (*SECTIONS, an.FringePoint, an.CoincidenceHistogram, an.FringeFit):
         for f in dataclasses.fields(record):
             if f.default_factory is dataclasses.MISSING and f.default is not None:
-                assert f.type in ch._KINDS, f"{record.__name__}.{f.name}: {f.type}"
+                if f.type != "np.ndarray":
+                    assert f.type in ch._KINDS, f"{record.__name__}.{f.name}: {f.type}"
+
+
+def test_numpy_floats_of_any_width_are_numbers():
+    # A float32 compared with the float max would warn of an overflowing cast.
+    assert ch.ChainConfig(jitter_ns=np.float32(0.25)).jitter_ns == 0.25
+    assert_refused(ch.ChainConfig, [{"jitter_ns": np.float32("nan")}, {"jitter_ns": np.float16(-1)}])
 
 
 def test_sim_config_validation():

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from photonlink import analysis as an
 from photonlink import cli
 from test_golden_outputs import read_json
 
@@ -197,7 +198,7 @@ def test_sweep_needs_five_phase_points(tmp_path, monkeypatch, capsys):
     def never(cfg):
         raise AssertionError("simulate ran on a refused phase count")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    monkeypatch.setattr(an, "simulate", never)  # the binding measure calls
     cfg = write_config(tmp_path, fast_chain())
     assert cli.main(["sweep", "--config", cfg, "--phases", "4"]) == 2
     # An unbounded count would reach np.linspace and SeedSequence.spawn.
@@ -318,7 +319,7 @@ def test_hour_long_sweep_is_refused_before_simulating(monkeypatch, capsys):
     def never(cfg):
         raise AssertionError("simulate ran on an oversized config")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    monkeypatch.setattr(an, "simulate", never)  # the binding measure calls
     assert cli.main(["sweep", "--preset", "fig2-baseline", "--duration", "3600"]) == 2
     err = capsys.readouterr().err
     assert "duration_s" in err and "MAX_EXPECTED_EVENTS" in err
@@ -330,7 +331,7 @@ def test_histogram_grid_beyond_the_bin_cap_is_refused_before_simulating(
     def never(cfg):
         raise AssertionError("simulate ran on an oversized histogram grid")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    monkeypatch.setattr(an, "simulate", never)  # the binding measure calls
     # 6e9 bins: the counts alone would need 45 GiB.
     cfg = write_config(tmp_path, {"chain": {"histogram_bin_ns": 1e-9}})
     assert cli.main(["histogram", "--config", cfg, "--duration", "0.01"]) == 2
@@ -358,7 +359,7 @@ def test_converter_role_fields_are_refused_before_simulating(
     def never(cfg):
         raise AssertionError("simulate ran on a document with retired fields")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    monkeypatch.setattr(an, "simulate", never)  # the binding measure calls
     doc = target = {}
     for key in section.split("."):
         target = target.setdefault(key, {})
@@ -375,7 +376,7 @@ def test_range_short_of_the_side_peaks_is_refused_before_simulating(
     def never(cfg):
         raise AssertionError("simulate ran on a grid that cannot hold or resolve the side peaks")
 
-    monkeypatch.setattr(cli, "simulate", never)
+    monkeypatch.setattr(an, "simulate", never)  # the binding measure calls
     # +-0.5 ns cannot reach the side peaks at +-0.667 ns, and bins of a
     # quarter of that delay or more cannot resolve them.
     refused = [("histogram_half_range_ns", 0.5)]

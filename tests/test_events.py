@@ -5,6 +5,7 @@ so they are deterministic once verified.
 """
 
 import cProfile
+import dataclasses
 import json
 import math
 import re
@@ -268,6 +269,27 @@ def test_event_stream_counts_undrawn_clicks():
     for complete_for in (math.nan, math.inf, 0.0, -1.0, "3", True):
         with pytest.raises(ValueError, match="complete_for"):
             ev.EventStream(groups, duration_ns=10.0, complete_for=complete_for)
+    # One number rule (chain.check_kind): any real number but a bool.
+    for complete_for in (np.float32(3.0), np.int64(3), np.float64(3.0), 3):
+        assert ev.EventStream(groups, duration_ns=10.0, complete_for=complete_for).complete_for == 3
+    # An empty stream has no click time to betray a bad duration.
+    for duration_ns in (math.nan, math.inf, -5.0, 0.0, True, "10"):
+        with pytest.raises(ValueError, match="duration_ns"):
+            ev.EventStream({}, duration_ns=duration_ns)
+
+
+def test_sweep_points_step_bobs_phase_and_spawn_one_child_each():
+    cfg = preset_config("fig2-baseline")
+    points = ev.sweep_points(cfg, 7)
+    first = next(points)  # drawn one at a time: no list of seeds up front
+    points = [first, *points]
+    children = np.random.SeedSequence(cfg.seed).spawn(7)
+    assert [p.seed for p in points] == [int(c.generate_state(1, np.uint64)[0]) for c in children]
+    phases = [p.chain.bob_interferometer.phase_rad for p in points]
+    assert phases == np.linspace(0.0, 2.0 * math.pi, 7).tolist()
+    for p in points:  # nothing else changes
+        chain = dataclasses.replace(p.chain, bob_interferometer=cfg.chain.bob_interferometer)
+        assert dataclasses.replace(p, chain=chain, seed=cfg.seed) == cfg
 
 
 def test_detector_times_merges_the_two_origins():
