@@ -333,6 +333,9 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
     for target in (-spacing, 0.0, spacing):
         sel = np.abs(centers - target) <= 0.25 * spacing
         local = np.flatnonzero(sel)
+        if not local.size:
+            interval = f"[{target - 0.25 * spacing:.4g}, {target + 0.25 * spacing:.4g}] ns"
+            raise PeaksNotFound(f"no bin centre of bin width {hist.bin_width_ns} ns in {interval}")
         best = local[np.argmax(counts[local])]
         peak_centers.append(float(centers[best]))
         peak_heights.append(int(counts[best]))
@@ -576,6 +579,8 @@ def measure(chain: ChainConfig, configs) -> Measurement:
         histograms.append(build_histogram(simulate(cfg), chain=chain))
         alice, bob = cfg.chain.alice_interferometer, cfg.chain.bob_interferometer
         settings.append((alice.phase_rad + bob.phase_rad, cfg.duration_s))
+    if not histograms:
+        raise ValueError("a measurement needs at least one run; configs is empty")
     total = sum(histograms[1:], histograms[0])
     windows = locate_peaks(total, delay)
     points = tuple(

@@ -44,6 +44,7 @@ __all__ = [
     "expected_rates",
     "franson_validity",
     "on_grid",
+    "outcome_cells",
     "reservoir_coherence_ok",
     "sfg_transfer_probability",
 ]
@@ -89,6 +90,7 @@ _TYPE_NAMES = {bool: "a boolean", numbers.Integral: "an integer", numbers.Real: 
 _KINDS = {
     "bool": (bool, lambda x: True, ""),
     "Seed": (numbers.Integral, lambda x: 0 <= x < 2**64, "fit an unsigned 64-bit integer"),
+    "Count": (numbers.Integral, lambda x: x >= 0, "be >= 0"),  # e.g. an undrawn click count
     "float": (numbers.Real, lambda x: True, ""),
     "Positive": (numbers.Real, lambda x: x > 0.0, "be positive"),
     "NonNegative": (numbers.Real, lambda x: x >= 0.0, "be >= 0"),
@@ -464,27 +466,47 @@ class RateReport:
         return self.accidental_rate_uncorrelated_per_s + self.accidental_rate_gated_darks_per_s
 
 
-def _photon_singles(chain: ChainConfig, side: int) -> float:
-    """Pair rate x monitored port (OUTCOME_CLASSES reaching it) x losses x QE.
+def outcome_cells(chain: ChainConfig, v_cos: float) -> list[tuple[str, float, dict]]:
+    """Every (class, path bit, clicking sides) cell of OUTCOME_CLASSES at V cos(phi) = v_cos.
 
-    ``side`` indexes the arrival pairs of OUTCOME_CLASSES: 0 is Alice, 1 is Bob.
+    A cell is (class name, probability per emitted pair, {clicking side, 0
+    Alice or 1 Bob: arrival offset in ns}).  Each photon is kept with its
+    side's factor, arm transmission x detector efficiency (x transfer for
+    Bob).  Sampler order: table order, path bit 0 then 1, Alice, Bob, both.
     """
-    port = sum(const for _, (const, _), arrival in OUTCOME_CLASSES if arrival[side] is not None)
-    arm = (chain.alice_interferometer, chain.bob_interferometer)[side].transmission
-    transfer = chain.transfer_probability() if side == 1 else 1.0
-    det = (chain.alice_detector, chain.bob_detector)[side].quantum_efficiency
-    return chain.source.pair_rate_per_s * port * arm * transfer * det
+    arms = (chain.alice_interferometer, chain.bob_interferometer)
+    keep = (
+        arms[0].transmission * chain.alice_detector.quantum_efficiency,
+        arms[1].transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
+    )
+    delay = [arm.delay_ns() for arm in arms]
+    cells = []
+    for name, (c, s), arrival in OUTCOME_CLASSES:
+        reached = [side for side in (0, 1) if arrival[side] is not None]
+        if not reached:
+            continue
+        clicking_sets = [[0], [1], [0, 1]] if len(reached) == 2 else [reached]
+        for bit in (0, 1):
+            for clicking in clicking_sets:
+                p = 0.5 * (c + s * v_cos)
+                for side in reached:
+                    p *= keep[side] if side in clicking else 1.0 - keep[side]
+                cells.append((name, p, {i: delay[i] * arrival[i][bit] for i in clicking}))
+    return cells
 
 
 def expected_rates(chain: ChainConfig) -> RateReport:
-    """Closed-form rate budget for the configured chain.
+    """Rate budget for the configured chain from its phase-averaged outcome_cells.
 
-    True coincidences use the phase-averaged central weight of OUTCOME_CLASSES
-    and both arms' survival; accidentals combine the uncorrelated start/stop
-    product over the coincidence window with the gated-dark floor.  These
-    are design-level estimates, the event simulator is the ground truth.
+    Photon singles are the pair rate times the cells a side clicks in, true
+    coincidences times the central class's cells where both click.
+    Accidentals combine the uncorrelated start/stop product over the
+    coincidence window with the gated-dark floor.  These are design-level
+    estimates, the event simulator is the ground truth.
     """
-    alice_photon, bob_photon = _photon_singles(chain, 0), _photon_singles(chain, 1)
+    pair_rate, cells = chain.source.pair_rate_per_s, outcome_cells(chain, 0.0)
+    alice_photon, bob_photon = (pair_rate * sum(p for _, p, at in cells if i in at) for i in (0, 1))
+    true_rate = pair_rate * sum(p for name, p, at in cells if name == "central" and len(at) == 2)
     bob_dark = chain.bob_detector.dark_prob_per_ns * 1e9  # free-running
     bob_singles = bob_photon + bob_dark
     alice_dark_prob = chain.alice_detector.dark_prob_per_ns
@@ -496,16 +518,6 @@ def expected_rates(chain: ChainConfig) -> RateReport:
     # Alice's darks inside the gate opened by the start click itself: flat in
     # the time difference, so the central window collects its share.
     accidental_gated = bob_singles * alice_dark_prob * window_ns
-
-    joint_survival = (
-        chain.alice_interferometer.transmission
-        * chain.alice_detector.quantum_efficiency
-        * chain.bob_interferometer.transmission
-        * chain.bob_detector.quantum_efficiency
-        * chain.transfer_probability()
-    )
-    central = OUTCOME_CLASSES[0][1][0]  # cos(phi) averages to zero
-    true_rate = chain.source.pair_rate_per_s * central * joint_survival
 
     accidental_total = accidental_uncorr + accidental_gated
     denominator = accidental_total + true_rate

@@ -11,7 +11,8 @@ marginal on each side for every phi.  Arm transmission, the transfer-stage
 success, and detector quantum efficiency thin each photon independently.
 Every (class, path bit, clicking sides) cell of the thinned pair process is
 then an independent Poisson process, so the photon clicks are drawn one
-cell at a time, with times only for clicks (colouring).  Dark counts are
+cell of ``chain.outcome_cells`` at a time, with times only for clicks
+(colouring).  The rate budget reads the same cells.  Dark counts are
 added per detector: Bob's detector runs free, and Alice's is gated, with
 one gate centred on each of Bob's clicks.
 
@@ -37,9 +38,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in the first simulate
 
-from .chain import START_DETECTOR, STOP_DETECTOR, ChainConfig, check_kind
+from .chain import START_DETECTOR, STOP_DETECTOR, ChainConfig, check_kind, outcome_cells
 from .config import SimConfig
-from .quantum import OUTCOME_CLASSES
 
 __all__ = ["DETECTORS", "ORIGINS", "GROUPS", "EventStream", "simulate", "sweep_points"]
 
@@ -77,9 +77,8 @@ class EventStream:
         undrawn = dict(undrawn or {})
         if not set(groups) | set(undrawn) <= set(GROUPS):
             raise ValueError(f"group keys must be among {GROUPS}")
-        counts = undrawn.values()
-        if not all(isinstance(n, (int, np.integer)) and type(n) is not bool and n >= 0 for n in counts):
-            raise ValueError("undrawn click counts must be non-negative integers")
+        for key, n in undrawn.items():
+            check_kind(f"undrawn count of group {key}", n, "Count")
         check_kind("duration_ns", duration_ns, "Positive")
         if complete_for is not None:
             check_kind("complete_for", complete_for, "Positive")
@@ -221,40 +220,23 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     A pair falls into one class of OUTCOME_CLASSES, one path bit, and one
     set of reached sides that click after independent thinning; each such
     cell of the Poisson pair process is an independent Poisson process
-    (colouring).  The cell table is built first, in table order, path bit 0
-    before 1, and the clicking sides as Alice, Bob, then both.  Each side's
-    array is allocated once, with ``_capacity`` slots for its cells' mean
-    clicks, and copied into a larger one only if a cell overflows it.  Each
-    cell then draws its click count, one emission time per click into the
-    next slice of its last clicking side, and a jitter per clicking side,
-    Alice first: the first side's into its own slice, the last side's BLOCK
-    at a time into one reused buffer, each added in place (z j + e + offset,
-    as whole-array draws give).  Phase-averaging uses V cos(phi) = 0, the
-    mean over a uniform per-pair phase, which no click records.
+    (colouring).  The cells, in order, are ``chain.outcome_cells``'s, each of
+    mean ``mean_pairs * p``.  Each side's array is allocated once, with
+    ``_capacity`` slots for its cells' mean clicks, and copied into a larger
+    one only if a cell overflows it.  Each cell then draws its click count,
+    one emission time per click into the next slice of its last clicking
+    side, and a jitter per clicking side, Alice first: the first side's into
+    its own slice, the last side's BLOCK at a time into one reused buffer,
+    each added in place (z j + e + offset, as whole-array draws give).
+    Phase-averaging uses V cos(phi) = 0, the mean over a uniform per-pair
+    phase, which no click records.
     """
     chain = config.chain
-    arms = (chain.alice_interferometer, chain.bob_interferometer)
-    keep = (
-        arms[0].transmission * chain.alice_detector.quantum_efficiency,
-        arms[1].transmission * chain.transfer_probability() * chain.bob_detector.quantum_efficiency,
-    )
-    delay = [arm.delay_ns() for arm in arms]
-    phi = arms[0].phase_rad + arms[1].phase_rad
+    phi = chain.alice_interferometer.phase_rad + chain.bob_interferometer.phase_rad
     v_cos = 0.0 if config.phase_averaged else config.visibility * math.cos(phi)
     mean_pairs = chain.source.pair_rate_per_s * config.duration_s
     duration_ns = config.duration_s * 1e9
-    cells = []  # (mean clicks, arrival offset of each clicking side)
-    for _, (c, s), arrival in OUTCOME_CLASSES:
-        reached = [side for side in (0, 1) if arrival[side] is not None]
-        if not reached:
-            continue
-        clicking_sets = [[0], [1], [0, 1]] if len(reached) == 2 else [reached]
-        for bit in (0, 1):
-            for clicking in clicking_sets:
-                p = 0.5 * (c + s * v_cos)
-                for side in reached:
-                    p *= keep[side] if side in clicking else 1.0 - keep[side]
-                cells.append((mean_pairs * p, {i: delay[i] * arrival[i][bit] for i in clicking}))
+    cells = [(mean_pairs * p, offsets) for _, p, offsets in outcome_cells(chain, v_cos)]
     clicks = [np.empty(_capacity(sum(m for m, at in cells if side in at))) for side in (0, 1)]
     filled = [0, 0]
     normals = np.empty(BLOCK)

@@ -446,6 +446,13 @@ def test_locate_peaks_needs_range_covering_sides():
         an.locate_peaks(hist, 0.66713)
 
 
+def test_locate_peaks_refuses_a_grid_too_coarse_for_the_spacing():
+    # 1 ns bins against a 0.3 ns spacing: no bin centre within 0.075 ns of -0.3 ns.
+    hist = an.CoincidenceHistogram(1.0, -3.0, 3.0, np.array([1, 2, 9, 3, 2, 1]))
+    with pytest.raises(an.PeaksNotFound, match=r"bin width 1.0 ns .* \[-0.375, -0.225\] ns"):
+        an.locate_peaks(hist, 0.3)
+
+
 def test_phase_averaged_simulation_shows_one_two_one_areas():
     cfg = dense_config(duration_s=1.0, seed=77)
     hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
@@ -877,6 +884,13 @@ def test_measure_sums_its_runs_and_tallies_each():
     single = an.measure(cfg.chain, [cfg])
     assert single.histogram == an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
     assert single.points[0].coincidences == single.tally.central
+
+
+def test_measure_refuses_no_runs():
+    cfg = preset_config("fig2-baseline")
+    for configs in ([], iter(())):  # a lazy empty iterable as well
+        with pytest.raises(ValueError, match="at least one run"):
+            an.measure(cfg.chain, configs)
 
 
 def test_dark_counts_degrade_raw_but_not_net_visibility():

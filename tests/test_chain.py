@@ -10,6 +10,9 @@ import pytest
 from photonlink import analysis as an
 from photonlink import chain as ch
 from photonlink.config import InvalidConfigError, SimConfig, sim_config_from_dict
+from photonlink.presets import preset_config
+from photonlink.quantum import OUTCOME_CLASSES
+from test_golden_outputs import DENSE_DOCUMENT
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +206,69 @@ def test_true_rate_uses_transfer_probability():
         r0.true_coincidence_rate_per_s * p, rel=1e-12
     )
     assert r1.bob_photon_rate_per_s == pytest.approx(r0.bob_photon_rate_per_s * p, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the outcome cell table
+# ---------------------------------------------------------------------------
+
+TABLE_CONFIGS = {
+    "fig2-baseline": lambda: preset_config("fig2-baseline"),
+    "fig3-transfer": lambda: preset_config("fig3-transfer"),
+    "criterion-09": lambda: sim_config_from_dict(DENSE_DOCUMENT),
+}
+
+
+def keep_factors(chain: ch.ChainConfig) -> tuple[float, float]:
+    """Each side's arm transmission x transfer (Bob only) x detector efficiency."""
+    alice = chain.alice_interferometer.transmission * chain.alice_detector.quantum_efficiency
+    bob = (
+        chain.bob_interferometer.transmission
+        * chain.transfer_probability()
+        * chain.bob_detector.quantum_efficiency
+    )
+    return alice, bob
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CONFIGS))
+def test_rate_budget_sums_equal_the_closed_forms(name):
+    # The closed forms the table's sums replaced: pair rate x monitored port
+    # x arm x transfer x QE per side, and pair rate x central c x joint survival.
+    chain = TABLE_CONFIGS[name]().chain
+    report, rate = ch.expected_rates(chain), chain.source.pair_rate_per_s
+    cells = ch.outcome_cells(chain, 0.0)  # the sampler's phase-averaged table, read as is
+    assert report.alice_photon_rate_per_s == rate * sum(p for _, p, at in cells if 0 in at)
+    assert report.bob_photon_rate_per_s == rate * sum(p for _, p, at in cells if 1 in at)
+    ports = [sum(c for _, (c, _), arr in OUTCOME_CLASSES if arr[side] is not None) for side in (0, 1)]
+    keep = keep_factors(chain)
+    assert report.alice_photon_rate_per_s == pytest.approx(rate * ports[0] * keep[0], rel=1e-12)
+    assert report.bob_photon_rate_per_s == pytest.approx(rate * ports[1] * keep[1], rel=1e-12)
+    central = OUTCOME_CLASSES[0][1][0]
+    true_rate = rate * central * keep[0] * keep[1]
+    assert report.true_coincidence_rate_per_s == pytest.approx(true_rate, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CONFIGS))
+def test_outcome_cells_are_probabilities_and_sum_per_class(name):
+    cfg = TABLE_CONFIGS[name]()
+    k = keep_factors(cfg.chain)
+    for v_cos in (-cfg.visibility, 0.0, cfg.visibility):
+        cells = ch.outcome_cells(cfg.chain, v_cos)
+        assert all(0.0 <= p <= 1.0 for _, p, _ in cells)
+        for class_name, (c, s), arrival in OUTCOME_CLASSES:
+            mine = [(p, at) for n, p, at in cells if n == class_name]
+            reached = [side for side in (0, 1) if arrival[side] is not None]
+            w = c + s * v_cos
+            if len(reached) == 2:  # path bit x (Alice only, Bob only, both)
+                assert [sorted(at) for _, at in mine] == [[0], [1], [0, 1]] * 2
+                total = w * (1.0 - (1.0 - k[0]) * (1.0 - k[1]))
+            elif reached:  # path bit x the one side
+                assert [sorted(at) for _, at in mine] == [reached] * 2
+                total = w * k[reached[0]]
+            else:
+                assert mine == []
+                continue
+            assert sum(p for p, _ in mine) == pytest.approx(total, rel=1e-12)
 
 
 def test_accidental_fraction_and_predicted_ratio():

@@ -257,14 +257,15 @@ def test_event_stream_counts_undrawn_clicks():
     assert stream.n_clicks("bob") == 42
     assert stream.n_clicks("alice") == 1
     assert stream != ev.EventStream(groups, duration_ns=10.0)  # same clicks, fewer singles
-    for undrawn in (
-        {("bob", "dark"): -1},
-        {("bob", "dark"): 1.5},
-        {("bob", "dark"): True},
-        {("carol", "dark"): 1},
-    ):
-        with pytest.raises(ValueError):
-            ev.EventStream(groups, duration_ns=10.0, undrawn=undrawn)
+    with pytest.raises(ValueError, match="group keys"):
+        ev.EventStream(groups, duration_ns=10.0, undrawn={("carol", "dark"): 1})
+    # One count rule (chain.check_kind, kind Count): an integer but a bool, >= 0.
+    for n in (-1, np.int64(-1), 1.5, np.float64(2.0), True, np.True_, "1", None):
+        with pytest.raises(ValueError, match=r"undrawn count of group \('alice', 'dark'\)"):
+            ev.EventStream(groups, duration_ns=10.0, undrawn={("alice", "dark"): n})
+    for n in (0, 7, np.int64(7), np.uint8(7)):
+        stream = ev.EventStream(groups, duration_ns=10.0, undrawn={("alice", "dark"): n})
+        assert stream.n_clicks("alice", "dark") == n and type(stream.undrawn["alice", "dark"]) is int
     # A NaN half-range would turn off build_histogram's refusal of wider grids.
     for complete_for in (math.nan, math.inf, 0.0, -1.0, "3", True):
         with pytest.raises(ValueError, match="complete_for"):
