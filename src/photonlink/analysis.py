@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import EDGE_TOL_BINS, START_DETECTOR, STOP_DETECTOR, ChainConfig
-from .chain import Fraction, NonNegative, Positive, check_kinds, on_grid
+from .chain import Fraction, NonNegative, Positive, check_kind, check_kinds, on_grid
 from .config import InvalidConfigError
 from .events import BLOCK, ORIGINS, EventStream, simulate
 from .quantum import VisibilityRangeError
@@ -111,7 +111,9 @@ class CoincidenceHistogram:
             if not on_grid(value / self.bin_width_ns):
                 raise ValueError(f"{name}={value!r} is not an integer multiple of the bin width")
         counts = np.asarray(self.counts)
-        whole = counts.dtype.kind != "f" or np.all((abs(counts) < 2.0**63) & (np.trunc(counts) == counts))
+        if counts.dtype.kind not in "iuf":  # a bool, string, object or complex array
+            raise ValueError(f"counts must be an integer or float array, got dtype {counts.dtype}")
+        whole = counts.dtype.kind == "i" or np.all((abs(counts) < 2.0**63) & (np.trunc(counts) == counts))
         if not whole:  # judged before the cast, which would store 1.7 as 1 and warn of NaN
             raise ValueError("counts must be finite integers")
         counts = counts.astype(np.int64, copy=False).view()  # read-only below, not the caller's
@@ -315,9 +317,8 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
     at least five times the mean background bin content (and at least five
     counts when the background is empty of counts).
     """
+    check_kind("expected_spacing_ns", expected_spacing_ns, "Positive")
     spacing = float(expected_spacing_ns)
-    if not spacing > 0.0:
-        raise ValueError(f"expected spacing must be positive, got {expected_spacing_ns!r}")
     if hist.total == 0:
         raise PeaksNotFound("histogram is empty")
     if hist.range_min_ns > -PEAK_REACH * spacing or hist.range_max_ns < PEAK_REACH * spacing:
@@ -521,9 +522,8 @@ def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
         raise InsufficientData(
             f"phase span {span:.4f} rad is less than one full period"
         )
+    check_kind("accidental_rate_per_s", accidental_rate_per_s, "NonNegative")
     acc = float(accidental_rate_per_s)
-    if not 0.0 <= acc < math.inf:
-        raise ValueError(f"accidental_rate_per_s must be finite and >= 0, got {acc!r}")
     rates = np.array([p.coincidences / p.duration_s for p in pts], dtype=float)
 
     a_raw, v_raw, phi0, v_raw_err = _fit_sinusoid(phases, rates)
@@ -554,6 +554,7 @@ class Measurement:
     windows: PeakWindows
     tally: WindowTally
     points: tuple[FringePoint, ...]
+    accidental_rate_per_s: float  # the tally's accidentals per window over the summed run time
 
 
 def measure(chain: ChainConfig, configs) -> Measurement:
@@ -587,7 +588,8 @@ def measure(chain: ChainConfig, configs) -> Measurement:
         FringePoint(phase, tally_windows(h, windows).central, duration)
         for h, (phase, duration) in zip(histograms, settings)
     )
-    return Measurement(total, windows, tally_windows(total, windows), points)
+    tally, seconds = tally_windows(total, windows), math.fsum(d for _, d in settings)
+    return Measurement(total, windows, tally, points, tally.accidentals / seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -595,19 +597,23 @@ def measure(chain: ChainConfig, configs) -> Measurement:
 # ---------------------------------------------------------------------------
 
 
+def _visibility(v) -> float:
+    """``v`` as a float; anything but a ``Fraction`` raises VisibilityRangeError, naming it."""
+    try:
+        check_kind("visibility", v, "Fraction")
+    except ValueError as exc:
+        raise VisibilityRangeError(str(exc)) from None
+    return float(v)
+
+
 def fidelity_from_visibility(v_net: float) -> float:
     """Entanglement fidelity (1 + v) / 2 implied by a net visibility."""
-    v = float(v_net)
-    if not 0.0 <= v <= 1.0:
-        raise VisibilityRangeError(f"visibility must lie in [0, 1], got {v_net!r}")
-    return 0.5 * (1.0 + v)
+    return 0.5 * (1.0 + _visibility(v_net))
 
 
 def bell_parameter(v: float) -> BellResult:
     """CHSH S = 2 sqrt(2) v; a violation needs v above 1/sqrt(2)."""
-    value = float(v)
-    if not 0.0 <= value <= 1.0:
-        raise VisibilityRangeError(f"visibility must lie in [0, 1], got {v!r}")
+    value = _visibility(v)
     s = 2.0 * math.sqrt(2.0) * value
     return BellResult(s_value=s, violation=value > BELL_THRESHOLD_VISIBILITY)
 

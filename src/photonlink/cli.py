@@ -210,8 +210,7 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args)
 
     run = an.measure(cfg.chain, sweep_points(cfg, args.phases))
-    accidental_rate = run.tally.accidentals / (args.phases * cfg.duration_s)  # per window and s
-    fit = an.fit_fringe(run.points, accidental_rate_per_s=accidental_rate)
+    fit = an.fit_fringe(run.points, accidental_rate_per_s=run.accidental_rate_per_s)
     bell = an.bell_parameter(fit.v_net)
     fidelity = an.fidelity_from_visibility(fit.v_net)
 
@@ -293,16 +292,15 @@ def _interval_row(name: str, measured: float, interval: tuple[float, float]) -> 
     }
 
 
-def _number(section: dict, key: str, prefix: str = "") -> float:
-    """A numeric field of a report input; a missing or non-numeric one is a usage error."""
+def _field(section: dict, key: str, kind: str, prefix: str = ""):
+    """A field of a report input of the kind its writer declares; else a usage error naming it."""
     if key not in section:
         raise InvalidConfigError(f"field {prefix}{key} is missing")
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfigError(f"field {prefix}{key} must be a number, got {value!r}")
-    if abs(value) > sys.float_info.max:  # +-Infinity or a huge integer; NaN just fails its row
-        raise InvalidConfigError(f"field {prefix}{key} lies beyond the float range")
-    return float(value)
+    try:
+        ch.check_kind(f"field {prefix}{key}", section[key], kind)
+    except ValueError as exc:
+        raise InvalidConfigError(str(exc)) from exc
+    return section[key] if kind == "bool" else float(section[key])  # a row compares floats
 
 
 def _rows_for_fit(doc: dict, label: str) -> list[dict]:
@@ -312,27 +310,23 @@ def _rows_for_fit(doc: dict, label: str) -> list[dict]:
     targets = REPORT_TARGETS.get(label, {})
     rows = []
     if "v_raw" in targets:
-        v_raw = _number(fit, "v_raw", "fit.")
+        v_raw = _field(fit, "v_raw", "Fraction", "fit.")
         rows.append(_interval_row(f"v_raw ({label})", v_raw, targets["v_raw"]))
     v_net_interval = targets.get("v_net")
     if v_net_interval is None and "configured_visibility" in doc:
-        v0 = _number(doc, "configured_visibility")
-        if not 0.0 <= v0 <= 1.0:
-            raise InvalidConfigError(f"field configured_visibility must lie in [0, 1], got {v0!r}")
+        v0 = _field(doc, "configured_visibility", "Fraction")
         v_net_interval = (max(v0 - 0.02, 0.0), min(v0 + 0.02, 1.0))
     if v_net_interval is not None:
-        v_net = _number(fit, "v_net", "fit.")
+        v_net = _field(fit, "v_net", "Fraction", "fit.")
         rows.append(_interval_row(f"v_net ({label})", v_net, v_net_interval))
-        f_lo = an.fidelity_from_visibility(v_net_interval[0])
-        f_hi = an.fidelity_from_visibility(v_net_interval[1])
-        rows.append(_interval_row(f"fidelity ({label})", _number(doc, "fidelity"), (f_lo, f_hi)))
+        f_lo, f_hi = (an.fidelity_from_visibility(v) for v in v_net_interval)
+        fidelity = _field(doc, "fidelity", "Fraction")
+        rows.append(_interval_row(f"fidelity ({label})", fidelity, (f_lo, f_hi)))
     return rows
 
 
 def _rows_for_budget(doc: dict, label: str) -> list[dict]:
-    passed = doc.get("franson_passed")
-    if not isinstance(passed, bool):
-        raise InvalidConfigError(f"field franson_passed must be true or false, got {passed!r}")
+    passed = _field(doc, "franson_passed", "bool")
     rows = [
         {
             "quantity": f"franson validity ({label})",
@@ -343,14 +337,19 @@ def _rows_for_budget(doc: dict, label: str) -> list[dict]:
     ]
     interval = REPORT_TARGETS.get(label, {}).get("transfer_probability")
     if doc.get("transfer_probability") is not None and interval is not None:
-        transfer = _number(doc, "transfer_probability")
+        transfer = _field(doc, "transfer_probability", "Fraction")
         rows.append(_interval_row(f"transfer probability ({label})", transfer, interval))
     return rows
 
 
 def _rows_for_peaks(doc: dict, label: str) -> list[dict]:
-    ratio = _number(doc, "area_ratio_central_to_side")
+    ratio = _field(doc, "area_ratio_central_to_side", "float")
     return [_interval_row(f"central:side ratio ({label})", ratio, PEAK_RATIO_TARGET)]
+
+
+_READERS = {  # each report input's reader, keyed by the field that marks its document, tried in order
+    "fit": _rows_for_fit, "franson": _rows_for_budget, "area_ratio_central_to_side": _rows_for_peaks
+}
 
 
 def cmd_report(args) -> int:
@@ -359,16 +358,9 @@ def cmd_report(args) -> int:
     for raw_path in args.inputs:
         path = Path(raw_path)
         doc = read_document(path, "report input")
-        if "fit" in doc:
-            rows_for = _rows_for_fit
-        elif "franson" in doc:
-            rows_for = _rows_for_budget
-        elif "area_ratio_central_to_side" in doc:
-            rows_for = _rows_for_peaks
-        else:
-            raise InvalidConfigError(
-                f"report input {path} is not a recognized fit/budget/peaks document"
-            )
+        rows_for = next((read for key, read in _READERS.items() if key in doc), None)
+        if rows_for is None:
+            raise InvalidConfigError(f"report input {path} is not a recognized fit/budget/peaks document")
         label = doc.get("label", "custom")
         try:
             if not isinstance(label, str):

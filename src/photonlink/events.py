@@ -87,9 +87,10 @@ class EventStream:
         self.complete_for = complete_for
         self.groups = {}
         for key in GROUPS:
-            times = np.asarray(groups.get(key, ()), dtype=np.float64).view()
-            if times.ndim != 1:
-                raise ValueError(f"group {key} must be a 1-d array")
+            times = np.asarray(groups.get(key, ()))
+            if times.ndim != 1 or times.dtype.kind not in "iuf":  # not bool, string, object or complex
+                raise ValueError(f"group {key} must be a 1-d real array, got {times.dtype} {times.shape}")
+            times = times.astype(np.float64, copy=False).view()
             if times.size and not (0.0 <= times[0] and times[-1] < self.duration_ns):
                 raise ValueError(f"group {key}: event times must lie in [0, duration)")
             parts = (times[start : start + BLOCK + 1] for start in range(0, times.size, BLOCK))

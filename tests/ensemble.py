@@ -67,8 +67,7 @@ def sweep_values(name: str, seeds: list[int], n_phases: int, reference: bool) ->
         for seed in seeds:
             cfg = dataclasses.replace(preset_config(name), seed=seed)
             run = an.measure(cfg.chain, ev.sweep_points(cfg, n_phases))
-            rate = run.tally.accidentals / (n_phases * cfg.duration_s)
-            fit = an.fit_fringe(run.points, accidental_rate_per_s=rate)
+            fit = an.fit_fringe(run.points, accidental_rate_per_s=run.accidental_rate_per_s)
             for q in ("v_raw", "v_net", "v_raw_err", "v_net_err"):
                 values[q].append(getattr(fit, q))
             values["acc_rate"].append(fit.accidental_level_per_s)

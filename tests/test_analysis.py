@@ -15,6 +15,7 @@ from photonlink import chain as ch
 from photonlink import events as ev
 from photonlink.config import SimConfig
 from photonlink.presets import preset_config
+from photonlink.quantum import VisibilityRangeError
 
 
 def hand_stream(clicks, duration_ns=1e6):
@@ -209,6 +210,16 @@ def test_histogram_judges_its_numbers_by_kind():
         counts[2] = bad
         with pytest.raises(ValueError, match="counts must be finite integers"):
             an.CoincidenceHistogram(1.0, -3.0, 3.0, counts)
+    # Only integer and float arrays are counts: each True would count 1, "1" be parsed,
+    # a complex array warn of its dropped imaginary part, and 2**70 overflow the cast.
+    for bad in (
+        np.ones(6, dtype=bool), np.array(["1"] * 6), np.ones(6, dtype=object),
+        np.ones(6, dtype=complex), [2**70] * 6, np.full(6, 2**63, dtype=np.uint64),
+    ):
+        with pytest.raises(ValueError, match="counts must be"):
+            an.CoincidenceHistogram(1.0, -3.0, 3.0, bad)
+    for good in (np.arange(6), np.arange(6, dtype=np.uint8), np.arange(6.0), [0, 1, 2, 3, 4, 5]):
+        assert an.CoincidenceHistogram(1.0, -3.0, 3.0, good).total == 15
     counts = np.zeros(6, dtype=np.int64)
     assert not an.CoincidenceHistogram(1.0, -3.0, 3.0, counts).counts.flags.writeable
     assert counts.flags.writeable  # the record's view is read-only, the caller's array is not
@@ -453,6 +464,13 @@ def test_locate_peaks_refuses_a_grid_too_coarse_for_the_spacing():
         an.locate_peaks(hist, 0.3)
 
 
+def test_locate_peaks_judges_its_spacing_by_kind():
+    hist = an.CoincidenceHistogram(1.0, -3.0, 3.0, np.array([1, 2, 9, 3, 2, 1]))
+    for spacing in (True, "0.667", 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="expected_spacing_ns"):
+            an.locate_peaks(hist, spacing)
+
+
 def test_phase_averaged_simulation_shows_one_two_one_areas():
     cfg = dense_config(duration_s=1.0, seed=77)
     hist = an.build_histogram(ev.simulate(cfg), chain=cfg.chain)
@@ -627,7 +645,7 @@ def test_fit_rejects_insufficient_data():
 
 
 def test_fit_rejects_negative_accidentals():
-    for rate in (-1.0, math.nan, math.inf):
+    for rate in (-1.0, math.nan, math.inf, True, "3"):  # a bool or a string is no rate
         with pytest.raises(ValueError, match="accidental_rate_per_s"):
             an.fit_fringe(synthetic_fringe(0.9), accidental_rate_per_s=rate)
 
@@ -803,6 +821,9 @@ def test_fidelity_from_visibility():
         an.fidelity_from_visibility(1.2)
     with pytest.raises(ValueError):
         an.fidelity_from_visibility(-0.1)
+    for v in (True, "0.5", math.nan):  # judged as a Fraction, not cast with float()
+        with pytest.raises(VisibilityRangeError, match="visibility"):
+            an.fidelity_from_visibility(v)
 
 
 def test_bell_parameter_values_and_threshold():
@@ -819,6 +840,9 @@ def test_bell_parameter_values_and_threshold():
     assert paper_like.violation
     with pytest.raises(ValueError):
         an.bell_parameter(1.01)
+    for v in (True, "0.5", math.nan):
+        with pytest.raises(VisibilityRangeError, match="visibility"):
+            an.bell_parameter(v)
 
 
 def test_monotone_functions():
@@ -864,8 +888,7 @@ def run_small_sweep(alice_dark_per_ns, seed0):
         for i, phi in enumerate(phis)
     ]
     run = an.measure(chain_cfg, configs)  # an Alice-phase sweep on the one path
-    acc_rate = run.tally.accidentals / (len(phis) * duration)
-    return an.fit_fringe(run.points, accidental_rate_per_s=acc_rate)
+    return an.fit_fringe(run.points, accidental_rate_per_s=run.accidental_rate_per_s)
 
 
 def test_measure_sums_its_runs_and_tallies_each():
@@ -875,6 +898,7 @@ def test_measure_sums_its_runs_and_tallies_each():
     assert run.histogram == sum(hists[1:], hists[0])
     assert run.windows == an.locate_peaks(run.histogram, cfg.chain.bob_interferometer.delay_ns())
     assert run.tally == an.tally_windows(run.histogram, run.windows)
+    assert run.accidental_rate_per_s == run.tally.accidentals / (5 * 40.0)  # per window and s
     phases = cfg.chain.alice_interferometer.phase_rad + np.linspace(0.0, 2.0 * math.pi, 5)
     assert run.points == tuple(
         an.FringePoint(float(phi), an.tally_windows(h, run.windows).central, 40.0)
@@ -909,8 +933,8 @@ def test_central_window_accidentals_match_the_budget(name):
     # background bins the rate is measured from (a few thousand counts, so
     # about 5 %), was fixed before the first run.
     cfg = preset_config(name)
-    tally = an.measure(cfg.chain, ev.sweep_points(cfg, 21)).tally
-    measured, background = tally.accidentals / (21 * cfg.duration_s), tally.background
+    run = an.measure(cfg.chain, ev.sweep_points(cfg, 21))
+    measured, background = run.accidental_rate_per_s, run.tally.background
     sigma = measured / math.sqrt(background)
     predicted = ch.expected_rates(cfg.chain).accidental_rate_total_per_s
     assert background > 1000

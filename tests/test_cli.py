@@ -424,14 +424,18 @@ def test_report_fails_on_doctored_visibility(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_report_writes_a_nan_measurement_as_null(tmp_path):
+def test_report_refuses_a_nan_measurement(tmp_path, capsys):
+    # A NaN is no Fraction, so it is a usage error, not a failing row; sweep
+    # never writes one (FringeFit bounds v_net, and the writer writes null).
     out = run_small_pipeline(tmp_path)
     doc = read_json(out / "fit.json")
     doc["fit"]["v_net"] = float("nan")
     (out / "fit.json").write_text(json.dumps(doc))
-    assert cli.main(["report", str(out / "fit.json"), "--out", str(out)]) == 4
-    rows = read_json(out / "report.json")["rows"]
-    assert [r["passed"] for r in rows if r["measured"] is None] == [False]
+    capsys.readouterr()
+    assert cli.main(["report", str(out / "fit.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "fit.json") in err and "fit.v_net" in err
+    assert not (out / "report.json").exists()
 
 
 def test_report_reads_budget_and_peaks_documents(tmp_path):
@@ -503,6 +507,14 @@ def test_report_unrecognized_document(tmp_path):
         ({"area_ratio_central_to_side": "x"}, "area_ratio_central_to_side"),
         ({"fit": {"v_net": "a"}, "configured_visibility": 0.9, "fidelity": 1}, "fit.v_net"),
         ({"area_ratio_central_to_side": 10**400}, "area_ratio_central_to_side"),
+        # A value outside the kind its writer declares, or not finite, is no failing row.
+        ({"fit": {"v_net": 1.5}, "configured_visibility": 0.9, "fidelity": 0.95}, "fit.v_net"),
+        ({"area_ratio_central_to_side": float("nan")}, "area_ratio_central_to_side"),
+        (
+            {"label": "fig3-transfer", "franson": [], "franson_passed": True,
+             "transfer_probability": 2.0},
+            "transfer_probability",
+        ),
     ],
 )
 def test_report_incomplete_document_is_a_usage_error(tmp_path, capsys, doc, field):

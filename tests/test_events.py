@@ -222,6 +222,12 @@ def test_event_stream_validates_each_group():
     for groups in bad:
         with pytest.raises(ValueError):
             ev.EventStream(groups, duration_ns=10.0)
+    # Only integer and float arrays are times: at True, at "1.0", or with an imaginary part, no click is.
+    for times in (np.array([False, True]), np.array(["1.0", "2.5"]), np.array([1.0, 2.5], dtype=complex)):
+        with pytest.raises(ValueError, match=re.escape("group ('alice', 'photon') must be a 1-d real")):
+            ev.EventStream({("alice", "photon"): times}, duration_ns=10.0)
+    for times in ([1, 2], np.array([1, 2], dtype=np.uint16), np.array([1.0, 2.5], dtype=np.float32)):
+        assert len(ev.EventStream({("alice", "photon"): times}, duration_ns=10.0)) == 2
 
 
 def test_event_stream_refuses_nan_inside_a_group():
