@@ -378,9 +378,7 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
         cursor = max(cursor, hi)
     if cursor < hist.range_max_ns:
         background.append((cursor, hist.range_max_ns))
-    background = [
-        (lo, hi) for lo, hi in background if _bin_slice(hist, lo, hi)[1] > _bin_slice(hist, lo, hi)[0]
-    ]
+    background = [(lo, hi) for lo, hi in background if range(*_bin_slice(hist, lo, hi))]
     if not background:
         raise PeaksNotFound(
             "no off-peak background bins remain to judge peak significance; "

@@ -60,10 +60,10 @@ def _write_json(path: Path, payload: dict) -> None:
     an.write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _env_override(name: str, parse, current):
+def _env_override(name: str, parse):
     raw = os.environ.get(name)
     if raw is None or raw == "":
-        return current
+        return None
     try:
         return parse(raw)
     except ValueError as exc:
@@ -88,10 +88,10 @@ def _resolve_config(args) -> tuple[SimConfig, str]:
     else:
         raise InvalidConfigError("a configuration is required: --config PATH or --preset NAME")
 
-    seed = args.seed if args.seed is not None else _env_override("PHOTONLINK_SEED", int, None)
+    seed = args.seed if args.seed is not None else _env_override("PHOTONLINK_SEED", int)
     duration = getattr(args, "duration", None)
     if duration is None and hasattr(args, "duration"):  # budget takes no --duration
-        duration = _env_override("PHOTONLINK_DURATION", float, None)
+        duration = _env_override("PHOTONLINK_DURATION", float)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if duration is not None:

@@ -71,7 +71,7 @@ class SimConfig:
         if not estimate <= MAX_EXPECTED_EVENTS:  # also refuses NaN, e.g. inf x 0 gated darks
             raise InvalidConfigError(
                 f"duration_s x (chain.source.pair_rate_per_s + expected singles) = "
-                f"{estimate:.3g} events exceeds MAX_EXPECTED_EVENTS = {MAX_EXPECTED_EVENTS:.3g}; "
+                f"{estimate!r} events exceeds MAX_EXPECTED_EVENTS = {MAX_EXPECTED_EVENTS:.3g}; "
                 "lower duration_s, pair_rate_per_s, the detectors' dark_prob_per_ns "
                 "or chain.gate_width_ns"
             )

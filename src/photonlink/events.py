@@ -152,17 +152,15 @@ def _gated_dark_times(
 
     Hidden darks are iid uniform on [0, duration), so only the distinct
     hidden gates that hold a dark get a time, one uniform draw each
-    (marking).  Returns the gated darks and those hidden-gate times.
+    (marking).  Returns the gated darks and those hidden-gate times.  With
+    no gate or a zero dark probability every draw is empty, and an empty
+    draw leaves the generator as it was.
     """
     gate_width_ns = chain.gate_width_ns
     dark_prob_per_ns = chain.alice_detector.dark_prob_per_ns
     n_photons = bob_photons.size
     n_gates = n_photons + n_hidden
-    if n_gates == 0 or dark_prob_per_ns <= 0.0:
-        return np.empty(0), np.empty(0)
     n_darks = rng.poisson(dark_prob_per_ns * gate_width_ns * n_gates)
-    if n_darks == 0:
-        return np.empty(0), np.empty(0)
     gate_idx = rng.integers(0, n_gates, size=n_darks)
     offsets = (rng.random(n_darks) - 0.5) * gate_width_ns
     on_photon = gate_idx < n_photons
@@ -226,9 +224,10 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
     ``_capacity`` slots for its cells' mean clicks, and copied into a larger
     one only if a cell overflows it.  Each cell then draws its click count,
     one emission time per click into the next slice of its last clicking
-    side, and a jitter per clicking side, Alice first: the first side's into
-    its own slice, the last side's BLOCK at a time into one reused buffer,
-    each added in place (z j + e + offset, as whole-array draws give).
+    side, and a jitter per clicking side, Alice first, in one loop: BLOCK
+    normals at a time into one reused buffer, each block written to its
+    side's slice as z j + e + offset, as whole-array draws give.  The last
+    side's slice holds e, so it is visited last.
     Phase-averaging uses V cos(phi) = 0, the mean over a uniform per-pair
     phase, which no click records.
     """
@@ -249,20 +248,16 @@ def _photon_times(config: SimConfig, rng: np.random.Generator) -> list[np.ndarra
             if end > clicks[side].size:
                 clicks[side] = np.concatenate((clicks[side][:start], np.empty(n)))
             t[side], filled[side] = clicks[side][start:end], end
-        *first, last = offsets
+        *_, last = offsets
         emission = rng.random(out=t[last])
         emission *= duration_ns
-        for side in first:
-            rng.standard_normal(out=t[side])
-            t[side] *= chain.jitter_ns
-            t[side] += emission
-            t[side] += offsets[side]
-        for start in range(0, n, BLOCK):
-            tail = emission[start : start + BLOCK]
-            z = rng.standard_normal(out=normals[: tail.size])
-            z *= chain.jitter_ns
-            tail += z  # e + z j: the float value of z j + e
-            tail += offsets[last]
+        for side, offset in offsets.items():  # the last side, whose slice holds e, goes last
+            for start in range(0, n, BLOCK):
+                e = emission[start : start + BLOCK]
+                z = rng.standard_normal(out=normals[: e.size])
+                z *= chain.jitter_ns
+                z += e
+                np.add(z, offset, out=t[side][start : start + BLOCK])
     return [times[:n] for times, n in zip(clicks, filled)]
 
 
@@ -273,8 +268,8 @@ def simulate(config: SimConfig) -> EventStream:
     click count, emission times, then Alice's and Bob's jitters for the
     sides that click; then the darks:
 
-    1. Bob's free-running darks: when his rate is positive, their count N
-       only.
+    1. Bob's free-running darks: their count N only; a zero rate draws
+       nothing.
     2. Alice's gated darks: count, gate indices, offsets, then one time for
        each distinct Bob-dark gate that holds a dark.  These times (the
        parents) are Bob's darks.
@@ -305,7 +300,7 @@ def simulate(config: SimConfig) -> EventStream:
 
     # ---- dark counts -------------------------------------------------
     rate = chain.bob_detector.dark_prob_per_ns
-    n_hidden = rng.poisson(rate * duration_ns) if rate > 0.0 else 0  # counted, not drawn
+    n_hidden = rng.poisson(rate * duration_ns)  # counted, not drawn
     dark = {}
     dark[stop], dark[start] = _gated_dark_times(rng, photon[start], n_hidden, chain, duration_ns)
     n_hidden -= dark[start].size

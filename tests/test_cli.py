@@ -7,6 +7,7 @@ tests.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -323,6 +324,14 @@ def test_hour_long_sweep_is_refused_before_simulating(monkeypatch, capsys):
     assert cli.main(["sweep", "--preset", "fig2-baseline", "--duration", "3600"]) == 2
     err = capsys.readouterr().err
     assert "duration_s" in err and "MAX_EXPECTED_EVENTS" in err
+
+
+def test_event_cap_message_shows_the_estimate_above_the_cap(capsys):
+    # 933 s of fig2 expects 30,014,988 events: 3 significant digits would
+    # round that onto the cap it exceeds.
+    assert cli.main(["histogram", "--preset", "fig2-baseline", "--duration", "933"]) == 2
+    estimate = re.search(r"= (\S+) events exceeds MAX_EXPECTED_EVENTS", capsys.readouterr().err)
+    assert float(estimate.group(1)) > 3e7
 
 
 def test_histogram_grid_beyond_the_bin_cap_is_refused_before_simulating(

@@ -421,6 +421,25 @@ def test_gated_detector_without_triggers_stays_silent():
     assert len(stream) == 0
 
 
+@pytest.mark.parametrize(
+    "n_photons, n_hidden, dark_prob",
+    [(0, 0, 1e-3), (100, 1_000, 0.0)],
+    ids=["no-gates", "no-darks"],
+)
+def test_gated_dark_times_with_nothing_to_draw_leave_the_generator(n_photons, n_hidden, dark_prob):
+    # simulate relies on an empty draw not advancing the generator: the
+    # dark draws carry no zero-count early-out.
+    alice = dataclasses.replace(ch.ChainConfig().alice_detector, dark_prob_per_ns=dark_prob)
+    chain_cfg = ch.ChainConfig(alice_detector=alice)
+    rng = np.random.default_rng(112)
+    state = rng.bit_generator.state
+    bob_photons = np.linspace(0.0, 1e6, n_photons)
+    darks, parents = ev._gated_dark_times(rng, bob_photons, n_hidden, chain_cfg, 2e6)
+    assert darks.dtype == parents.dtype == np.float64
+    assert darks.size == parents.size == 0
+    assert rng.bit_generator.state == state
+
+
 
 # ---------------------------------------------------------------------------
 # golden counts and memory
@@ -503,14 +522,24 @@ def test_golden_counts_restricted(name):
     assert golden_record(ev.simulate(cfg), cfg.chain) == GOLDEN_RESTRICTED[name]
 
 
-@pytest.mark.parametrize("name", ["dense"])
+# Bob's darks off, Alice's gated darks on (39 of them): were Bob's
+# zero-rate dark count to advance the generator, Alice's darks would shift.
+BOB_DARK_FREE_DOCUMENT = json.loads(json.dumps(GOLDEN_DOCUMENTS["jitter-free-ties"]))
+BOB_DARK_FREE_DOCUMENT["chain"]["alice_detector"]["dark_prob_per_ns"] = 1e-2
+BOB_DARK_FREE_DOCUMENT["chain"]["bob_detector"]["dark_prob_per_ns"] = 0.0
+START_DARK_FREE = {"dense": GOLDEN_DOCUMENTS["dense"], "bob-dark-free": BOB_DARK_FREE_DOCUMENT}
+
+
+@pytest.mark.parametrize("name", sorted(START_DARK_FREE))
 def test_golden_counts_agree_without_start_darks_to_restrict(name):
-    # A dark-free source leaves simulate nothing to restrict: on simulate's
-    # photon draws the reference dark section gives the same stream, and no
-    # click is undrawn.
-    cfg = sim_config_from_dict(GOLDEN_DOCUMENTS[name])
-    assert ev.simulate(cfg) == reference_simulate(cfg, photon_times=ev._photon_times)
-    assert set(GOLDEN_RESTRICTED[name]["undrawn"].values()) == {0}
+    # A source without start darks leaves simulate nothing to restrict: on
+    # simulate's photon draws the reference dark section gives the same
+    # stream, and no click is undrawn.
+    cfg = sim_config_from_dict(START_DARK_FREE[name])
+    stream = ev.simulate(cfg)
+    assert stream == reference_simulate(cfg, photon_times=ev._photon_times)
+    assert set(stream.undrawn.values()) == {0}
+    assert name == "dense" or stream.n_clicks("alice", "dark") >= 10
 
 
 # Both samplers run in one process here, so their floats compare exactly.
