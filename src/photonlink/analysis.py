@@ -366,19 +366,17 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
         for c in peak_centers
     ]
 
-    # Background: complement of +-(2 window widths) = +-(4 half) exclusion
-    # zones around each peak center, clipped to the histogram range.
+    # Background: the gaps between the range ends and the +-(2 window widths)
+    # = +-(4 half) exclusion zones around the ascending peak centers that hold
+    # a whole bin, which no gap between overlapping zones or beyond a range end does.
     exclusion = 4.0 * half
-    cuts = sorted((c - exclusion, c + exclusion) for c in peak_centers)
-    background: list[tuple[float, float]] = []
-    cursor = hist.range_min_ns
-    for lo, hi in cuts:
-        if lo > cursor:
-            background.append((cursor, min(lo, hist.range_max_ns)))
-        cursor = max(cursor, hi)
-    if cursor < hist.range_max_ns:
-        background.append((cursor, hist.range_max_ns))
-    background = [(lo, hi) for lo, hi in background if range(*_bin_slice(hist, lo, hi))]
+    edges = [hist.range_min_ns]
+    for c in peak_centers:
+        edges += [c - exclusion, c + exclusion]
+    edges.append(hist.range_max_ns)
+    background = [
+        (lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if range(*_bin_slice(hist, lo, hi))
+    ]
     if not background:
         raise PeaksNotFound(
             "no off-peak background bins remain to judge peak significance; "

@@ -246,18 +246,15 @@ class ChainConfig:
                 f"histogram_half_range_ns={half!r} is not a positive integer multiple of "
                 f"histogram_bin_ns={width!r}"
             )
-        if self.sfg is not None:
-            prob = _sfg_budget(self.sfg)
-            if not prob <= 1.0:
-                raise ValueError(
-                    f"chain.sfg gives a transfer probability of {prob:.4g}; it must not exceed 1"
-                )
+        prob = self.transfer_probability()
+        if not prob <= 1.0:
+            raise ValueError(
+                f"chain.sfg gives a transfer probability of {prob:.4g}; it must not exceed 1"
+            )
 
     def transfer_probability(self) -> float:
-        """Per-photon transfer probability of the SFG stage, 1.0 when absent."""
-        if self.sfg is None:
-            return 1.0
-        return sfg_transfer_probability(self.sfg)
+        """Per-photon SFG transfer probability, 1.0 when absent; silent (see sfg_transfer_probability)."""
+        return 1.0 if self.sfg is None else _sfg_budget(self.sfg)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,8 @@ def sfg_transfer_probability(p: SfgParams) -> float:
     photon-number-to-energy conversion ratio lambda_out / lambda_in.  The
     nominal numbers (0.80/W, 0.7 W, 0.4, 0.4, 1312 -> 712 nm) land at about
     0.0486, the few-percent operating point.  Beyond 0.5 the linear budget
-    stops being trustworthy (sin^2 saturates), so that region warns.
+    stops being trustworthy (sin^2 saturates), so that region warns: here,
+    where a command reports it, not in ChainConfig.transfer_probability.
     """
     prob = _sfg_budget(p)
     if prob > 0.5:

@@ -152,7 +152,7 @@ def cmd_budget(args) -> int:
     franson = ch.franson_validity(chain.source, chain.alice_interferometer, chain.bob_interferometer)
     reservoir = ch.reservoir_coherence_ok(chain.sfg, chain.bob_interferometer) if chain.sfg else None
     rates = ch.expected_rates(chain)
-    transfer = chain.transfer_probability() if chain.sfg else None
+    transfer = ch.sfg_transfer_probability(chain.sfg) if chain.sfg else None
 
     print(f"link budget [{label}]")
     if transfer is not None:
@@ -231,7 +231,7 @@ def cmd_sweep(args) -> int:
             "bell": dataclasses.asdict(bell),
             "windows": _windows_dict(run.windows),
             "accidental_rate_per_s": fit.accidental_level_per_s,
-            "transfer_probability": cfg.chain.transfer_probability() if cfg.chain.sfg else None,
+            "transfer_probability": ch.sfg_transfer_probability(cfg.chain.sfg) if cfg.chain.sfg else None,
             "n_phases": args.phases,
             "duration_per_point_s": cfg.duration_s,
         }

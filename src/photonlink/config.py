@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 
 from . import chain as ch
@@ -63,9 +62,7 @@ class SimConfig:
             ch.check_kinds(self)
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
-        with warnings.catch_warnings():  # the budget warns on its own, not at config load
-            warnings.simplefilter("ignore", ch.SaturationWarning)
-            rates = ch.expected_rates(self.chain)
+        rates = ch.expected_rates(self.chain)
         singles = rates.alice_singles_per_s + rates.bob_singles_per_s
         estimate = self.duration_s * (self.chain.source.pair_rate_per_s + singles)
         if not estimate <= MAX_EXPECTED_EVENTS:  # also refuses NaN, e.g. inf x 0 gated darks

@@ -103,6 +103,34 @@ def basis_index(a: int, b: int, bp: int) -> int:
     return a * (B_DIM * B_DIM) + b * B_DIM + bp
 
 
+# The one-excitation layout over the flat index.  In the sector exactly one
+# of B, B' is out of vacuum (``!=``, not ``+``: numpy's + on booleans is a
+# logical or); transferred, B is back in vacuum and B' occupied.
+_B, _BP = np.indices((A_DIM, B_DIM, B_DIM)).reshape(3, DIM)[1:]
+_IN_SECTOR = (_B != 0) != (_BP != 0)
+_TRANSFERRED = (_B == 0) & (_BP != 0)
+
+
+def _unit_vector(values, size: int, what: str) -> np.ndarray:
+    """A read-only complex copy of ``values``, refused unless of shape (size,) and unit norm."""
+    vec = np.array(values, dtype=complex)
+    if vec.shape != (size,):
+        raise InvalidStateError(f"{what} must have shape ({size},), got {vec.shape}")
+    vec.setflags(write=False)
+    norm_sq = float(np.sum(np.abs(vec) ** 2))
+    if not abs(norm_sq - 1.0) <= _STATE_TOL:  # also NaN
+        raise NonNormalizedError(f"|amplitudes|^2 sums to {norm_sq!r}, expected 1")
+    return vec
+
+
+def _amplitude_norm(c1: complex, c2: complex) -> float:
+    """sqrt(|c1|^2 + |c2|^2) of caller-supplied amplitudes, refused unless 1 within 1e-9."""
+    norm_sq = abs(c1) ** 2 + abs(c2) ** 2
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:  # also NaN
+        raise NonNormalizedError(f"|c1|^2 + |c2|^2 = {norm_sq!r}, expected 1 within {_NORM_TOL}")
+    return math.sqrt(norm_sq)
+
+
 @dataclass(frozen=True)
 class JointState:
     """Pure state of A x B x B' as a flat complex vector of length 18.
@@ -114,24 +142,14 @@ class JointState:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=complex)
-        if vec.shape != (DIM,):
-            raise InvalidStateError(f"state vector must have shape ({DIM},), got {vec.shape}")
-        vec = vec.copy()
-        vec.setflags(write=False)
+        vec = _unit_vector(self.vector, DIM, "state vector")
         object.__setattr__(self, "vector", vec)
-        norm_sq = float(np.sum(np.abs(vec) ** 2))
-        if abs(norm_sq - 1.0) > _STATE_TOL:
-            raise NonNormalizedError(f"|amplitudes|^2 sums to {norm_sq!r}, expected 1")
-        for a in range(A_DIM):
-            for b in range(B_DIM):
-                for bp in range(B_DIM):
-                    occupied = (b != 0) + (bp != 0)
-                    if occupied != 1 and vec[basis_index(a, b, bp)] != 0.0:
-                        raise InvalidStateError(
-                            "amplitude on |a={}, b={}, b'={}> breaks the "
-                            "one-excitation rule".format(a, b, bp)
-                        )
+        outside = np.flatnonzero(~_IN_SECTOR & (vec != 0.0))
+        if outside.size:
+            a, b, bp = np.unravel_index(outside[0], (A_DIM, B_DIM, B_DIM))
+            raise InvalidStateError(
+                f"amplitude on |a={a}, b={b}, b'={bp}> breaks the one-excitation rule"
+            )
 
     def amplitude(self, a: int, b: int, bp: int) -> complex:
         return complex(self.vector[basis_index(a, b, bp)])
@@ -170,15 +188,8 @@ class TimeBinPairState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (4,):
-            raise InvalidStateError(f"need 4 amplitudes (ss, sl, ls, ll), got {amps.shape}")
-        amps = amps.copy()
-        amps.setflags(write=False)
+        amps = _unit_vector(self.amplitudes, 4, "amplitudes (ss, sl, ls, ll)")
         object.__setattr__(self, "amplitudes", amps)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _STATE_TOL:
-            raise NonNormalizedError(f"|amplitudes|^2 sums to {norm_sq!r}, expected 1")
 
     def overlap(self, other: "TimeBinPairState") -> complex:
         """Inner product <self|other>."""
@@ -197,12 +208,8 @@ def make_entangled_input(c1: complex, c2: complex) -> JointState:
     re-normalized exactly before the state is stored so downstream algebra
     starts from a unit vector.
     """
-    c1 = complex(c1)
-    c2 = complex(c2)
-    norm_sq = abs(c1) ** 2 + abs(c2) ** 2
-    if abs(norm_sq - 1.0) > _NORM_TOL:
-        raise NonNormalizedError(f"|c1|^2 + |c2|^2 = {norm_sq!r}, expected 1 within {_NORM_TOL}")
-    scale = 1.0 / math.sqrt(norm_sq)
+    c1, c2 = complex(c1), complex(c2)
+    scale = 1.0 / _amplitude_norm(c1, c2)
     vec = np.zeros(DIM, dtype=complex)
     vec[basis_index(0, 1, 0)] = c1 * scale
     vec[basis_index(1, 2, 0)] = c2 * scale
@@ -239,18 +246,15 @@ def evolve_transfer(state: JointState, couplings: CouplingPair) -> JointState:
     is the exact identity rather than an epsilon-guarded special case.
     """
     vec = np.array(state.vector, dtype=complex)
-    for a in range(A_DIM):
-        for j, g in ((1, complex(couplings.g1)), (2, complex(couplings.g2))):
-            mag = abs(g)
-            cos_g = math.cos(mag)
-            # sin|g|/|g| via sinc: exact value 1 at g = 0, no cutoff needed.
-            sinc_g = float(np.sinc(mag / math.pi))
-            i_src = basis_index(a, j, 0)
-            i_dst = basis_index(a, 0, j)
-            src = vec[i_src]
-            dst = vec[i_dst]
-            vec[i_src] = cos_g * src - 1j * np.conjugate(g) * sinc_g * dst
-            vec[i_dst] = cos_g * dst - 1j * g * sinc_g * src
+    modes = vec.reshape(A_DIM, B_DIM, B_DIM)  # a view, [a, b, b']: both values of A at once
+    for j, g in ((1, complex(couplings.g1)), (2, complex(couplings.g2))):
+        mag = abs(g)
+        cos_g = math.cos(mag)
+        # sin|g|/|g| via sinc: exact value 1 at g = 0, no cutoff needed.
+        sinc_g = float(np.sinc(mag / math.pi))
+        src, dst = modes[:, j, 0].copy(), modes[:, 0, j].copy()
+        modes[:, j, 0] = cos_g * src - 1j * np.conjugate(g) * sinc_g * dst
+        modes[:, 0, j] = cos_g * dst - 1j * g * sinc_g * src
     # The block rotation is unitary; renormalize only to shed float drift.
     vec /= math.sqrt(float(np.sum(np.abs(vec) ** 2)))
     return JointState(vec)
@@ -264,16 +268,12 @@ def post_select_transfer(state: JointState) -> TransferOutcome:
     renormalization would amplify numerical noise into a fake state.
     """
     vec = np.asarray(state.vector)
-    mask = np.zeros(DIM, dtype=bool)
-    for a in range(A_DIM):
-        for j in (1, 2):
-            mask[basis_index(a, 0, j)] = True
-    probability = float(np.sum(np.abs(vec[mask]) ** 2))
+    probability = float(np.sum(np.abs(vec[_TRANSFERRED]) ** 2))
     if probability < _EMPTY_SECTOR_TOL:
         raise EmptySectorError(
             f"transferred sector carries probability {probability!r} (< {_EMPTY_SECTOR_TOL})"
         )
-    projected = np.where(mask, vec, 0.0) / math.sqrt(probability)
+    projected = np.where(_TRANSFERRED, vec, 0.0) / math.sqrt(probability)
     return TransferOutcome(probability=probability, conditional_state=JointState(projected))
 
 
@@ -292,15 +292,11 @@ def transfer_fidelity(outcome: TransferOutcome, c1: complex, c2: complex) -> flo
     """
     if outcome.probability <= 0.0:
         raise EmptySectorError("outcome carries zero probability, fidelity undefined")
-    c1 = complex(c1)
-    c2 = complex(c2)
-    norm_sq = abs(c1) ** 2 + abs(c2) ** 2
-    if abs(norm_sq - 1.0) > _NORM_TOL:
-        raise NonNormalizedError(f"|c1|^2 + |c2|^2 = {norm_sq!r}, expected 1 within {_NORM_TOL}")
+    c1, c2 = complex(c1), complex(c2)
     target = np.zeros(DIM, dtype=complex)
     target[basis_index(0, 0, 1)] = c1
     target[basis_index(1, 0, 2)] = c2
-    target /= math.sqrt(norm_sq)
+    target /= _amplitude_norm(c1, c2)
     return float(abs(np.vdot(target, outcome.conditional_state.vector)) ** 2)
 
 

@@ -433,6 +433,34 @@ def test_locate_peaks_on_synthetic_triple():
     assert len(windows.background) == 2
 
 
+def single_bin_peaks(bin_width, peak_bins, floor=2, height=100):
+    """A +-3 ns histogram with a flat floor and three one-bin peaks: the width is one bin."""
+    counts = np.full(round(6.0 / bin_width), floor, dtype=np.int64)
+    counts[list(peak_bins)] = height
+    return an.CoincidenceHistogram(bin_width, -3.0, 3.0, counts)
+
+
+@pytest.mark.parametrize(
+    "bin_width, peak_bins, spacing, background",
+    [
+        # Narrow peaks at -1.4375, 0.0625 and 1.5625 ns with +-0.5 ns
+        # exclusion zones: both interior gaps hold bins.
+        (0.125, (12, 24, 36), 1.5,
+         ((-3.0, -1.9375), (-0.9375, -0.4375), (0.5625, 1.0625), (2.0625, 3.0))),
+        # Peaks at -2.375, 0.125 and 2.375 ns with +-1 ns zones: both outer
+        # zones run past the range ends, and the late gap (1.125, 1.375)
+        # holds no whole 0.25 ns bin.
+        (0.25, (2, 12, 21), 2.4, ((-1.375, -0.875),)),
+    ],
+)
+def test_locate_peaks_background_is_the_gaps_between_exclusion_zones(
+    bin_width, peak_bins, spacing, background
+):
+    windows = an.locate_peaks(single_bin_peaks(bin_width, peak_bins), spacing)
+    assert windows.central[1] - windows.central[0] == 2 * bin_width
+    assert windows.background == background
+
+
 def test_locate_peaks_flat_histogram_fails():
     hist = an.CoincidenceHistogram(
         bin_width_ns=0.05,

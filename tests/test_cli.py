@@ -16,7 +16,10 @@ from pathlib import Path
 import pytest
 
 from photonlink import analysis as an
+from photonlink import chain as ch
 from photonlink import cli
+from photonlink import events as ev
+from photonlink.config import sim_config_from_dict
 from test_golden_outputs import read_json
 
 
@@ -269,6 +272,22 @@ def test_transfer_probability_above_one_is_a_config_error(tmp_path, capsys, comm
     doc["chain"]["sfg"] = {"reservoir_power_w": 20.0}  # budget 1.39
     assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
     assert "chain.sfg" in capsys.readouterr().err
+
+
+def test_saturation_warns_only_where_the_budget_is_reported(tmp_path):
+    doc = fast_chain()
+    doc["chain"]["sfg"] = {"reservoir_power_w": 8.0}  # budget 0.556: warns, yet accepted
+    cfg = sim_config_from_dict(doc)
+    # Running the chain reports no budget: no warning, which the suite would turn into an error.
+    ev.simulate(cfg)
+    an.measure(cfg.chain, [cfg])
+    path = write_config(tmp_path, doc)
+    assert cli.main(["sweep", "--config", path, "--phases", "5"]) == 0
+    for argv in (["budget", "--config", path],
+                 ["sweep", "--config", path, "--phases", "5", "--out", str(tmp_path / "run")]):
+        with pytest.warns(ch.SaturationWarning) as record:
+            assert cli.main(argv) == 0
+        assert len(record) == 1, argv
 
 
 @pytest.mark.parametrize(

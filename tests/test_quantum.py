@@ -51,8 +51,19 @@ def test_make_entangled_input_places_amplitudes():
 
 
 def test_make_entangled_input_rejects_non_normalized():
-    with pytest.raises(q.NonNormalizedError):
-        q.make_entangled_input(1.0, 0.5)
+    for c1, c2 in ((1.0, 0.5), (math.nan, 0.0)):
+        with pytest.raises(q.NonNormalizedError):
+            q.make_entangled_input(c1, c2)
+
+
+def test_states_refuse_vectors_off_unit_norm():
+    joint = np.zeros(q.DIM, dtype=complex)
+    for value in (2.0, math.nan):
+        joint[q.basis_index(0, 1, 0)] = value
+        with pytest.raises(q.NonNormalizedError):
+            q.JointState(joint)
+        with pytest.raises(q.NonNormalizedError):
+            q.TimeBinPairState([value, 0.0, 0.0, 0.0])
 
 
 def test_make_entangled_input_accepts_complex_amplitudes():
@@ -64,14 +75,22 @@ def test_make_entangled_input_accepts_complex_amplitudes():
 
 
 def test_joint_state_rejects_sector_violations():
-    vec = np.zeros(q.DIM, dtype=complex)
-    vec[q.basis_index(0, 0, 0)] = 1.0  # all-vacuum element is outside the sector
-    with pytest.raises(q.InvalidStateError):
-        q.JointState(vec)
-    vec = np.zeros(q.DIM, dtype=complex)
-    vec[q.basis_index(1, 1, 1)] = 1.0  # doubly occupied
-    with pytest.raises(q.InvalidStateError):
-        q.JointState(vec)
+    # Every basis element: the 2 all-vacuum and 8 doubly occupied ones are
+    # refused by name, the 8 with exactly one of B, B' occupied accepted.
+    refused = accepted = 0
+    for a in range(q.A_DIM):
+        for b in range(q.B_DIM):
+            for bp in range(q.B_DIM):
+                vec = np.zeros(q.DIM, dtype=complex)
+                vec[q.basis_index(a, b, bp)] = 1.0
+                if (b != 0) == (bp != 0):
+                    with pytest.raises(q.InvalidStateError, match=f"a={a}, b={b}, b'={bp}>"):
+                        q.JointState(vec)
+                    refused += 1
+                else:
+                    assert q.JointState(vec).amplitude(a, b, bp) == 1.0
+                    accepted += 1
+    assert (refused, accepted) == (10, 8)
 
 
 def test_joint_state_vector_is_read_only():
@@ -260,8 +279,9 @@ def test_transfer_fidelity_rejects_bad_inputs():
     c = 1.0 / math.sqrt(2.0)
     out = q.evolve_transfer(q.make_entangled_input(c, c), q.CouplingPair(0.4, 0.4))
     outcome = q.post_select_transfer(out)
-    with pytest.raises(q.NonNormalizedError):
-        q.transfer_fidelity(outcome, 1.0, 1.0)
+    for c1, c2 in ((1.0, 1.0), (math.nan, 0.0)):
+        with pytest.raises(q.NonNormalizedError):
+            q.transfer_fidelity(outcome, c1, c2)
 
 
 # ---------------------------------------------------------------------------
