@@ -27,7 +27,6 @@ from .chain import EDGE_TOL_BINS, START_DETECTOR, STOP_DETECTOR, ChainConfig
 from .chain import Fraction, NonNegative, Positive, check_kind, check_kinds, on_grid
 from .config import InvalidConfigError
 from .events import BLOCK, ORIGINS, EventStream, simulate
-from .quantum import VisibilityRangeError
 
 __all__ = [
     "AnalysisError",
@@ -35,6 +34,7 @@ __all__ = [
     "OutOfRange",
     "NoBackground",
     "InsufficientData",
+    "VisibilityRangeError",
     "BELL_THRESHOLD_VISIBILITY",
     "PEAK_REACH",
     "CoincidenceHistogram",
@@ -82,6 +82,10 @@ class NoBackground(AnalysisError):
 
 class InsufficientData(AnalysisError):
     """Too few fringe points, or the phase span is under one period."""
+
+
+class VisibilityRangeError(ValueError):
+    """Visibility parameter outside [0, 1]."""
 
 
 # ---------------------------------------------------------------------------

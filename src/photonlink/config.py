@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import chain as ch
@@ -71,6 +72,15 @@ class SimConfig:
                 f"{estimate!r} events exceeds MAX_EXPECTED_EVENTS = {MAX_EXPECTED_EVENTS:.3g}; "
                 "lower duration_s, pair_rate_per_s, the detectors' dark_prob_per_ns "
                 "or chain.gate_width_ns"
+            )
+        # Click times are float64 ns on [0, duration): a difference of two is
+        # off by up to one ulp at duration_ns, which may cost 1/64 of a bin.
+        ulp, bound = math.ulp(self.duration_s * 1e9), self.chain.histogram_bin_ns / 64
+        if ulp > bound:
+            raise InvalidConfigError(
+                f"duration_s = {self.duration_s!r} leaves float64 timestamps a resolution of "
+                f"{ulp:.3g} ns, above chain.histogram_bin_ns / 64 = {bound:.3g} ns; "
+                "lower duration_s and add the histograms of shorter runs"
             )
 
 

@@ -35,24 +35,18 @@ __all__ = [
     "DIM",
     "OUTCOME_CLASSES",
     "CouplingPair",
-    "DegenerateError",
     "EmptySectorError",
     "InvalidStateError",
     "JointState",
     "NonNormalizedError",
-    "TimeBinPairState",
     "TransferOutcome",
-    "VisibilityRangeError",
     "basis_index",
-    "coincidence_probability",
     "evolve_transfer",
     "hamiltonian_matrix",
     "make_entangled_input",
     "post_select_transfer",
-    "post_selected_timebin_state",
     "transfer_fidelity",
     "transfer_success_probability",
-    "visibility",
 ]
 
 A_DIM = 2
@@ -62,7 +56,8 @@ DIM = A_DIM * B_DIM * B_DIM
 # One pair's six outcome classes at the monitored ports, in sampler order:
 # (name, (c, s), (Alice, Bob)): weight c + s V cos(phi_a + phi_b), powers of
 # two; arrival in delays for path bits 0 and 1, or None for no monitored
-# click.  Port amplitudes 1/2 give side peaks |1/4|^2 and marginals of 1/2.
+# click.  Port amplitudes 1/2 give side peaks |1/4|^2 and marginals of 1/2;
+# tests/test_quantum.py checks every entry against those amplitudes.
 SHORT, LONG, SHARED = (0, 0), (1, 1), (0, 1)  # SHARED: the pair's own path bit
 OUTCOME_CLASSES = (
     ("central", (0.125, 0.125), (SHARED, SHARED)),
@@ -90,14 +85,6 @@ class EmptySectorError(ValueError):
     """Post-selection on a sector whose probability is numerically zero."""
 
 
-class VisibilityRangeError(ValueError):
-    """Visibility parameter outside [0, 1]."""
-
-
-class DegenerateError(ValueError):
-    """Fringe extrema carry no counts, visibility undefined."""
-
-
 def basis_index(a: int, b: int, bp: int) -> int:
     """Flat index of |a>_A |b>_B |bp>_B' in the fixed A-major ordering."""
     return a * (B_DIM * B_DIM) + b * B_DIM + bp
@@ -109,18 +96,6 @@ def basis_index(a: int, b: int, bp: int) -> int:
 _B, _BP = np.indices((A_DIM, B_DIM, B_DIM)).reshape(3, DIM)[1:]
 _IN_SECTOR = (_B != 0) != (_BP != 0)
 _TRANSFERRED = (_B == 0) & (_BP != 0)
-
-
-def _unit_vector(values, size: int, what: str) -> np.ndarray:
-    """A read-only complex copy of ``values``, refused unless of shape (size,) and unit norm."""
-    vec = np.array(values, dtype=complex)
-    if vec.shape != (size,):
-        raise InvalidStateError(f"{what} must have shape ({size},), got {vec.shape}")
-    vec.setflags(write=False)
-    norm_sq = float(np.sum(np.abs(vec) ** 2))
-    if not abs(norm_sq - 1.0) <= _STATE_TOL:  # also NaN
-        raise NonNormalizedError(f"|amplitudes|^2 sums to {norm_sq!r}, expected 1")
-    return vec
 
 
 def _amplitude_norm(c1: complex, c2: complex) -> float:
@@ -142,7 +117,13 @@ class JointState:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = _unit_vector(self.vector, DIM, "state vector")
+        vec = np.array(self.vector, dtype=complex)
+        if vec.shape != (DIM,):
+            raise InvalidStateError(f"state vector must have shape ({DIM},), got {vec.shape}")
+        vec.setflags(write=False)
+        norm_sq = float(np.sum(np.abs(vec) ** 2))
+        if not abs(norm_sq - 1.0) <= _STATE_TOL:  # also NaN
+            raise NonNormalizedError(f"|amplitudes|^2 sums to {norm_sq!r}, expected 1")
         object.__setattr__(self, "vector", vec)
         outside = np.flatnonzero(~_IN_SECTOR & (vec != 0.0))
         if outside.size:
@@ -179,21 +160,6 @@ class TransferOutcome:
 
     probability: float
     conditional_state: JointState
-
-
-@dataclass(frozen=True)
-class TimeBinPairState:
-    """Two-qubit time-bin state after both analyzers, basis (ss, sl, ls, ll)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = _unit_vector(self.amplitudes, 4, "amplitudes (ss, sl, ls, ll)")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def overlap(self, other: "TimeBinPairState") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -298,47 +264,3 @@ def transfer_fidelity(outcome: TransferOutcome, c1: complex, c2: complex) -> flo
     target[basis_index(1, 0, 2)] = c2
     target /= _amplitude_norm(c1, c2)
     return float(abs(np.vdot(target, outcome.conditional_state.vector)) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# post-selected interferometry
-# ---------------------------------------------------------------------------
-
-
-def post_selected_timebin_state(phi_a: float, phi_b: float) -> TimeBinPairState:
-    """Central-peak two-photon state behind matched unbalanced analyzers.
-
-    Post-selecting on equal total path (short-short or long-long) leaves
-
-        (|ss> + e^{i(phi_a + phi_b)} |ll>) / sqrt(2)
-
-    so only the analyzer phase sum is observable, the signature of
-    energy-time entanglement of the pair.
-    """
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = 1.0 / math.sqrt(2.0)
-    amps[3] = np.exp(1j * (float(phi_a) + float(phi_b))) / math.sqrt(2.0)
-    return TimeBinPairState(amps)
-
-
-def coincidence_probability(phi_sum: float, v: float) -> float:
-    """Central-peak coincidence probability per emitted pair.
-
-    The central entry of OUTCOME_CLASSES: (1/8) (1 + v cos(phi_a + phi_b))
-    at the monitored output ports, where 1/8 absorbs the analyzers' 50/50
-    port splittings; excess losses are handled by the optics chain.
-    """
-    if not 0.0 <= v <= 1.0:
-        raise VisibilityRangeError(f"visibility must lie in [0, 1], got {v!r}")
-    const, slope = OUTCOME_CLASSES[0][1]
-    return const + slope * (v * math.cos(float(phi_sum)))
-
-
-def visibility(p_max: float, p_min: float) -> float:
-    """Fringe visibility (p_max - p_min) / (p_max + p_min)."""
-    if p_min < 0.0 or p_max < p_min:
-        raise ValueError(f"need p_max >= p_min >= 0, got p_max={p_max!r}, p_min={p_min!r}")
-    total = p_max + p_min
-    if total == 0.0:
-        raise DegenerateError("both extrema are zero, visibility undefined")
-    return (p_max - p_min) / total

@@ -13,9 +13,9 @@ from scipy.optimize import curve_fit
 from photonlink import analysis as an
 from photonlink import chain as ch
 from photonlink import events as ev
+from photonlink.analysis import VisibilityRangeError
 from photonlink.config import SimConfig
 from photonlink.presets import preset_config
-from photonlink.quantum import VisibilityRangeError
 
 
 def hand_stream(clicks, duration_ns=1e6):

@@ -261,6 +261,26 @@ def test_histogram_duration_flag_is_applied(tmp_path):
     assert manifest["duration_s"] == 0.25
 
 
+# Under the event cap, yet float64 ns timestamps resolve only 16, 0.125 and
+# 0.016 ns at these lengths against 0.05 ns bins: histograms that alias.
+@pytest.mark.parametrize("duration_s, pair_rate", [(1e8, 0.2), (1e6, 20.0), (1e5, 200.0)])
+def test_histogram_refuses_a_run_too_long_for_its_timestamps(
+    tmp_path, capsys, duration_s, pair_rate
+):
+    doc = {
+        "duration_s": duration_s,
+        "chain": {
+            "source": {"pair_rate_per_s": pair_rate},
+            "alice_detector": {"dark_prob_per_ns": 0.0},
+            "bob_detector": {"dark_prob_per_ns": 0.0},
+        },
+    }
+    out = tmp_path / "run"
+    assert cli.main(["histogram", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "duration_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bad inputs: exit 2 naming the field, never a traceback
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import warnings
 
 import pytest
@@ -294,4 +295,35 @@ def test_any_document_is_rejected_or_runs(drawn):
         cfg = pc.sim_config_from_dict(doc)
     except InvalidConfigError:
         return
+    an.build_histogram(simulate(cfg), chain=cfg.chain)
+
+
+# Dark-free documents of 1e4 to 1e9 s with at most 1,000 expected pairs: far
+# under the event cap, so only their timestamps' resolution may refuse them.
+LONG_RUNS = st.builds(
+    lambda duration_s, pairs, bin_ns, steps: {
+        "duration_s": duration_s,
+        "chain": {
+            "source": {"pair_rate_per_s": pairs / duration_s},
+            "alice_detector": {"dark_prob_per_ns": 0.0},
+            "bob_detector": {"dark_prob_per_ns": 0.0},
+            "histogram_bin_ns": bin_ns,
+            "histogram_half_range_ns": steps * bin_ns,
+        },
+    },
+    _floats(1e4, 1e9),
+    _floats(0.0, 1e3),
+    st.sampled_from([0.05, 0.1, 0.5, 4.0, 64.0, 1024.0, 8192.0]),
+    st.integers(1, 500),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(LONG_RUNS)
+def test_long_runs_are_refused_where_timestamps_cannot_resolve_a_bin(doc):
+    if math.ulp(doc["duration_s"] * 1e9) > doc["chain"]["histogram_bin_ns"] / 64:
+        with pytest.raises(InvalidConfigError, match="duration_s"):
+            pc.sim_config_from_dict(doc)
+        return
+    cfg = pc.sim_config_from_dict(doc)
     an.build_histogram(simulate(cfg), chain=cfg.chain)

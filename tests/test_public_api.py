@@ -8,9 +8,13 @@ import pytest
 SHARD_API = ("ConfigMismatchError", "config_hash", "merge", "read_events", "write_events")
 # Deleted wrappers: config documents resolve through config.sim_config_from_dict
 # alone, records become dicts through dataclasses.asdict, and a histogram is
-# counted over its peak windows by analysis.tally_windows alone.
+# counted over its peak windows by analysis.tally_windows alone.  The
+# two-photon helpers had no reader in the product; tests/test_quantum.py
+# checks quantum.OUTCOME_CLASSES against the port amplitudes instead.
 RETIRED = (
-    "chain_from_dict", "fit_to_dict", "sim_config_to_dict", "count_window", "estimate_accidentals"
+    "chain_from_dict", "fit_to_dict", "sim_config_to_dict", "count_window", "estimate_accidentals",
+    "TimeBinPairState", "post_selected_timebin_state", "coincidence_probability", "visibility",
+    "DegenerateError",
 )
 
 

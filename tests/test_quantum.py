@@ -1,10 +1,14 @@
-"""Tests for the single-excitation transfer algebra.
+"""Tests for the single-excitation transfer algebra and the outcome classes.
 
-The closed-form evolution is cross-checked against an independent route:
-scipy's dense matrix exponential applied to the same Hamiltonian.  Numeric
-expectations quoted in comments were computed from that oracle.
+Two independent oracles.  The closed-form evolution is cross-checked
+against scipy's dense matrix exponential applied to the same Hamiltonian;
+numeric expectations quoted in comments were computed from it.  Every
+entry of ``OUTCOME_CLASSES`` is checked against the two analyzers' port
+amplitudes, summed as Franson interference, without reading the table.
 """
 
+import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -62,8 +66,6 @@ def test_states_refuse_vectors_off_unit_norm():
         joint[q.basis_index(0, 1, 0)] = value
         with pytest.raises(q.NonNormalizedError):
             q.JointState(joint)
-        with pytest.raises(q.NonNormalizedError):
-            q.TimeBinPairState([value, 0.0, 0.0, 0.0])
 
 
 def test_make_entangled_input_accepts_complex_amplitudes():
@@ -285,66 +287,8 @@ def test_transfer_fidelity_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# post-selected time-bin interferometry
+# the outcome classes at the monitored analyzer ports
 # ---------------------------------------------------------------------------
-
-
-def test_post_selected_state_amplitudes():
-    state = q.post_selected_timebin_state(0.3, 0.9)
-    c = 1.0 / math.sqrt(2.0)
-    assert state.amplitudes[0] == pytest.approx(c)
-    assert state.amplitudes[1] == 0.0
-    assert state.amplitudes[2] == 0.0
-    assert state.amplitudes[3] == pytest.approx(c * np.exp(1j * 1.2))
-
-
-def test_post_selected_state_depends_only_on_phase_sum():
-    a = q.post_selected_timebin_state(0.7, 0.1)
-    b = q.post_selected_timebin_state(0.2, 0.6)
-    assert abs(a.overlap(b)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_overlap_of_phase_shifted_states():
-    # |<psi(0)|psi(pi/2)>| = |cos(pi/4)|
-    a = q.post_selected_timebin_state(0.0, 0.0)
-    b = q.post_selected_timebin_state(math.pi / 2.0, 0.0)
-    assert abs(a.overlap(b)) == pytest.approx(abs(math.cos(math.pi / 4.0)), abs=1e-12)
-
-
-def test_coincidence_probability_values():
-    assert q.coincidence_probability(0.0, 1.0) == pytest.approx(0.25)
-    assert q.coincidence_probability(math.pi, 1.0) == pytest.approx(0.0, abs=1e-16)
-    assert q.coincidence_probability(math.pi / 2.0, 1.0) == pytest.approx(0.125)
-    assert q.OUTCOME_CLASSES[1][1] == q.OUTCOME_CLASSES[2][1] == (0.0625, 0.0)
-
-
-def test_coincidence_probability_matches_post_selected_state():
-    # |<ss| + <ll| e^{-i phi} overlap law: the projective rate at the
-    # monitored ports equals 1/8 (1 + cos phi) for v = 1.
-    for phi in np.linspace(0.0, 2.0 * math.pi, 13):
-        state = q.post_selected_timebin_state(phi, 0.0)
-        reference = q.post_selected_timebin_state(0.0, 0.0)
-        projected = abs(reference.overlap(state)) ** 2
-        assert q.coincidence_probability(phi, 1.0) == pytest.approx(projected / 4.0, abs=1e-12)
-
-
-def test_coincidence_probability_visibility_range():
-    with pytest.raises(q.VisibilityRangeError):
-        q.coincidence_probability(0.0, 1.2)
-    with pytest.raises(q.VisibilityRangeError):
-        q.coincidence_probability(0.0, -0.1)
-
-
-def test_law_of_total_probability_with_sides():
-    # Central peak plus both side peaks and the three unmonitored port
-    # combinations must exhaust each pair: averaged over phase the central
-    # peak weighs 1/8, twice each side peak.
-    phases = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
-    avg_central = np.mean([q.coincidence_probability(p, 1.0) for p in phases])
-    assert avg_central == pytest.approx(0.125, abs=1e-12)
-    sides = [weight for name, weight, _ in q.OUTCOME_CLASSES if name.startswith("side")]
-    assert sides == [(0.0625, 0.0)] * 2  # flat in the phases
-    assert avg_central == pytest.approx(2.0 * sides[0][0], abs=1e-12)
 
 
 def class_weights(v_cos):
@@ -369,22 +313,46 @@ def test_outcome_classes_give_each_side_a_flat_half():
             assert sum(reached) == Fraction(1, 2)
 
 
-def test_outcome_classes_central_entry_matches_post_selected_state():
-    name, (c, s), arrival = q.OUTCOME_CLASSES[0]
-    assert name == "central" and arrival == (q.SHARED, q.SHARED)
-    reference = q.post_selected_timebin_state(0.0, 0.0)
+# Every (Alice arrival, Bob arrival) cell: 0 or 1 delays, or None for no monitored click.
+CELLS = tuple(itertools.product((0, 1, None), repeat=2))
+
+
+def port_amplitude(port, arm, phi):
+    """A photon's amplitude to leave port +-1 of its analyzer by the short (0) or long (1) arm."""
+    return 0.5 * port * cmath.exp(1j * phi) if arm else 0.5
+
+
+def franson_cells(phi_a, phi_b):
+    """Each cell's probability per pair, from the port amplitudes alone.
+
+    Only port +1 is monitored.  Short-short and long-long arrive with the
+    same time difference, so their amplitudes add and each path bit gets
+    half of the sum's square; short-long and long-short are told apart by
+    time, so their probabilities add.
+    """
+    cells = dict.fromkeys(CELLS, 0.0)
+    for ports in itertools.product((1, -1), repeat=2):
+        amp = {
+            arms: port_amplitude(ports[0], arms[0], phi_a) * port_amplitude(ports[1], arms[1], phi_b)
+            for arms in itertools.product((0, 1), repeat=2)
+        }
+        cell = {arms: tuple(a if p == 1 else None for p, a in zip(ports, arms)) for arms in amp}
+        for bit in (0, 1):
+            cells[cell[bit, bit]] += abs(amp[0, 0] + amp[1, 1]) ** 2 / 2.0
+        for arms in ((0, 1), (1, 0)):
+            cells[cell[arms]] += abs(amp[arms]) ** 2
+    return cells
+
+
+def test_outcome_classes_match_franson_port_amplitudes():
+    # All six classes at once: each class's weight at V = 1, halved over
+    # the two path bits, lands in the cells its arrivals name.  Two splits
+    # of every phase sum between the analyzers give the same cells.
     for phi in np.linspace(0.0, 2.0 * math.pi, 13):
-        # v = 1: the monitored ports keep a quarter of |<psi(0)|psi(phi)>|^2
-        projected = abs(reference.overlap(q.post_selected_timebin_state(0.3, phi - 0.3))) ** 2
-        assert c + s * math.cos(phi) == pytest.approx(projected / 4.0, abs=1e-15)
-
-
-def test_visibility_basic_values():
-    assert q.visibility(0.25, 0.0) == pytest.approx(1.0)
-    assert q.visibility(0.2, 0.1) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(q.DegenerateError):
-        q.visibility(0.0, 0.0)
-    with pytest.raises(ValueError):
-        q.visibility(0.1, 0.2)
-    with pytest.raises(ValueError):
-        q.visibility(0.1, -0.05)
+        table = dict.fromkeys(CELLS, 0.0)
+        for _, (c, s), arrival in q.OUTCOME_CLASSES:
+            for bit in (0, 1):
+                key = tuple(None if side is None else side[bit] for side in arrival)
+                table[key] += 0.5 * (c + s * math.cos(phi))
+        for phi_a in (phi, 0.3):
+            assert table == pytest.approx(franson_cells(phi_a, phi - phi_a), abs=1e-15)
