@@ -8,7 +8,7 @@ yielding raw and net visibilities plus the derived fidelity and Bell
 parameter.
 
 Pairing convention: for every start click we take the first stop click whose
-time difference falls at or above the histogram range minimum, exactly like
+time difference falls at or above minus the histogram half-range, exactly like
 a time-to-digital converter armed by the start channel.  This choice (rather
 than correlating all pairs) matters for accidental statistics at high rates
 and is therefore fixed here rather than configurable.
@@ -95,25 +95,24 @@ class VisibilityRangeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CoincidenceHistogram:
-    """Start-stop time-difference histogram with a uniform bin grid.
+    """Start-stop time differences counted in bins ``bin_width_ns`` wide over +-``half_range_ns``.
 
-    Bin edges are exact integer multiples of ``bin_width_ns`` so that
-    histograms from different runs of the same configuration share their
-    grid and can be added bin-wise.
+    The half-range is a whole number of bins, so bin edges are exact integer
+    multiples of ``bin_width_ns`` and histograms from different runs of the
+    same configuration share their grid and can be added bin-wise.
     """
 
     bin_width_ns: Positive
-    range_min_ns: float
-    range_max_ns: float
+    half_range_ns: Positive
     counts: np.ndarray
 
     def __post_init__(self) -> None:
         check_kinds(self)
-        if not self.range_min_ns < self.range_max_ns:
-            raise ValueError("histogram range must have range_min < range_max")
-        for name, value in (("range_min_ns", self.range_min_ns), ("range_max_ns", self.range_max_ns)):
-            if not on_grid(value / self.bin_width_ns):
-                raise ValueError(f"{name}={value!r} is not an integer multiple of the bin width")
+        steps = self.half_range_ns / self.bin_width_ns
+        if not (on_grid(steps) and round(steps) >= 1):
+            raise ValueError(
+                f"half_range_ns={self.half_range_ns!r} is not an integer multiple of the bin width"
+            )
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iuf":  # a bool, string, object or complex array
             raise ValueError(f"counts must be an integer or float array, got dtype {counts.dtype}")
@@ -132,11 +131,11 @@ class CoincidenceHistogram:
 
     @property
     def n_bins(self) -> int:
-        return int(round((self.range_max_ns - self.range_min_ns) / self.bin_width_ns))
+        return 2 * round(self.half_range_ns / self.bin_width_ns)
 
     @property
     def centers_ns(self) -> np.ndarray:
-        return self.range_min_ns + self.bin_width_ns * (np.arange(self.n_bins) + 0.5)
+        return -self.half_range_ns + self.bin_width_ns * (np.arange(self.n_bins) + 0.5)
 
     @property
     def total(self) -> int:
@@ -144,7 +143,7 @@ class CoincidenceHistogram:
 
     def _axis(self) -> tuple:
         """The grid: what two histograms must share to compare or add."""
-        return (self.bin_width_ns, self.range_min_ns, self.range_max_ns)
+        return (self.bin_width_ns, self.half_range_ns)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoincidenceHistogram):
@@ -165,13 +164,13 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
     START_DETECTOR (Bob) arms the converter and STOP_DETECTOR (Alice) stops
     it; bins ``chain.histogram_bin_ns`` wide span
     +-``chain.histogram_half_range_ns``.  For each start click the first stop
-    click with difference >= the range minimum is taken; it contributes one
-    count if the difference is below the range maximum, otherwise the start
+    click with difference >= -half-range is taken; it contributes one
+    count if the difference is below +half-range, otherwise the start
     records nothing.  An empty stream yields an all-zero histogram.
 
     One pass walks the start detector's clicks in blocks (``_pair_block``)
     and pairs each with each origin's stops in place: one stable argsort
-    merges a block's keys (start + range minimum) with a fixed share of the
+    merges a block's keys (start - half-range) with a fixed share of the
     stops, keys first, so a key's merged position less its index counts the
     stops below it.  Each start keeps the earlier of its origins' first stops.
     ``simulate`` draws the start detector's darks only within reach of a
@@ -187,7 +186,7 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
             f"chain.histogram_half_range_ns must be at most {half}, the half-range the "
             f"stream was drawn for, got {hi!r}"
         )
-    n_bins = int(round((hi - lo) / width))
+    n_bins = 2 * round(hi / width)
     counts = np.zeros(n_bins, dtype=np.int64)
     starts = events.detector_times(START_DETECTOR)
     stops = [t for o in ORIGINS if (t := events.detector_times(STOP_DETECTOR, o)).size]
@@ -199,7 +198,7 @@ def build_histogram(events: EventStream, *, chain: ChainConfig) -> CoincidenceHi
         indices = np.floor((tau - lo) / width).astype(np.int64)
         indices = np.minimum(indices, n_bins - 1)  # guard float roundoff at hi
         counts += np.bincount(indices, minlength=n_bins)
-    return CoincidenceHistogram(width, lo, hi, counts)
+    return CoincidenceHistogram(width, hi, counts)
 
 
 def _pair_block(starts: np.ndarray, lo: float, stops: list[np.ndarray]) -> np.ndarray:
@@ -258,8 +257,8 @@ class PeakWindows:
 
 def _bin_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> tuple[int, int]:
     """Index range [i, j) of bins lying fully inside [lo, hi]."""
-    i = math.ceil((lo - hist.range_min_ns) / hist.bin_width_ns - EDGE_TOL_BINS)
-    j = math.floor((hi - hist.range_min_ns) / hist.bin_width_ns + EDGE_TOL_BINS)
+    i = math.ceil((lo + hist.half_range_ns) / hist.bin_width_ns - EDGE_TOL_BINS)
+    j = math.floor((hi + hist.half_range_ns) / hist.bin_width_ns + EDGE_TOL_BINS)
     i = max(i, 0)
     j = min(j, hist.n_bins)
     return i, max(j, i)
@@ -293,13 +292,10 @@ class WindowTally:
 def tally_windows(hist: CoincidenceHistogram, windows: PeakWindows) -> WindowTally:
     """Count the bins lying fully inside each peak window and background interval."""
     peaks = (windows.side_early, windows.central, windows.side_late)
-    tol = EDGE_TOL_BINS * hist.bin_width_ns
+    reach = hist.half_range_ns + EDGE_TOL_BINS * hist.bin_width_ns
     for lo, hi in peaks:
-        if lo < hist.range_min_ns - tol or hi > hist.range_max_ns + tol:
-            raise OutOfRange(
-                f"window ({lo}, {hi}) ns exceeds histogram range "
-                f"({hist.range_min_ns}, {hist.range_max_ns}) ns"
-            )
+        if lo < -reach or hi > reach:
+            raise OutOfRange(f"window ({lo}, {hi}) ns exceeds histogram range +-{hist.half_range_ns} ns")
     bins = [_bin_slice(hist, lo, hi) for lo, hi in (*peaks, *windows.background)]
     counts = [int(hist.counts[i:j].sum()) for i, j in bins]
     n_bins, background = sum(j - i for i, j in bins[3:]), sum(counts[3:])
@@ -309,13 +305,28 @@ def tally_windows(hist: CoincidenceHistogram, windows: PeakWindows) -> WindowTal
     return WindowTally(*counts[:3], background, n_bins, accidentals)
 
 
+def _check_peak_grid(half, width, spacing, error, names=("half_range_ns", "bin_width_ns")) -> None:
+    """Refuse with ``error``, naming its field by ``names``, a grid too short or coarse for the peaks.
+
+    ``locate_peaks`` searches a quarter spacing around the peaks at 0 and
+    +-``spacing``: the grid must reach PEAK_REACH spacings both ways, and
+    bins narrower than a quarter spacing leave more than two bin centres in each search window.
+    """
+    if half < PEAK_REACH * spacing:
+        raise error(f"{names[0]} = {half} ns is below {PEAK_REACH} peak spacings of {spacing:.4g} ns")
+    if width >= 0.25 * spacing:
+        raise error(f"{names[1]} = {width} ns is not below a quarter peak spacing of {spacing:.4g} ns")
+
+
 def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> PeakWindows:
     """Find the three coincidence peaks near 0 and +-expected_spacing_ns.
 
-    Each peak is the largest bin within a quarter spacing of its expected
-    position.  The shared window half-width is 3 sigma of the
-    central peak (second moment above baseline), capped at 0.45 spacing so
-    the three windows stay disjoint even for wide peaks.  Background
+    A grid that cannot hold or resolve them is refused first, by the rule
+    ``measure`` applies to a chain's grid (``_check_peak_grid``).  Each peak
+    is the largest bin within a quarter spacing of its expected position.
+    The shared window half-width is 3 sigma of the central peak (second
+    moment above baseline), capped at 0.45 spacing so the three windows stay
+    disjoint even for wide peaks.  Background
     intervals are everything at least two window-widths away from every
     peak center.  A peak counts as significant when its maximum bin holds
     at least five times the mean background bin content (and at least five
@@ -323,33 +334,25 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
     """
     check_kind("expected_spacing_ns", expected_spacing_ns, "Positive")
     spacing = float(expected_spacing_ns)
+    _check_peak_grid(hist.half_range_ns, hist.bin_width_ns, spacing, PeaksNotFound)
     if hist.total == 0:
         raise PeaksNotFound("histogram is empty")
-    if hist.range_min_ns > -PEAK_REACH * spacing or hist.range_max_ns < PEAK_REACH * spacing:
-        raise PeaksNotFound(
-            f"histogram range ({hist.range_min_ns}, {hist.range_max_ns}) ns cannot "
-            f"contain peaks at 0 and +-{spacing} ns with search margins"
-        )
 
     centers = hist.centers_ns
     counts = hist.counts
     peak_centers: list[float] = []
     peak_heights: list[int] = []
     for target in (-spacing, 0.0, spacing):
-        sel = np.abs(centers - target) <= 0.25 * spacing
-        local = np.flatnonzero(sel)
-        if not local.size:
-            interval = f"[{target - 0.25 * spacing:.4g}, {target + 0.25 * spacing:.4g}] ns"
-            raise PeaksNotFound(f"no bin centre of bin width {hist.bin_width_ns} ns in {interval}")
+        # The grid rule puts more than two bin centres in this window.
+        local = np.flatnonzero(np.abs(centers - target) <= 0.25 * spacing)
         best = local[np.argmax(counts[local])]
         peak_centers.append(float(centers[best]))
         peak_heights.append(int(counts[best]))
 
     # The found maxima can sit a bin or two off the nominal positions, so
-    # disjointness is judged against the actual gap between neighbours.
+    # disjointness is judged against the actual gap between neighbours: at
+    # least half a spacing, so more than two bins, and 0.49 gap exceeds a bin.
     gap = min(peak_centers[1] - peak_centers[0], peak_centers[2] - peak_centers[1])
-    if gap <= hist.bin_width_ns:
-        raise PeaksNotFound("located peak maxima are not separated")
     # Width of the central peak from its background-subtracted second
     # moment; the baseline is the median bin, which sits in the flat
     # background for any peaked histogram.
@@ -365,19 +368,17 @@ def locate_peaks(hist: CoincidenceHistogram, expected_spacing_ns: float) -> Peak
     half = min(3.0 * sigma, 0.45 * spacing, 0.49 * gap)
     half = max(half, hist.bin_width_ns)
 
-    windows = [
-        (max(c - half, hist.range_min_ns), min(c + half, hist.range_max_ns))
-        for c in peak_centers
-    ]
+    edge = hist.half_range_ns
+    windows = [(max(c - half, -edge), min(c + half, edge)) for c in peak_centers]
 
     # Background: the gaps between the range ends and the +-(2 window widths)
     # = +-(4 half) exclusion zones around the ascending peak centers that hold
     # a whole bin, which no gap between overlapping zones or beyond a range end does.
     exclusion = 4.0 * half
-    edges = [hist.range_min_ns]
+    edges = [-edge]
     for c in peak_centers:
         edges += [c - exclusion, c + exclusion]
-    edges.append(hist.range_max_ns)
+    edges.append(edge)
     background = [
         (lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if range(*_bin_slice(hist, lo, hi))
     ]
@@ -560,21 +561,12 @@ class Measurement:
 def measure(chain: ChainConfig, configs) -> Measurement:
     """Simulate each config, histogram it on ``chain``'s grid, then locate and tally the sum.
 
-    A grid that cannot hold or resolve the side peaks is refused before the
-    first draw.  ``configs`` may be lazy; each run's stream dies before the next.
+    ``locate_peaks``'s grid rule refuses a chain's grid before the first draw.
+    ``configs`` may be lazy; each run's stream dies before the next.
     """
-    half, delay = chain.histogram_half_range_ns, chain.bob_interferometer.delay_ns()
-    if half < PEAK_REACH * delay:
-        raise InvalidConfigError(
-            f"chain.histogram_half_range_ns = {half} ns is below {PEAK_REACH} x Bob's "
-            f"interferometer delay of {delay:.4g} ns, so the side peaks fall outside it"
-        )
-    # locate_peaks searches a quarter delay around each peak, at least one bin.
-    if chain.histogram_bin_ns >= 0.25 * delay:
-        raise InvalidConfigError(
-            f"chain.histogram_bin_ns = {chain.histogram_bin_ns} ns is not below a quarter of "
-            f"Bob's interferometer delay of {delay:.4g} ns, so its peaks cannot be told apart"
-        )
+    delay = chain.bob_interferometer.delay_ns()
+    names = ("chain.histogram_half_range_ns", "chain.histogram_bin_ns")
+    _check_peak_grid(chain.histogram_half_range_ns, chain.histogram_bin_ns, delay, InvalidConfigError, names)
     histograms, settings = [], []
     for cfg in configs:
         histograms.append(build_histogram(simulate(cfg), chain=chain))

@@ -283,15 +283,18 @@ class FransonCheck:
     """One named validity condition with its pass margin.
 
     ``margin`` is the ratio of the actual quantity to the threshold it must
-    clear, so margin >= 1 means the check passes with that factor to spare.
+    clear, so ``passed``, set from it, is margin >= 1: it passes with that factor to spare.
     A margin of infinity (perfectly matched analyzers) is reported as-is;
     the JSON outputs write it as null.
     """
 
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     margin: float
     detail: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.margin >= 1.0)
 
 
 @dataclass(frozen=True)
@@ -336,7 +339,6 @@ def franson_validity(
     margin_i = min(margin_a, margin_b)
     check_i = FransonCheck(
         name="no_single_photon_interference",
-        passed=margin_i >= 1.0,
         margin=margin_i,
         detail=(
             f"imbalances ({alice.path_imbalance_m:.4g} m, {bob.path_imbalance_m:.4g} m) vs "
@@ -349,7 +351,6 @@ def franson_validity(
     margin_ii = math.inf if mismatch == 0.0 else l_short / mismatch
     check_ii = FransonCheck(
         name="analyzers_matched",
-        passed=mismatch <= l_short,
         margin=margin_ii,
         detail=f"|dL_A - dL_B| = {mismatch:.4g} m vs coherence length {l_short:.4g} m",
     )
@@ -358,7 +359,6 @@ def franson_validity(
     margin_iii = (source.pump_coherence_length_m / 10.0) / biggest
     check_iii = FransonCheck(
         name="within_pump_coherence",
-        passed=margin_iii >= 1.0,
         margin=margin_iii,
         detail=(
             f"max imbalance {biggest:.4g} m vs pump coherence / 10 = "

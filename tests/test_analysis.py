@@ -60,8 +60,7 @@ def synthetic_three_peak(
     counts = np.round(density).astype(np.int64) + background_per_bin
     return an.CoincidenceHistogram(
         bin_width_ns=bw,
-        range_min_ns=-3.0,
-        range_max_ns=3.0,
+        half_range_ns=3.0,
         counts=counts,
     )
 
@@ -76,7 +75,7 @@ def test_single_pair_lands_in_correct_bin():
     hist = an.build_histogram(stream, chain=CHAIN)
     assert hist.total == 1
     index = int(np.flatnonzero(hist.counts)[0])
-    lo = hist.range_min_ns + index * hist.bin_width_ns
+    lo = -hist.half_range_ns + index * hist.bin_width_ns
     hi = lo + hist.bin_width_ns
     assert lo <= 0.5 < hi
 
@@ -94,7 +93,7 @@ def test_first_stop_pairing_takes_earliest_in_range():
     assert hist.total == 1
     center = float(hist.centers_ns[np.flatnonzero(hist.counts)[0]])
     assert center == pytest.approx(0.225, abs=1e-9)
-    # A stop before the range minimum is skipped, not paired.
+    # A stop before -half-range is skipped, not paired.
     stream2 = hand_stream([(100.0, "bob"), (90.0, "alice"), (100.2, "alice")])
     hist2 = an.build_histogram(stream2, chain=CHAIN)
     assert hist2.total == 1
@@ -187,29 +186,29 @@ def test_histogram_addition_rejects_different_grids():
 
 def test_histogram_refuses_edges_off_its_grid():
     # "On the grid" is judged in bin widths: 1.4 bins is off it at any width.
-    an.CoincidenceHistogram(0.05, -3.0, 3.0, np.zeros(120))  # integral floats are counts
+    an.CoincidenceHistogram(0.05, 3.0, np.zeros(120))  # integral floats are counts
     with pytest.raises(ValueError, match="integers"):
-        an.CoincidenceHistogram(0.05, -3.0, 3.0, np.full(120, 1.7))
-    for width, edge in ((0.05, 3.01), (1e-9, 1.4e-9)):
+        an.CoincidenceHistogram(0.05, 3.0, np.full(120, 1.7))
+    for width, half in ((0.05, 3.01), (1e-9, 1.4e-9), (1.0, 1e-12)):  # the last is zero bins
         with pytest.raises(ValueError, match="integer multiple"):
-            an.CoincidenceHistogram(width, -edge, edge, np.zeros(3))
+            an.CoincidenceHistogram(width, half, np.zeros(3))
 
 
 def test_histogram_judges_its_numbers_by_kind():
     # The grid's numbers follow chain.check_kinds: a bool is no bin width.
     for width in (True, math.nan, math.inf, 0.0, -0.05, "0.05"):
         with pytest.raises(ValueError, match="bin_width_ns"):
-            an.CoincidenceHistogram(width, -3, 3, np.zeros(6))
-    for edge in (math.nan, False):
-        with pytest.raises(ValueError, match="range_min_ns"):
-            an.CoincidenceHistogram(1.0, edge, 3.0, np.zeros(3))
+            an.CoincidenceHistogram(width, 3, np.zeros(6))
+    for half in (math.nan, False, 0, -3.0):
+        with pytest.raises(ValueError, match="half_range_ns"):
+            an.CoincidenceHistogram(1.0, half, np.zeros(6))
     # Non-finite or out-of-range counts are refused before the int64 cast,
     # so numpy warns of no invalid cast (the suite turns warnings into errors).
     for bad in (math.nan, math.inf, -math.inf, 1e30):
         counts = np.zeros(6)
         counts[2] = bad
         with pytest.raises(ValueError, match="counts must be finite integers"):
-            an.CoincidenceHistogram(1.0, -3.0, 3.0, counts)
+            an.CoincidenceHistogram(1.0, 3.0, counts)
     # Only integer and float arrays are counts: each True would count 1, "1" be parsed,
     # a complex array warn of its dropped imaginary part, and 2**70 overflow the cast.
     for bad in (
@@ -217,11 +216,11 @@ def test_histogram_judges_its_numbers_by_kind():
         np.ones(6, dtype=complex), [2**70] * 6, np.full(6, 2**63, dtype=np.uint64),
     ):
         with pytest.raises(ValueError, match="counts must be"):
-            an.CoincidenceHistogram(1.0, -3.0, 3.0, bad)
+            an.CoincidenceHistogram(1.0, 3.0, bad)
     for good in (np.arange(6), np.arange(6, dtype=np.uint8), np.arange(6.0), [0, 1, 2, 3, 4, 5]):
-        assert an.CoincidenceHistogram(1.0, -3.0, 3.0, good).total == 15
+        assert an.CoincidenceHistogram(1.0, 3.0, good).total == 15
     counts = np.zeros(6, dtype=np.int64)
-    assert not an.CoincidenceHistogram(1.0, -3.0, 3.0, counts).counts.flags.writeable
+    assert not an.CoincidenceHistogram(1.0, 3.0, counts).counts.flags.writeable
     assert counts.flags.writeable  # the record's view is read-only, the caller's array is not
 
 
@@ -230,7 +229,7 @@ def reference_counts(stream, chain):
 
     The reference build_histogram must agree with: it scans all starts
     instead of merging blocks of them with their stops.  Differences that
-    round below the range minimum are dropped, as in build_histogram.
+    round below -half-range are dropped, as in build_histogram.
     """
     starts = stream.detector_times(ch.START_DETECTOR)
     stops = stream.detector_times(ch.STOP_DETECTOR)
@@ -437,7 +436,7 @@ def single_bin_peaks(bin_width, peak_bins, floor=2, height=100):
     """A +-3 ns histogram with a flat floor and three one-bin peaks: the width is one bin."""
     counts = np.full(round(6.0 / bin_width), floor, dtype=np.int64)
     counts[list(peak_bins)] = height
-    return an.CoincidenceHistogram(bin_width, -3.0, 3.0, counts)
+    return an.CoincidenceHistogram(bin_width, 3.0, counts)
 
 
 @pytest.mark.parametrize(
@@ -464,8 +463,7 @@ def test_locate_peaks_background_is_the_gaps_between_exclusion_zones(
 def test_locate_peaks_flat_histogram_fails():
     hist = an.CoincidenceHistogram(
         bin_width_ns=0.05,
-        range_min_ns=-3.0,
-        range_max_ns=3.0,
+        half_range_ns=3.0,
         counts=np.full(120, 7, dtype=np.int64),
     )
     with pytest.raises(an.PeaksNotFound):
@@ -479,21 +477,33 @@ def test_locate_peaks_empty_histogram_fails():
 
 
 def test_locate_peaks_needs_range_covering_sides():
+    # The grid measure refuses for Bob's 0.667 ns delay: +-0.5 ns cannot reach the side peaks.
     stream = hand_stream([(10.0, "bob"), (10.1, "alice")])
     hist = an.build_histogram(stream, chain=ch.ChainConfig(histogram_half_range_ns=0.5))
-    with pytest.raises(an.PeaksNotFound):
+    with pytest.raises(an.PeaksNotFound, match="half_range_ns = 0.5 ns"):
         an.locate_peaks(hist, 0.66713)
 
 
 def test_locate_peaks_refuses_a_grid_too_coarse_for_the_spacing():
     # 1 ns bins against a 0.3 ns spacing: no bin centre within 0.075 ns of -0.3 ns.
-    hist = an.CoincidenceHistogram(1.0, -3.0, 3.0, np.array([1, 2, 9, 3, 2, 1]))
-    with pytest.raises(an.PeaksNotFound, match=r"bin width 1.0 ns .* \[-0.375, -0.225\] ns"):
-        an.locate_peaks(hist, 0.3)
+    cases = [(an.CoincidenceHistogram(1.0, 3.0, np.array([1, 2, 9, 3, 2, 1])), 0.3)]
+    # 0.05 ns bins against a 0.105 ns spacing: the maxima are found two bins
+    # apart, and one-bin windows around them would overlap.
+    counts = np.full(120, 2)
+    counts[[57, 60, 62]] = 100
+    cases.append((an.CoincidenceHistogram(0.05, 3.0, counts), 0.105))
+    # The bins measure refuses for Bob's 0.667 ns delay (test_cli's
+    # test_range_short_of_the_side_peaks_is_refused_before_simulating).
+    for width in (0.375, 0.5, 0.6, 1.0 / 3.0):
+        cases.append((an.CoincidenceHistogram(width, 3.0, np.full(round(6.0 / width), 100)), 0.66713))
+    for hist, spacing in cases:
+        message = f"bin_width_ns = {hist.bin_width_ns} ns .* {spacing:.4g} ns"
+        with pytest.raises(an.PeaksNotFound, match=message):
+            an.locate_peaks(hist, spacing)
 
 
 def test_locate_peaks_judges_its_spacing_by_kind():
-    hist = an.CoincidenceHistogram(1.0, -3.0, 3.0, np.array([1, 2, 9, 3, 2, 1]))
+    hist = an.CoincidenceHistogram(1.0, 3.0, np.array([1, 2, 9, 3, 2, 1]))
     for spacing in (True, "0.667", 0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="expected_spacing_ns"):
             an.locate_peaks(hist, spacing)
@@ -567,8 +577,7 @@ def test_tally_refuses_peak_windows_out_of_range():
 def test_tally_uniform_floor(central, expected):
     hist = an.CoincidenceHistogram(
         bin_width_ns=0.05,
-        range_min_ns=-3.0,
-        range_max_ns=3.0,
+        half_range_ns=3.0,
         counts=np.full(120, 5, dtype=np.int64),
     )
     tally = an.tally_windows(hist, flat_windows(central))

@@ -88,6 +88,16 @@ def test_franson_validity_mismatched_analyzers_fail_second_check():
     assert not report.analyzers_matched.passed
     assert report.analyzers_matched.margin < 1.0
     assert report.no_single_photon_interference.passed
+    # A check passes at margin >= 1; here l / m >= 1 exactly when m <= l, so a
+    # mismatch of one coherence length passes and one ulp more fails.
+    l_short = min(source.alice_coherence_length_m(), source.bob_coherence_length_m())
+    for mismatch, passed in (
+        (math.nextafter(l_short, 0.0), True), (l_short, True), (math.nextafter(l_short, 1.0), False)
+    ):
+        alice = ch.InterferometerParams(path_imbalance_m=2.0 * l_short)
+        bob = ch.InterferometerParams(path_imbalance_m=2.0 * l_short - mismatch)  # both differences exact
+        check = ch.franson_validity(source, alice, bob).analyzers_matched
+        assert (check.passed, check.margin >= 1.0) == (passed, passed)
 
 
 def test_franson_validity_short_pump_coherence_fails_third_check():
