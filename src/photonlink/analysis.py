@@ -73,7 +73,7 @@ class PeaksNotFound(AnalysisError):
 
 
 class OutOfRange(AnalysisError):
-    """A requested window extends beyond the histogram range."""
+    """A requested window or background interval extends beyond the histogram range."""
 
 
 class NoBackground(AnalysisError):
@@ -108,8 +108,7 @@ class CoincidenceHistogram:
 
     def __post_init__(self) -> None:
         check_kinds(self)
-        steps = self.half_range_ns / self.bin_width_ns
-        if not (on_grid(steps) and round(steps) >= 1):
+        if not on_grid(self.half_range_ns / self.bin_width_ns):
             raise ValueError(
                 f"half_range_ns={self.half_range_ns!r} is not an integer multiple of the bin width"
             )
@@ -256,11 +255,9 @@ class PeakWindows:
 
 
 def _bin_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> tuple[int, int]:
-    """Index range [i, j) of bins lying fully inside [lo, hi]."""
+    """Index range [i, j) of bins lying fully inside [lo, hi], empty if none; not clipped to the range."""
     i = math.ceil((lo + hist.half_range_ns) / hist.bin_width_ns - EDGE_TOL_BINS)
     j = math.floor((hi + hist.half_range_ns) / hist.bin_width_ns + EDGE_TOL_BINS)
-    i = max(i, 0)
-    j = min(j, hist.n_bins)
     return i, max(j, i)
 
 
@@ -290,13 +287,14 @@ class WindowTally:
 
 
 def tally_windows(hist: CoincidenceHistogram, windows: PeakWindows) -> WindowTally:
-    """Count the bins lying fully inside each peak window and background interval."""
-    peaks = (windows.side_early, windows.central, windows.side_late)
+    """Count the bins lying fully inside each peak window and background interval, refusing with
+    OutOfRange one reaching beyond +-``half_range_ns``, which would count fewer bins than it spans."""
+    intervals = (windows.side_early, windows.central, windows.side_late, *windows.background)
     reach = hist.half_range_ns + EDGE_TOL_BINS * hist.bin_width_ns
-    for lo, hi in peaks:
+    for lo, hi in intervals:
         if lo < -reach or hi > reach:
-            raise OutOfRange(f"window ({lo}, {hi}) ns exceeds histogram range +-{hist.half_range_ns} ns")
-    bins = [_bin_slice(hist, lo, hi) for lo, hi in (*peaks, *windows.background)]
+            raise OutOfRange(f"interval ({lo}, {hi}) ns exceeds histogram range +-{hist.half_range_ns} ns")
+    bins = [_bin_slice(hist, lo, hi) for lo, hi in intervals]
     counts = [int(hist.counts[i:j].sum()) for i, j in bins]
     n_bins, background = sum(j - i for i, j in bins[3:]), sum(counts[3:])
     if n_bins == 0:

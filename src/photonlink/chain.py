@@ -120,8 +120,9 @@ def check_kinds(record) -> None:
 
 
 def on_grid(steps: float) -> bool:
-    """Whether ``steps``, a length over a bin width, is whole to within EDGE_TOL_BINS."""
-    return math.isfinite(steps) and abs(round(steps) - steps) <= EDGE_TOL_BINS  # round(inf) raises
+    """Whether ``steps``, a length over a bin width, is a whole number >= 1 to within EDGE_TOL_BINS."""
+    # round raises on inf and NaN.
+    return math.isfinite(steps) and round(steps) >= 1 and abs(round(steps) - steps) <= EDGE_TOL_BINS
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ class ChainConfig:
                 f"2 x histogram_half_range_ns / histogram_bin_ns = {2.0 * steps:.3g} bins "
                 f"exceeds MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS}"
             )
-        if not (on_grid(steps) and round(steps) >= 1):
+        if not on_grid(steps):
             raise ValueError(
                 f"histogram_half_range_ns={half!r} is not a positive integer multiple of "
                 f"histogram_bin_ns={width!r}"

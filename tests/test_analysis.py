@@ -549,12 +549,18 @@ def test_tally_counts_only_whole_bins():
     assert (tally.background, tally.background_bins) == (200, 20)
 
 
-def test_tally_refuses_peak_windows_out_of_range():
+def test_tally_refuses_every_interval_out_of_range():
     hist = synthetic_three_peak()
     with pytest.raises(an.OutOfRange):
         an.tally_windows(hist, flat_windows(side_early=(-3.5, -0.45)))
     with pytest.raises(an.OutOfRange):
         an.tally_windows(hist, flat_windows(side_late=(0.45, 3.2)))
+    # Clipped to the +-3 ns range, these background intervals would tally 200
+    # counts over 40 bins and 100 over 20, fewer bins than each spans.
+    with pytest.raises(an.OutOfRange):
+        an.tally_windows(hist, flat_windows(background=((-3.0, -2.0), (2.0, 9.0))))
+    with pytest.raises(an.OutOfRange):
+        an.tally_windows(hist, flat_windows(background=((-7.0, -2.0),)))
 
 
 @pytest.mark.parametrize(
