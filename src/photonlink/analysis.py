@@ -110,7 +110,7 @@ class CoincidenceHistogram:
         check_kinds(self)
         if not on_grid(self.half_range_ns / self.bin_width_ns):
             raise ValueError(
-                f"half_range_ns={self.half_range_ns!r} is not an integer multiple of the bin width"
+                f"half_range_ns={self.half_range_ns!r} is not a positive integer multiple of the bin width"
             )
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iuf":  # a bool, string, object or complex array
@@ -453,52 +453,146 @@ class BellResult:
     violation: bool
 
 
+# The fit's rank rule, in place of lstsq's rcond: the basis (1, cos phi,
+# sin phi) of n phases counts as rank-deficient when its Gram determinant is
+# at most GRAM_DET_FLOOR times n^3 / 4, the determinant's largest value
+# (Hadamard's bound, reached by evenly spread phases).  On sets of fewer
+# than three distinct phases modulo 2 pi the computed determinant is
+# rounding, below 1e-15 n^3 / 4.
+GRAM_DET_FLOOR = 1e-10
+
+# The v = 1 refit brackets the maxima of P^2/N on this many offsets.
+BOUND_GRID = 64
+
+
+def _gram(columns: np.ndarray) -> list[list[float]]:
+    """The Gram matrix of the rows of ``columns`` as nested lists, from elementwise products and sums."""
+    return (columns[:, None, :] * columns[None, :, :]).sum(axis=2).tolist()
+
+
+def _adjugate(m) -> tuple[list[list[float]], float]:
+    """The adjugate and determinant of the symmetric 3 x 3 matrix ``m``: m adj = det I."""
+    (p, q, r), (_, s, t), (_, _, u) = m
+    adj = [
+        [s * u - t * t, r * t - q * u, q * t - r * s],
+        [r * t - q * u, p * u - r * r, q * r - p * t],
+        [q * t - r * s, q * r - p * t, p * s - q * q],
+    ]
+    return adj, p * adj[0][0] + q * adj[0][1] + r * adj[0][2]
+
+
+def _stationarity(m, y, cos, sin):
+    """h, dh/dt, P and N at offsets t given as cos t, sin t (floats or arrays).
+
+    With x = (1, cos t, sin t), P = y.x and N = x.m.x are the projection of
+    the rates on g = 1 + cos(phi - t) and the norm of g, and
+    h = P'N - PN'/2 is zero where P^2/N is stationary.
+    """
+    u = [row[0] + row[1] * cos + row[2] * sin for row in m]  # m x
+    w = [row[2] * cos - row[1] * sin for row in m[1:]]  # rows 1 and 2 of m x'
+    proj = y[0] + y[1] * cos + y[2] * sin
+    dproj = y[2] * cos - y[1] * sin
+    norm = u[0] + u[1] * cos + u[2] * sin
+    half_dnorm = u[2] * cos - u[1] * sin  # x'.m.x
+    half_ddnorm = w[1] * cos - w[0] * sin + u[0] - norm  # x'.m.x' + x.m.x''
+    h = dproj * norm - proj * half_dnorm
+    dh = (y[0] - proj) * norm + dproj * half_dnorm - proj * half_ddnorm
+    return h, dh, proj, norm
+
+
+def _polish(m, y, lo: float, hi: float) -> float:
+    """The root of h in [lo, hi], where h(lo) > 0 >= h(hi).
+
+    Newton steps, each replaced by bisection where it leaves the bracket.
+    """
+    t = 0.5 * (lo + hi)
+    for _ in range(100):
+        h, dh, _, _ = _stationarity(m, y, math.cos(t), math.sin(t))
+        if h > 0.0:
+            lo = t
+        else:
+            hi = t
+        step = t - h / dh if dh < 0.0 else math.nan
+        if not lo <= step <= hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-15:
+            break
+        t = step
+    return t
+
+
 def _fit_sinusoid(phases: np.ndarray, rates: np.ndarray) -> tuple[float, float, float, float]:
     """Least-squares A(1 + v cos(phi - phi0)) with a >= 0 and 0 <= v <= 1.
 
-    The model is the linear A + B cos(phi) + C sin(phi), so one linear
-    solve gives the exact optimum v = hypot(B, C)/A, phi0 = atan2(C, B).
-    Where that v exceeds 1 the bound is active and (a, phi0) are refitted
-    at v = 1.  ``v_err`` follows a bounded ``curve_fit``: the
-    pseudo-inverse of the Jacobian in (a, v, phi0), dropping singular
-    values below eps * max(shape) times the largest, scaled by
-    SSR / (n - 3).  Returns (a, v, phi0, v_err), phi0 on the principal branch.
+    The model is the linear A + B cos(phi) + C sin(phi).  Its normal
+    equations M (A, B, C) = y, M the 3 x 3 Gram matrix of the basis
+    (1, cos phi, sin phi), are solved by adjugate and determinant, which
+    gives the exact optimum v = hypot(B, C)/A, phi0 = atan2(C, B).
+
+    Rank rule: ``InsufficientData`` when det M <= GRAM_DET_FLOOR n^3 / 4.
+    By Cauchy-Binet det M sums 16 sin^2(d1/2) sin^2(d2/2) sin^2(d3/2) over
+    the triples of phases, d their pairwise differences, so besides every
+    set of fewer than three distinct phases modulo 2 pi the rule refuses
+    sets that lstsq's rcond cut would still fit, all ill-conditioned: a
+    third distinct phase within about 1e-5 rad of another, or three phases
+    spread over less than about 0.06 rad.
+
+    Where v exceeds 1 the bound is active and (a, phi0) are refitted at
+    v = 1: with g = 1 + cos(phi - t), P = <r, g> and N = <g, g>, an offset t
+    sets a = P/N and the best t maximises P^2/N.  Each maximum with P > 0 is
+    bracketed where h = P'N - PN'/2 falls through zero between two of
+    BOUND_GRID offsets over one period, and polished by Newton steps on h.
+    Of those, the linear offset atan2(C, B) and the grid's best offset, the
+    candidate with a > 0 and the largest P^2/N is the optimum.
+
+    ``v_err`` follows a bounded ``curve_fit``: the (1, 1) element of the
+    inverse of J^T J, J the Jacobian in (a, v, phi0), by adjugate, scaled by
+    SSR / (n - 3).  At v = 0 J's phi0 column is zero and is dropped, as the
+    pseudo-inverse drops its zero singular value.
+
+    Nothing here calls LAPACK or BLAS: no ``numpy.linalg``, no ``np.roots``,
+    no matrix product.  A preset sweep's own memory above its imports is
+    about 2.5 MB, and lstsq, pinv and np.roots paged 1.2-2 MB of numpy's
+    linear-algebra library into it: the fig2-sweep benchmark peaked at
+    38.3-39.1 MB with them and at 37.0 MB without (Python 3.11, numpy 2.4,
+    2 cores).  Returns (a, v, phi0, v_err), phi0 on the principal branch.
     """
-    basis = np.column_stack((np.ones_like(phases), np.cos(phases), np.sin(phases)))
-    (a, b, c), _, rank, _ = np.linalg.lstsq(basis, rates, rcond=None)
-    if rank < 3:
+    basis = np.stack((np.ones_like(phases), np.cos(phases), np.sin(phases)))
+    m = _gram(basis)
+    adj, det = _adjugate(m)
+    if det <= GRAM_DET_FLOOR * phases.size**3 / 4.0:
         raise InsufficientData(
             f"the {phases.size} phases hold fewer than three distinct values "
             "modulo 2 pi, too few to fit a fringe"
         )
-    if np.mean(rates) <= 0.0:
+    y = (basis * rates).sum(axis=1).tolist()
+    if y[0] <= 0.0:
         # An all-zero (or negative after subtraction) scan carries no fringe.
         return 0.0, 0.0, 0.0, 0.0
-    a = float(a)
+    a, b, c = (sum(row[k] * y[k] for k in range(3)) / det for row in adj)
     if a > 0.0 and math.hypot(b, c) <= a:
         v, phi0 = math.hypot(b, c) / a, math.atan2(c, b)
     else:
-        # At v = 1 an offset t sets a = P/N, with g = 1 + cos(phi - t),
-        # P = <r, g> and N = <g, g>.  The best t maximises P^2/N, so it
-        # solves 2 P' N = P N': in z = exp(i t), with P and N held as their
-        # coefficients of z^-1..z and z^-2..z^2, a polynomial of degree 6.
-        # Of its root angles, plus the linear offset in case it vanishes,
-        # the best with a > 0 is the optimum.
-        e = np.exp(1j * phases)
-        p = np.array([rates @ e / 2, rates.sum(), rates @ e.conj() / 2])
-        n = np.array([(e * e).sum() / 4, e.sum(), 1.5 * e.size, e.conj().sum(), (e * e).conj().sum() / 4])
-        q = np.convolve(2j * np.arange(-1, 2) * p, n) - np.convolve(p, 1j * np.arange(-2, 3) * n)
-        t = np.append(np.angle(np.roots(q[::-1])), math.atan2(c, b))
-        g = 1.0 + np.cos(phases - t[:, None])
-        proj, norm = g @ rates, np.einsum("ij,ij->i", g, g)
-        best = int(np.argmax(np.where(proj > 0.0, proj * proj / norm, -np.inf)))
-        a, v, phi0 = float(proj[best] / norm[best]), 1.0, float(t[best])
+        grid = np.linspace(-math.pi, math.pi, BOUND_GRID + 1)
+        h, _, proj, norm = _stationarity(m, y, np.cos(grid), np.sin(grid))
+        score = np.where(proj > 0.0, proj * proj / norm, -np.inf)
+        falls = np.flatnonzero((h[:-1] > 0.0) & (h[1:] <= 0.0) & (proj[:-1] > 0.0))
+        grid = grid.tolist()
+        offsets = [_polish(m, y, grid[k], grid[k + 1]) for k in falls]
+        offsets += [math.atan2(c, b), grid[np.argmax(score)]]
+        fits = [(*_stationarity(m, y, math.cos(t), math.sin(t))[2:], t) for t in offsets]
+        proj, norm, phi0 = max(fits, key=lambda f: f[0] * f[0] / f[1] if f[0] > 0.0 else -math.inf)
+        a, v = proj / norm, 1.0
     delta = phases - phi0
     shape = 1.0 + v * np.cos(delta)
-    jac = np.column_stack((shape, a * np.cos(delta), a * v * np.sin(delta)))
-    pinv = np.linalg.pinv(jac, rcond=np.finfo(float).eps * max(jac.shape))
-    ssr = float(np.sum((rates - a * shape) ** 2))
-    v_err = math.sqrt(ssr / (rates.size - 3) * float(pinv[1] @ pinv[1]))
+    # J = K diag(1, a, a v) with K = (shape, cos delta, sin delta), so the
+    # (1, 1) element of (J^T J)^-1 is that of (K^T K)^-1 over a^2.  At v = 0,
+    # J's phi0 column is zero; dropping it leaves the 2 x 2 block's inverse.
+    k = _gram(np.stack((shape, np.cos(delta), np.sin(delta))))
+    k_adj, k_det = _adjugate(k)
+    var = (k_adj[1][1] / k_det if v > 0.0 else k[0][0] / k_adj[2][2]) / (a * a)
+    ssr = float(((rates - a * shape) ** 2).sum())
+    v_err = math.sqrt(ssr / (rates.size - 3) * var)
     return a, v, math.atan2(math.sin(phi0), math.cos(phi0)), v_err
 
 
@@ -506,11 +600,16 @@ def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
     """Fit raw and net visibilities to a phase scan.
 
     Needs at least five points spanning a full period at no fewer than
-    three distinct phases modulo 2 pi.  Each fit is the least-squares
-    optimum under 0 <= v <= 1 from ``_fit_sinusoid``: a closed-form linear
-    solve, refitted at v = 1 where the bound is active.  The net fit
-    subtracts the flat accidental rate from every point before refitting;
-    with a zero accidental rate the two fits are identical by construction.
+    three distinct phases modulo 2 pi (``_fit_sinusoid``'s rank rule).
+    Each fit is the least-squares optimum under 0 <= v <= 1 from
+    ``_fit_sinusoid``: the linear solve in closed form (3 x 3 normal
+    equations by adjugate), refitted at v = 1 where the bound is active
+    (Newton steps from a grid of offsets), with v_err from the inverse of
+    J^T J as a bounded ``curve_fit`` reports it.  None of it calls LAPACK
+    or BLAS, which a sweep would otherwise page in for this one fit.  The
+    net fit subtracts the flat accidental rate from every point before
+    refitting; with a zero accidental rate the two fits are identical by
+    construction.
     """
     pts = list(points)
     if len(pts) < 5:

@@ -1,19 +1,19 @@
-"""Standing fault probe: each one-line physics fault must fail a test other than the byte pins.
+"""Standing fault probe: each one-line physics or fit fault must fail a test other than the byte pins.
 
     PYTHONPATH=src python3 tests/fault_probe.py
 
 The byte pins (the golden outputs and counts, and the equality tests against
 the concatenating reference samplers) prove that outputs did not change, not
 that they are right.  This probe checks that the rest of tier-1 still sees
-the physics: for each fault in FAULTS it copies ``src/``, ``tests/`` and
-``pyproject.toml`` (whose ``filterwarnings = error`` and ``xfail_strict`` the
-suite needs) to a temporary directory, replaces the fault's old text, which
-must occur exactly once in its file, with the new text, and runs tier-1 with
-``-x`` and the pins deselected.  An unmodified copy runs first as the
-control.  It prints one line per fault with its first failing test, the
-catcher, and exits 1 if the control fails, any fault survives, or any
-fault's old text does not occur exactly once.  A fault that a refactor
-removes is restated on the new code, never dropped.
+the physics and the fit: for each fault in FAULTS it copies ``src/``,
+``tests/`` and ``pyproject.toml`` (whose ``filterwarnings = error`` and
+``xfail_strict`` the suite needs) to a temporary directory, replaces the
+fault's old text, which must occur exactly once in its file, with the new
+text, and runs tier-1 with ``-x`` and the pins deselected.  An unmodified
+copy runs first as the control.  It prints one line per fault with its
+first failing test, the catcher, and exits 1 if the control fails, any
+fault survives, or any fault's old text does not occur exactly once.  A
+fault that a refactor removes is restated on the new code, never dropped.
 pytest does not collect this file; it takes a few minutes (up to one tier-1
 run per fault).
 """
@@ -61,6 +61,14 @@ FAULTS = (
      "accidentals = background / (n_bins", "accidentals = 1.1 * background / (n_bins"),
     ("central class's s 0.125 -> 0.11", "quantum.py",
      '("central", (0.125, 0.125),', '("central", (0.125, 0.11),'),
+    ("rank rule's floor 0", "analysis.py",
+     "GRAM_DET_FLOOR = 1e-10", "GRAM_DET_FLOOR = 0.0"),
+    ("v_err's variance x1.1", "analysis.py",
+     "math.sqrt(ssr / (rates.size - 3) * var)", "math.sqrt(ssr / (rates.size - 3) * var * 1.1)"),
+    ("v = 1 refit takes the linear offset", "analysis.py",
+     "proj, norm, phi0 = max(fits, key=", "proj, norm, phi0 = fits[-2] or max(fits, key="),
+    ("v = 1 refit takes the grid's best offset unpolished", "analysis.py",
+     "proj, norm, phi0 = max(fits, key=", "proj, norm, phi0 = fits[-1] or max(fits, key="),
 )
 
 # The byte pins, by node-id prefix; a bracket ends each parametrized name, so

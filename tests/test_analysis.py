@@ -1,7 +1,11 @@
 """Tests for histogramming, peak windows, accidentals, and fringe fitting."""
 
 import dataclasses
+import inspect
+import io
 import math
+import textwrap
+import tokenize
 from unittest import mock
 
 import numpy as np
@@ -189,9 +193,11 @@ def test_histogram_refuses_edges_off_its_grid():
     an.CoincidenceHistogram(0.05, 3.0, np.zeros(120))  # integral floats are counts
     with pytest.raises(ValueError, match="integers"):
         an.CoincidenceHistogram(0.05, 3.0, np.full(120, 1.7))
-    for width, half in ((0.05, 3.01), (1e-9, 1.4e-9), (1.0, 1e-12)):  # the last is zero bins
+    for width, half in ((0.05, 3.01), (1e-9, 1.4e-9)):
         with pytest.raises(ValueError, match="integer multiple"):
             an.CoincidenceHistogram(width, half, np.zeros(3))
+    with pytest.raises(ValueError, match="positive integer multiple"):  # zero bins
+        an.CoincidenceHistogram(1.0, 1e-12, np.zeros(3))
 
 
 def test_histogram_judges_its_numbers_by_kind():
@@ -834,6 +840,135 @@ def test_fit_matches_curve_fit_oracle(scan):
 def test_bound_scans_meet_the_bound():
     for phases, counts, floor in BOUND_SCANS:
         assert an._fit_sinusoid(phases, counts - floor)[1] == 1.0
+
+
+def lstsq_sinusoid(phases, rates):
+    """The LAPACK fit ``analysis._fit_sinusoid`` replaced, as a reference implementation.
+
+    lstsq for the linear A + B cos + C sin, the sextic of the v = 1 refit
+    solved by ``np.roots``, and v_err from the Jacobian's pseudo-inverse.
+    Returns (a, v, phi0, v_err) like ``analysis._fit_sinusoid``.
+    """
+    basis = np.column_stack((np.ones_like(phases), np.cos(phases), np.sin(phases)))
+    (a, b, c), _, rank, _ = np.linalg.lstsq(basis, rates, rcond=None)
+    if rank < 3:
+        raise an.InsufficientData("fewer than three distinct values modulo 2 pi")
+    if np.mean(rates) <= 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    a = float(a)
+    if a > 0.0 and math.hypot(b, c) <= a:
+        v, phi0 = math.hypot(b, c) / a, math.atan2(c, b)
+    else:
+        e = np.exp(1j * phases)
+        p = np.array([rates @ e / 2, rates.sum(), rates @ e.conj() / 2])
+        n = np.array([(e * e).sum() / 4, e.sum(), 1.5 * e.size, e.conj().sum(), (e * e).conj().sum() / 4])
+        q = np.convolve(2j * np.arange(-1, 2) * p, n) - np.convolve(p, 1j * np.arange(-2, 3) * n)
+        t = np.append(np.angle(np.roots(q[::-1])), math.atan2(c, b))
+        g = 1.0 + np.cos(phases - t[:, None])
+        proj, norm = g @ rates, np.einsum("ij,ij->i", g, g)
+        best = int(np.argmax(np.where(proj > 0.0, proj * proj / norm, -np.inf)))
+        a, v, phi0 = float(proj[best] / norm[best]), 1.0, float(t[best])
+    delta = phases - phi0
+    shape = 1.0 + v * np.cos(delta)
+    jac = np.column_stack((shape, a * np.cos(delta), a * v * np.sin(delta)))
+    pinv = np.linalg.pinv(jac, rcond=np.finfo(float).eps * max(jac.shape))
+    ssr = float(np.sum((rates - a * shape) ** 2))
+    v_err = math.sqrt(ssr / (rates.size - 3) * float(pinv[1] @ pinv[1]))
+    return a, v, math.atan2(math.sin(phi0), math.cos(phi0)), v_err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(noisy_scans())
+@example(BOUND_SCANS[0])
+@example(BOUND_SCANS[1])
+@example(BOUND_SCANS[2])
+def test_fit_matches_the_lstsq_reference(scan):
+    """The closed form agrees with the LAPACK fit it replaced.
+
+    Thresholds fixed beforehand.  Off the bound: a, v and v_err at rel
+    1e-12 (with pytest's absolute floor of 1e-12), and the fringe vector
+    v exp(i phi0) within 1e-12.  At the bound: v = 1 on both sides and SSR
+    at most the reference's times (1 + 1e-12).  The reference's own v_err
+    agrees with 50-digit arithmetic to about 5e-15 on such scans.
+    """
+    phases, counts, floor = scan
+    for rates in (counts, counts - floor):
+        a, v, phi0, v_err = an._fit_sinusoid(phases, rates)
+        ref = lstsq_sinusoid(phases, rates)
+        if ref[1] == 1.0:
+            assert v == 1.0
+            assert fit_ssr(phases, rates, a, v, phi0) <= fit_ssr(phases, rates, *ref[:3]) * (1.0 + 1e-12)
+        else:
+            assert (a, v, v_err) == pytest.approx((ref[0], ref[1], ref[3]), rel=1e-12)
+            assert abs(v * np.exp(1j * phi0) - ref[1] * np.exp(1j * ref[2])) <= 1e-12
+
+
+def test_rank_rule_refuses_where_the_basis_is_rank_deficient():
+    """The fit refuses exactly the phase sets whose basis matrix_rank is below three.
+
+    Random sets, and near-degenerate ones: one or two distinct values (at
+    least 1 rad apart modulo 2 pi) with copies shifted by whole periods,
+    which rounding leaves about 1e-15 apart, and the same with one copy
+    moved 1e-3 to 1e-1 rad.  Where the rule and lstsq's cut differ by
+    design, a tight triple of phases, the rule refuses.
+    """
+    rng = np.random.default_rng(34)
+    sets = [rng.uniform(-10.0, 10.0, rng.integers(4, 30)) for _ in range(200)]
+    for _ in range(200):
+        n = int(rng.integers(4, 12))
+        first = rng.uniform(-math.pi, math.pi)
+        values = np.array([first, first + rng.uniform(1.0, 2.0 * math.pi - 1.0)])
+        phases = rng.choice(values[: rng.integers(1, 3)], n) + 2.0 * math.pi * rng.integers(-3, 4, n)
+        sets.append(phases)
+        third = phases.copy()
+        third[0] += rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, -1.0)
+        sets.append(third)
+    refused = 0
+    for phases in sets:
+        basis = np.column_stack((np.ones_like(phases), np.cos(phases), np.sin(phases)))
+        deficient = np.linalg.matrix_rank(basis) < 3
+        rates = rng.uniform(1.0, 2.0, phases.size)
+        if deficient:
+            with pytest.raises(an.InsufficientData, match="fewer than three distinct"):
+                an._fit_sinusoid(phases, rates)
+            refused += 1
+        else:
+            an._fit_sinusoid(phases, rates)
+    assert 100 < refused < len(sets) - 200  # both kinds of near-degenerate set occur
+    tight = np.array([0.0, 0.01, 0.02, 2.0 * math.pi + 0.01])
+    assert np.linalg.matrix_rank(np.column_stack((np.ones(4), np.cos(tight), np.sin(tight)))) == 3
+    with pytest.raises(an.InsufficientData, match="fewer than three distinct"):
+        an._fit_sinusoid(tight, np.ones(4))
+
+
+def test_fit_calls_no_linear_algebra_library(monkeypatch):
+    """The fit runs with numpy's LAPACK entry points and np.roots patched to fail.
+
+    The free fit, each bound scan, a flat scan (v = 0) and a two-phase scan,
+    which must still be refused.  The fit's own code also holds no matrix
+    product, which would call BLAS.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fringe fit called the linear-algebra library")
+
+    for name in ("lstsq", "pinv", "solve", "inv", "svd", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    fit = an.fit_fringe(synthetic_fringe(0.87, phi0=0.7, accidental=5.0), accidental_rate_per_s=5.0)
+    assert fit.v_net == pytest.approx(0.87, abs=1e-9)
+    for phases, counts, floor in BOUND_SCANS:
+        assert an._fit_sinusoid(phases, counts - floor)[1] == 1.0
+        an._fit_sinusoid(phases, counts)
+    assert an.fit_fringe(synthetic_fringe(0.0)).v_raw < 1e-9
+    points = [an.FringePoint(p, 100.0 + i, 1.0) for i, p in enumerate((0.0, 0.0, 0.0, 2.0 * math.pi, 2.0 * math.pi))]
+    with pytest.raises(an.InsufficientData, match="fewer than three distinct"):
+        an.fit_fringe(points)
+    banned = {"@", "linalg", "dot", "vdot", "matmul", "tensordot", "einsum", "roots"}
+    for function in (an._fit_sinusoid, an._gram, an._adjugate, an._stationarity, an._polish, an.fit_fringe):
+        source = textwrap.dedent(inspect.getsource(function))
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        used = {tok.string for tok in tokens if tok.type in (tokenize.OP, tokenize.NAME)}
+        assert not used & banned, (function.__name__, used & banned)
 
 
 def test_fringe_point_validation():

@@ -4,8 +4,9 @@ Runs the CLI in-process on both presets at their default seeds (budget,
 sweep and histogram) and on the criterion-09 document at seed 5 (budget,
 and histogram for 10 s), and compares what they write with ``golden_outputs.json``: the sha256 of
 ``budget.json``, ``fringe.csv``, ``histogram.csv`` and ``peaks.json``, and
-``fit.json`` field by field with floats at rel 1e-12, since the least-squares
-solver's last bits can vary by CPU.  ``manifest.json`` is left out: it
+``fit.json`` field by field with floats at rel 1e-12, since the fit's float
+sums and numpy's vectorised cos and sin, which numpy picks by instruction
+set, can round differently on another CPU.  ``manifest.json`` is left out: it
 records the wall clock.  Every JSON output is also read strictly
 (``read_json``), so a NaN or Infinity in one fails here.
 
