@@ -1,10 +1,10 @@
-"""Analytic optics-chain calculus: coherence budgets, transfer budget, rates.
+"""Analytic optics-chain calculus: coherence budgets, transfer budget, outcome model, rates.
 
-This module holds the classical bookkeeping around the quantum algebra: the
-experimental parameter records, the coherence-length arithmetic that decides
-whether two-photon interference is observable at all, the power budget of
-the sum-frequency transfer stage, and back-of-envelope singles/coincidence
-rates used to sanity-check simulation output.
+This module holds the experimental parameter records, the coherence-length
+arithmetic that decides whether two-photon interference is observable at
+all, the power budget of the sum-frequency transfer stage, and the outcome
+model: a pair's six outcome classes, cut into the cells the event sampler
+draws and the back-of-envelope rate budget sums to check the simulation.
 
 Wavelengths and bandwidths are in nanometers, lengths in meters, rates in
 inverse seconds, and time windows in nanoseconds throughout.
@@ -19,11 +19,10 @@ import warnings
 from dataclasses import dataclass, field, fields
 from typing import Annotated
 
-from .quantum import OUTCOME_CLASSES
-
 __all__ = [
     "EDGE_TOL_BINS",
     "MAX_HISTOGRAM_BINS",
+    "OUTCOME_CLASSES",
     "SPEED_OF_LIGHT_M_PER_S",
     "START_DETECTOR",
     "STOP_DETECTOR",
@@ -465,13 +464,30 @@ class RateReport:
         return self.accidental_rate_uncorrelated_per_s + self.accidental_rate_gated_darks_per_s
 
 
+# One pair's six outcome classes at the monitored ports, in sampler order:
+# (name, (c, s), (Alice, Bob)): weight c + s V cos(phi_a + phi_b), powers of
+# two; arrival in delays for path bits 0 and 1, or None for no monitored
+# click.  Port amplitudes 1/2 give side peaks |1/4|^2 and marginals of 1/2;
+# tests/test_chain.py checks every entry against those amplitudes.
+SHORT, LONG, SHARED = (0, 0), (1, 1), (0, 1)  # SHARED: the pair's own path bit
+OUTCOME_CLASSES = (
+    ("central", (0.125, 0.125), (SHARED, SHARED)),
+    ("side, Alice early", (0.0625, 0.0), (SHORT, LONG)),
+    ("side, Alice late", (0.0625, 0.0), (LONG, SHORT)),
+    ("Alice only", (0.25, -0.125), (SHARED, None)),
+    ("Bob only", (0.25, -0.125), (None, SHARED)),
+    ("neither", (0.25, 0.125), (None, None)),
+)
+
+
 def outcome_cells(chain: ChainConfig, v_cos: float) -> list[tuple[str, float, dict]]:
-    """Every (class, path bit, clicking sides) cell of OUTCOME_CLASSES at V cos(phi) = v_cos.
+    """Every (class, path bit, clicking sides) cell of the table above at V cos(phi) = v_cos.
 
     A cell is (class name, probability per emitted pair, {clicking side, 0
     Alice or 1 Bob: arrival offset in ns}).  Each photon is kept with its
     side's factor, arm transmission x detector efficiency (x transfer for
     Bob).  Sampler order: table order, path bit 0 then 1, Alice, Bob, both.
+    events._photon_times draws these cells; expected_rates sums them.
     """
     arms = (chain.alice_interferometer, chain.bob_interferometer)
     keep = (

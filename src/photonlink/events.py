@@ -6,7 +6,7 @@ classical photons: the phase-dependent interference lives only in the
 both-detected central class, the side classes are flat, and the
 single-sided marginals stay phase-independent (no single-photon fringes).
 The six outcome classes, their weights and each side's arrival are
-``quantum.OUTCOME_CLASSES``; they sum to one and give the 1/2 monitored-port
+``chain.OUTCOME_CLASSES``; they sum to one and give the 1/2 monitored-port
 marginal on each side for every phi.  Arm transmission, the transfer-stage
 success, and detector quantum efficiency thin each photon independently.
 Every (class, path bit, clicking sides) cell of the thinned pair process is

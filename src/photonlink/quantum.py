@@ -33,7 +33,6 @@ __all__ = [
     "A_DIM",
     "B_DIM",
     "DIM",
-    "OUTCOME_CLASSES",
     "CouplingPair",
     "EmptySectorError",
     "InvalidStateError",
@@ -52,21 +51,6 @@ __all__ = [
 A_DIM = 2
 B_DIM = 3  # vacuum + two bins; B' has the same layout
 DIM = A_DIM * B_DIM * B_DIM
-
-# One pair's six outcome classes at the monitored ports, in sampler order:
-# (name, (c, s), (Alice, Bob)): weight c + s V cos(phi_a + phi_b), powers of
-# two; arrival in delays for path bits 0 and 1, or None for no monitored
-# click.  Port amplitudes 1/2 give side peaks |1/4|^2 and marginals of 1/2;
-# tests/test_quantum.py checks every entry against those amplitudes.
-SHORT, LONG, SHARED = (0, 0), (1, 1), (0, 1)  # SHARED: the pair's own path bit
-OUTCOME_CLASSES = (
-    ("central", (0.125, 0.125), (SHARED, SHARED)),
-    ("side, Alice early", (0.0625, 0.0), (SHORT, LONG)),
-    ("side, Alice late", (0.0625, 0.0), (LONG, SHORT)),
-    ("Alice only", (0.25, -0.125), (SHARED, None)),
-    ("Bob only", (0.25, -0.125), (None, SHARED)),
-    ("neither", (0.25, 0.125), (None, None)),
-)
 
 _NORM_TOL = 1e-9  # tolerance on |c1|^2 + |c2|^2 for caller-supplied amplitudes
 _STATE_TOL = 1e-12  # tolerance on stored state vectors

@@ -59,7 +59,7 @@ FAULTS = (
      "0.9 * arms[0].transmission * chain.alice_detector.quantum_efficiency"),
     ("accidental floor x1.1", "analysis.py",
      "accidentals = background / (n_bins", "accidentals = 1.1 * background / (n_bins"),
-    ("central class's s 0.125 -> 0.11", "quantum.py",
+    ("central class's s 0.125 -> 0.11", "chain.py",
      '("central", (0.125, 0.125),', '("central", (0.125, 0.11),'),
     ("rank rule's floor 0", "analysis.py",
      "GRAM_DET_FLOOR = 1e-10", "GRAM_DET_FLOOR = 0.0"),

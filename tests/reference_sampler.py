@@ -23,8 +23,8 @@ import math
 import numpy as np
 
 from photonlink import events as ev
+from photonlink.chain import OUTCOME_CLASSES
 from photonlink.config import SimConfig
-from photonlink.quantum import OUTCOME_CLASSES
 
 
 def gated_dark_times(

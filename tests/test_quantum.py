@@ -1,16 +1,12 @@
-"""Tests for the single-excitation transfer algebra and the outcome classes.
+"""Tests for the single-excitation transfer algebra.
 
-Two independent oracles.  The closed-form evolution is cross-checked
-against scipy's dense matrix exponential applied to the same Hamiltonian;
-numeric expectations quoted in comments were computed from it.  Every
-entry of ``OUTCOME_CLASSES`` is checked against the two analyzers' port
-amplitudes, summed as Franson interference, without reading the table.
+The closed-form evolution is cross-checked against scipy's dense matrix
+exponential applied to the same Hamiltonian; numeric expectations quoted in
+comments were computed from it.  The outcome classes the sampler draws from
+live in ``chain`` and are tested in tests/test_chain.py.
 """
 
-import cmath
-import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,75 +280,3 @@ def test_transfer_fidelity_rejects_bad_inputs():
     for c1, c2 in ((1.0, 1.0), (math.nan, 0.0)):
         with pytest.raises(q.NonNormalizedError):
             q.transfer_fidelity(outcome, c1, c2)
-
-
-# ---------------------------------------------------------------------------
-# the outcome classes at the monitored analyzer ports
-# ---------------------------------------------------------------------------
-
-
-def class_weights(v_cos):
-    """Each outcome class's weight, exactly, at V cos(phi) = v_cos."""
-    v_cos = Fraction(v_cos)
-    return [Fraction(c) + Fraction(s) * v_cos for _, (c, s), _ in q.OUTCOME_CLASSES]
-
-
-def test_outcome_classes_are_a_distribution():
-    for v_cos in np.linspace(-1.0, 1.0, 41):
-        weights = class_weights(v_cos)
-        assert len(weights) == 6
-        assert min(weights) >= 0
-        assert sum(weights) == 1
-
-
-def test_outcome_classes_give_each_side_a_flat_half():
-    for v_cos in np.linspace(-1.0, 1.0, 41):
-        weights = class_weights(v_cos)
-        for side in (0, 1):
-            reached = [w for w, (_, _, arr) in zip(weights, q.OUTCOME_CLASSES) if arr[side]]
-            assert sum(reached) == Fraction(1, 2)
-
-
-# Every (Alice arrival, Bob arrival) cell: 0 or 1 delays, or None for no monitored click.
-CELLS = tuple(itertools.product((0, 1, None), repeat=2))
-
-
-def port_amplitude(port, arm, phi):
-    """A photon's amplitude to leave port +-1 of its analyzer by the short (0) or long (1) arm."""
-    return 0.5 * port * cmath.exp(1j * phi) if arm else 0.5
-
-
-def franson_cells(phi_a, phi_b):
-    """Each cell's probability per pair, from the port amplitudes alone.
-
-    Only port +1 is monitored.  Short-short and long-long arrive with the
-    same time difference, so their amplitudes add and each path bit gets
-    half of the sum's square; short-long and long-short are told apart by
-    time, so their probabilities add.
-    """
-    cells = dict.fromkeys(CELLS, 0.0)
-    for ports in itertools.product((1, -1), repeat=2):
-        amp = {
-            arms: port_amplitude(ports[0], arms[0], phi_a) * port_amplitude(ports[1], arms[1], phi_b)
-            for arms in itertools.product((0, 1), repeat=2)
-        }
-        cell = {arms: tuple(a if p == 1 else None for p, a in zip(ports, arms)) for arms in amp}
-        for bit in (0, 1):
-            cells[cell[bit, bit]] += abs(amp[0, 0] + amp[1, 1]) ** 2 / 2.0
-        for arms in ((0, 1), (1, 0)):
-            cells[cell[arms]] += abs(amp[arms]) ** 2
-    return cells
-
-
-def test_outcome_classes_match_franson_port_amplitudes():
-    # All six classes at once: each class's weight at V = 1, halved over
-    # the two path bits, lands in the cells its arrivals name.  Two splits
-    # of every phase sum between the analyzers give the same cells.
-    for phi in np.linspace(0.0, 2.0 * math.pi, 13):
-        table = dict.fromkeys(CELLS, 0.0)
-        for _, (c, s), arrival in q.OUTCOME_CLASSES:
-            for bit in (0, 1):
-                key = tuple(None if side is None else side[bit] for side in arrival)
-                table[key] += 0.5 * (c + s * math.cos(phi))
-        for phi_a in (phi, 0.3):
-            assert table == pytest.approx(franson_cells(phi_a, phi - phi_a), abs=1e-15)
