@@ -461,9 +461,6 @@ class BellResult:
 # rounding, below 1e-15 n^3 / 4.
 GRAM_DET_FLOOR = 1e-10
 
-# The v = 1 refit brackets the maxima of P^2/N on this many offsets.
-BOUND_GRID = 64
-
 
 def _gram(columns: np.ndarray) -> list[list[float]]:
     """The Gram matrix of the rows of ``columns`` as nested lists, from elementwise products and sums."""
@@ -481,53 +478,15 @@ def _adjugate(m) -> tuple[list[list[float]], float]:
     return adj, p * adj[0][0] + q * adj[0][1] + r * adj[0][2]
 
 
-def _stationarity(m, y, cos, sin):
-    """h, dh/dt, P and N at offsets t given as cos t, sin t (floats or arrays).
-
-    With x = (1, cos t, sin t), P = y.x and N = x.m.x are the projection of
-    the rates on g = 1 + cos(phi - t) and the norm of g, and
-    h = P'N - PN'/2 is zero where P^2/N is stationary.
-    """
-    u = [row[0] + row[1] * cos + row[2] * sin for row in m]  # m x
-    w = [row[2] * cos - row[1] * sin for row in m[1:]]  # rows 1 and 2 of m x'
-    proj = y[0] + y[1] * cos + y[2] * sin
-    dproj = y[2] * cos - y[1] * sin
-    norm = u[0] + u[1] * cos + u[2] * sin
-    half_dnorm = u[2] * cos - u[1] * sin  # x'.m.x
-    half_ddnorm = w[1] * cos - w[0] * sin + u[0] - norm  # x'.m.x' + x.m.x''
-    h = dproj * norm - proj * half_dnorm
-    dh = (y[0] - proj) * norm + dproj * half_dnorm - proj * half_ddnorm
-    return h, dh, proj, norm
-
-
-def _polish(m, y, lo: float, hi: float) -> float:
-    """The root of h in [lo, hi], where h(lo) > 0 >= h(hi).
-
-    Newton steps, each replaced by bisection where it leaves the bracket.
-    """
-    t = 0.5 * (lo + hi)
-    for _ in range(100):
-        h, dh, _, _ = _stationarity(m, y, math.cos(t), math.sin(t))
-        if h > 0.0:
-            lo = t
-        else:
-            hi = t
-        step = t - h / dh if dh < 0.0 else math.nan
-        if not lo <= step <= hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - t) <= 1e-15:
-            break
-        t = step
-    return t
-
-
 def _fit_sinusoid(phases: np.ndarray, rates: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares A(1 + v cos(phi - phi0)) with a >= 0 and 0 <= v <= 1.
+    """Linear least-squares A(1 + v cos(phi - phi0)), v clipped to [0, 1].
 
     The model is the linear A + B cos(phi) + C sin(phi).  Its normal
     equations M (A, B, C) = y, M the 3 x 3 Gram matrix of the basis
     (1, cos phi, sin phi), are solved by adjugate and determinant, which
-    gives the exact optimum v = hypot(B, C)/A, phi0 = atan2(C, B).
+    gives a = A, phi0 = atan2(C, B) and v = min(hypot(B, C)/A, 1).  A scan
+    whose rates sum to at most zero, or whose A is at most zero (an
+    over-subtracted scan), carries no fringe: (0, 0, 0, 0).
 
     Rank rule: ``InsufficientData`` when det M <= GRAM_DET_FLOOR n^3 / 4.
     By Cauchy-Binet det M sums 16 sin^2(d1/2) sin^2(d2/2) sin^2(d3/2) over
@@ -537,52 +496,33 @@ def _fit_sinusoid(phases: np.ndarray, rates: np.ndarray) -> tuple[float, float, 
     third distinct phase within about 1e-5 rad of another, or three phases
     spread over less than about 0.06 rad.
 
-    Where v exceeds 1 the bound is active and (a, phi0) are refitted at
-    v = 1: with g = 1 + cos(phi - t), P = <r, g> and N = <g, g>, an offset t
-    sets a = P/N and the best t maximises P^2/N.  Each maximum with P > 0 is
-    bracketed where h = P'N - PN'/2 falls through zero between two of
-    BOUND_GRID offsets over one period, and polished by Newton steps on h.
-    Of those, the linear offset atan2(C, B) and the grid's best offset, the
-    candidate with a > 0 and the largest P^2/N is the optimum.
+    ``v_err`` is computed at (a, v, phi0) as ``curve_fit`` reports it: the
+    (1, 1) element of the inverse of J^T J, J the Jacobian in (a, v, phi0),
+    by adjugate, scaled by SSR / (n - 3).  At v = 0 J's phi0 column is zero
+    and is dropped, as the pseudo-inverse drops its zero singular value.
+    Where v is clipped this is a curvature error at a physical boundary,
+    not a coverage-correct interval.
 
-    ``v_err`` follows a bounded ``curve_fit``: the (1, 1) element of the
-    inverse of J^T J, J the Jacobian in (a, v, phi0), by adjugate, scaled by
-    SSR / (n - 3).  At v = 0 J's phi0 column is zero and is dropped, as the
-    pseudo-inverse drops its zero singular value.
-
-    Nothing here calls LAPACK or BLAS: no ``numpy.linalg``, no ``np.roots``,
-    no matrix product.  A preset sweep's own memory above its imports is
-    about 2.5 MB, and lstsq, pinv and np.roots paged 1.2-2 MB of numpy's
+    Nothing here calls LAPACK or BLAS: no ``numpy.linalg``, no matrix
+    product.  A preset sweep's own memory above its imports is about
+    2.5 MB, and lstsq, pinv and np.roots paged 1.2-2 MB of numpy's
     linear-algebra library into it: the fig2-sweep benchmark peaked at
     38.3-39.1 MB with them and at 37.0 MB without (Python 3.11, numpy 2.4,
-    2 cores).  Returns (a, v, phi0, v_err), phi0 on the principal branch.
+    2 cores).  Returns (a, v, phi0, v_err).
     """
     basis = np.stack((np.ones_like(phases), np.cos(phases), np.sin(phases)))
-    m = _gram(basis)
-    adj, det = _adjugate(m)
+    adj, det = _adjugate(_gram(basis))
     if det <= GRAM_DET_FLOOR * phases.size**3 / 4.0:
         raise InsufficientData(
             f"the {phases.size} phases hold fewer than three distinct values "
             "modulo 2 pi, too few to fit a fringe"
         )
     y = (basis * rates).sum(axis=1).tolist()
-    if y[0] <= 0.0:
-        # An all-zero (or negative after subtraction) scan carries no fringe.
-        return 0.0, 0.0, 0.0, 0.0
     a, b, c = (sum(row[k] * y[k] for k in range(3)) / det for row in adj)
-    if a > 0.0 and math.hypot(b, c) <= a:
-        v, phi0 = math.hypot(b, c) / a, math.atan2(c, b)
-    else:
-        grid = np.linspace(-math.pi, math.pi, BOUND_GRID + 1)
-        h, _, proj, norm = _stationarity(m, y, np.cos(grid), np.sin(grid))
-        score = np.where(proj > 0.0, proj * proj / norm, -np.inf)
-        falls = np.flatnonzero((h[:-1] > 0.0) & (h[1:] <= 0.0) & (proj[:-1] > 0.0))
-        grid = grid.tolist()
-        offsets = [_polish(m, y, grid[k], grid[k + 1]) for k in falls]
-        offsets += [math.atan2(c, b), grid[np.argmax(score)]]
-        fits = [(*_stationarity(m, y, math.cos(t), math.sin(t))[2:], t) for t in offsets]
-        proj, norm, phi0 = max(fits, key=lambda f: f[0] * f[0] / f[1] if f[0] > 0.0 else -math.inf)
-        a, v = proj / norm, 1.0
+    if y[0] <= 0.0 or a <= 0.0:
+        # An all-zero or over-subtracted scan carries no fringe.
+        return 0.0, 0.0, 0.0, 0.0
+    v, phi0 = min(math.hypot(b, c) / a, 1.0), math.atan2(c, b)
     delta = phases - phi0
     shape = 1.0 + v * np.cos(delta)
     # J = K diag(1, a, a v) with K = (shape, cos delta, sin delta), so the
@@ -593,6 +533,8 @@ def _fit_sinusoid(phases: np.ndarray, rates: np.ndarray) -> tuple[float, float, 
     var = (k_adj[1][1] / k_det if v > 0.0 else k[0][0] / k_adj[2][2]) / (a * a)
     ssr = float(((rates - a * shape) ** 2).sum())
     v_err = math.sqrt(ssr / (rates.size - 3) * var)
+    # atan2(sin t, cos t) differs from t by an ulp on some 15 % of preset
+    # seeds; the reported offset keeps the bytes it has always had.
     return a, v, math.atan2(math.sin(phi0), math.cos(phi0)), v_err
 
 
@@ -601,15 +543,14 @@ def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
 
     Needs at least five points spanning a full period at no fewer than
     three distinct phases modulo 2 pi (``_fit_sinusoid``'s rank rule).
-    Each fit is the least-squares optimum under 0 <= v <= 1 from
-    ``_fit_sinusoid``: the linear solve in closed form (3 x 3 normal
-    equations by adjugate), refitted at v = 1 where the bound is active
-    (Newton steps from a grid of offsets), with v_err from the inverse of
-    J^T J as a bounded ``curve_fit`` reports it.  None of it calls LAPACK
-    or BLAS, which a sweep would otherwise page in for this one fit.  The
-    net fit subtracts the flat accidental rate from every point before
-    refitting; with a zero accidental rate the two fits are identical by
-    construction.
+    Each fit is ``_fit_sinusoid``'s linear least-squares solve in closed
+    form (3 x 3 normal equations by adjugate) with v clipped to [0, 1],
+    and no fringe (v = 0) where the rates sum to at most zero or the
+    fitted mean level is not positive; v_err is from the inverse of J^T J
+    at those values, as ``curve_fit`` reports it.  None of it calls LAPACK or BLAS, which a sweep would
+    otherwise page in for this one fit.  The net fit subtracts the flat
+    accidental rate from every point before refitting; with a zero
+    accidental rate the two fits are identical by construction.
     """
     pts = list(points)
     if len(pts) < 5:

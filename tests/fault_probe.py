@@ -10,10 +10,14 @@ the physics and the fit: for each fault in FAULTS it copies ``src/``,
 ``xfail_strict`` the suite needs) to a temporary directory, replaces the
 fault's old text, which must occur exactly once in its file, with the new
 text, and runs tier-1 with ``-x`` and the pins deselected.  An unmodified
-copy runs first as the control.  It prints one line per fault with its
-first failing test, the catcher, and exits 1 if the control fails, any
-fault survives, or any fault's old text does not occur exactly once.  A
-fault that a refactor removes is restated on the new code, never dropped.
+copy runs first as the control.  The first failing test is credited as the
+fault's catcher only if it passes when run alone on an unmodified copy; a
+test that fails there too (a wall-clock ceiling on a loaded machine, say)
+failed for a reason of its own, so the fault is run again with that test
+deselected, and both results are printed.  The probe prints one line per
+run and exits 1 if the control fails, any fault survives (no value test
+catches it), or any fault's old text does not occur exactly once.  A fault
+that a refactor removes is restated on the new code, never dropped.
 pytest does not collect this file; it takes a few minutes (up to one tier-1
 run per fault).
 """
@@ -65,10 +69,10 @@ FAULTS = (
      "GRAM_DET_FLOOR = 1e-10", "GRAM_DET_FLOOR = 0.0"),
     ("v_err's variance x1.1", "analysis.py",
      "math.sqrt(ssr / (rates.size - 3) * var)", "math.sqrt(ssr / (rates.size - 3) * var * 1.1)"),
-    ("v = 1 refit takes the linear offset", "analysis.py",
-     "proj, norm, phi0 = max(fits, key=", "proj, norm, phi0 = fits[-2] or max(fits, key="),
-    ("v = 1 refit takes the grid's best offset unpolished", "analysis.py",
-     "proj, norm, phi0 = max(fits, key=", "proj, norm, phi0 = fits[-1] or max(fits, key="),
+    ("v clipped at 0.99", "analysis.py",
+     "/ a, 1.0)", "/ a, 0.99)"),
+    ("A <= 0 rule switched off", "analysis.py",
+     "a <= 0.0", "a < -math.inf"),
 )
 
 # The byte pins, by node-id prefix; a bracket ends each parametrized name, so
@@ -95,8 +99,11 @@ def check_faults() -> list[str]:
     return bad
 
 
-def run_tier1(fault: tuple | None) -> tuple[int, str, float]:
-    """Tier-1 without the pins on a copy with ``fault`` applied: (exit code, first failure, seconds)."""
+def run_tier1(fault: tuple | None, selection: list[str]) -> tuple[int, str, float]:
+    """Tier-1 without the pins on a copy with ``fault`` applied: (exit code, first failure, seconds).
+
+    ``selection`` holds further pytest arguments: node ids to run alone, or deselections.
+    """
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
     with tempfile.TemporaryDirectory(prefix="fault_probe_") as tmp:
         for part in ("src", "tests"):
@@ -107,7 +114,7 @@ def run_tier1(fault: tuple | None) -> tuple[int, str, float]:
             path = Path(tmp, "src", "photonlink", file)
             path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"]
-        command += [f"--deselect={pin}" for pin in PINS]
+        command += [f"--deselect={pin}" for pin in PINS] + selection
         env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src"))}
         started = time.perf_counter()
         done = subprocess.run(
@@ -118,22 +125,39 @@ def run_tier1(fault: tuple | None) -> tuple[int, str, float]:
     return done.returncode, failed.group(1) if failed else "", seconds
 
 
+def probe(fault: tuple) -> bool:
+    """Whether a value test catches ``fault``: one that fails under it and passes alone on a clean copy."""
+    deselected: list[str] = []
+    while True:
+        code, first, seconds = run_tier1(fault, [f"--deselect={test}" for test in deselected])
+        without = f" without {', '.join(deselected)}" if deselected else ""
+        if not (code == 1 and first):
+            print(f"{fault[0]}: NOT caught{without} (pytest exit {code}) in {seconds:.1f} s", flush=True)
+            return False
+        clean, _, clean_seconds = run_tier1(None, [first])
+        if clean == 0:
+            print(f"{fault[0]}: caught{without} by {first} in {seconds:.1f} s", flush=True)
+            return True
+        print(
+            f"{fault[0]}: {first} failed{without} in {seconds:.1f} s, and alone on the clean copy too "
+            f"(exit {clean} in {clean_seconds:.1f} s): not the fault's catch; running again without it",
+            flush=True,
+        )
+        deselected.append(first)
+
+
 def main() -> int:
     bad = check_faults()
     for line in bad:
         print(f"refused: {line}", flush=True)
     if bad:
         return 1
-    code, first, seconds = run_tier1(None)
+    code, first, seconds = run_tier1(None, [])
     ok = code == 0
     detail = f", first failure {first}" if first else ""
     print(f"control: exit {code} in {seconds:.1f} s{detail}", flush=True)
     for fault in FAULTS:
-        code, first, seconds = run_tier1(fault)
-        caught = code == 1 and first
-        verdict = f"caught by {first}" if caught else f"NOT caught (pytest exit {code})"
-        print(f"{fault[0]}: {verdict} in {seconds:.1f} s", flush=True)
-        ok = ok and bool(caught)
+        ok = probe(fault) and ok
     print("every fault caught" if ok else "probe FAILED", flush=True)
     return 0 if ok else 1
 

@@ -796,10 +796,10 @@ def noisy_scans(draw):
     )
 
 
-# Net fits that meet the v = 1 bound: at a quarter-period offset and not,
-# and a sparse scan whose linear solution has A < 0.  There the best
-# offset at v = 1 without a >= 0 has a < 0, and Newton steps from the
-# linear solution's offset end at a < 0 too.
+# Net fits whose linear v exceeds 1, so the fit clips it: at a
+# quarter-period offset and not.  Then a sparse scan whose rates sum above
+# zero but whose net linear solution has A < 0: no fringe (its raw scan is
+# clipped too).
 BOUND_SCANS = (
     noisy_scan(9, 1.0, 0.3, 40.0, 20.0, 2),
     noisy_scan(21, 0.99, math.pi / 2, 300.0, 100.0, 6),
@@ -813,20 +813,28 @@ BOUND_SCANS = (
 @example(BOUND_SCANS[1])
 @example(BOUND_SCANS[2])
 def test_fit_matches_curve_fit_oracle(scan):
-    """The closed form is never worse than curve_fit and agrees where both optimise.
+    """Off the bound the closed form is never worse than curve_fit and agrees where both optimise.
 
-    The fit keeps its bounds a >= 0, 0 <= v <= 1.  Thresholds fixed
-    beforehand: SSR at most the oracle's times (1 + 1e-12); where the
-    oracle's SSR is within 1e-6 (relative) of the closed form's, |dv| <= 1e-7
-    and v_err within 1e-4 relative when above 1e-12.  At v = 0 the offset,
-    and with it v_err on an uneven phase set, is arbitrary, so v_err is
-    compared only for v >= 1e-6.  Below ~10 counts per point v_err nears 1,
-    and curve_fit's own ftol stop leaves |dv| ~1e-7 at equal SSR.
+    The fit keeps a >= 0, 0 <= v <= 1.  Where the linear solve has v > 1
+    or A <= 0, the fit is the clipped linear solve or no fringe, not
+    curve_fit's bounded optimum, and is checked against the lstsq
+    reference instead (``assert_matches_reference``).  Thresholds fixed
+    beforehand, off the bound: SSR at most the oracle's times (1 + 1e-12);
+    where the oracle's SSR is within 1e-6 (relative) of the closed form's,
+    |dv| <= 1e-7 and v_err within 1e-4 relative when above 1e-12.  At
+    v = 0 the offset, and with it v_err on an uneven phase set, is
+    arbitrary, so v_err is compared only for v >= 1e-6.  Below ~10 counts
+    per point v_err nears 1, and curve_fit's own ftol stop leaves
+    |dv| ~1e-7 at equal SSR.
     """
     phases, counts, floor = scan
     for rates in (counts, counts - floor):
         a, v, phi0, v_err = an._fit_sinusoid(phases, rates)
         assert a >= 0.0 and 0.0 <= v <= 1.0
+        ref = lstsq_sinusoid(phases, rates)
+        if ref[0] == 0.0 or ref[4]:  # no fringe, or v clipped at the bound
+            assert_matches_reference((a, v, phi0, v_err), ref)
+            continue
         oracle = curve_fit_sinusoid(phases, rates)
         ssr = fit_ssr(phases, rates, a, v, phi0)
         oracle_ssr = fit_ssr(phases, rates, *oracle[:3])
@@ -838,43 +846,59 @@ def test_fit_matches_curve_fit_oracle(scan):
 
 
 def test_bound_scans_meet_the_bound():
-    for phases, counts, floor in BOUND_SCANS:
-        assert an._fit_sinusoid(phases, counts - floor)[1] == 1.0
+    """Linear v above 1 is clipped to 1 at the linear a and phi0; A <= 0 gives no fringe."""
+    for phases, counts, floor in BOUND_SCANS[:2]:
+        a, v, phi0, _ = an._fit_sinusoid(phases, counts - floor)
+        ref = lstsq_sinusoid(phases, counts - floor)
+        assert ref[4] and v == 1.0
+        assert (a, phi0) == pytest.approx((ref[0], ref[2]), rel=1e-12)
+    phases, counts, floor = BOUND_SCANS[2]
+    assert np.sum(counts - floor) > 0.0 and lstsq_sinusoid(phases, counts - floor)[0] == 0.0
+    assert an._fit_sinusoid(phases, counts - floor) == (0.0, 0.0, 0.0, 0.0)
+    assert an._fit_sinusoid(phases, counts)[1] == 1.0
 
 
 def lstsq_sinusoid(phases, rates):
     """The LAPACK fit ``analysis._fit_sinusoid`` replaced, as a reference implementation.
 
-    lstsq for the linear A + B cos + C sin, the sextic of the v = 1 refit
-    solved by ``np.roots``, and v_err from the Jacobian's pseudo-inverse.
-    Returns (a, v, phi0, v_err) like ``analysis._fit_sinusoid``.
+    lstsq for the linear A + B cos + C sin, v = hypot(B, C)/A clipped at
+    1, no fringe where the mean rate or A is at most zero, and v_err from
+    the Jacobian's pseudo-inverse at those values.  Returns (a, v, phi0,
+    v_err) like ``analysis._fit_sinusoid``, then whether v was clipped.
     """
     basis = np.column_stack((np.ones_like(phases), np.cos(phases), np.sin(phases)))
     (a, b, c), _, rank, _ = np.linalg.lstsq(basis, rates, rcond=None)
     if rank < 3:
         raise an.InsufficientData("fewer than three distinct values modulo 2 pi")
-    if np.mean(rates) <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    a = float(a)
-    if a > 0.0 and math.hypot(b, c) <= a:
-        v, phi0 = math.hypot(b, c) / a, math.atan2(c, b)
-    else:
-        e = np.exp(1j * phases)
-        p = np.array([rates @ e / 2, rates.sum(), rates @ e.conj() / 2])
-        n = np.array([(e * e).sum() / 4, e.sum(), 1.5 * e.size, e.conj().sum(), (e * e).conj().sum() / 4])
-        q = np.convolve(2j * np.arange(-1, 2) * p, n) - np.convolve(p, 1j * np.arange(-2, 3) * n)
-        t = np.append(np.angle(np.roots(q[::-1])), math.atan2(c, b))
-        g = 1.0 + np.cos(phases - t[:, None])
-        proj, norm = g @ rates, np.einsum("ij,ij->i", g, g)
-        best = int(np.argmax(np.where(proj > 0.0, proj * proj / norm, -np.inf)))
-        a, v, phi0 = float(proj[best] / norm[best]), 1.0, float(t[best])
+    if np.mean(rates) <= 0.0 or a <= 0.0:
+        return 0.0, 0.0, 0.0, 0.0, False
+    a, v, phi0 = float(a), math.hypot(b, c) / a, math.atan2(c, b)
+    clipped = v > 1.0
+    v = min(v, 1.0)
     delta = phases - phi0
     shape = 1.0 + v * np.cos(delta)
     jac = np.column_stack((shape, a * np.cos(delta), a * v * np.sin(delta)))
     pinv = np.linalg.pinv(jac, rcond=np.finfo(float).eps * max(jac.shape))
     ssr = float(np.sum((rates - a * shape) ** 2))
     v_err = math.sqrt(ssr / (rates.size - 3) * float(pinv[1] @ pinv[1]))
-    return a, v, math.atan2(math.sin(phi0), math.cos(phi0)), v_err
+    return a, v, phi0, v_err, clipped
+
+
+def assert_matches_reference(fit, ref):
+    """``_fit_sinusoid``'s result equals ``lstsq_sinusoid``'s: no fringe, or a, v, phi0 and v_err.
+
+    a, v and v_err at rel 1e-12 (with pytest's absolute floor of 1e-12),
+    and the fringe vector v exp(i phi0) within 1e-12, so phi0 to 1e-12
+    where v is clipped at 1.  Where the reference clips, v is exactly 1.
+    """
+    a, v, phi0, v_err = fit
+    if ref[0] == 0.0:
+        assert fit == (0.0, 0.0, 0.0, 0.0)
+        return
+    if ref[4]:
+        assert v == 1.0
+    assert (a, v, v_err) == pytest.approx((ref[0], ref[1], ref[3]), rel=1e-12)
+    assert abs(v * np.exp(1j * phi0) - ref[1] * np.exp(1j * ref[2])) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -883,24 +907,15 @@ def lstsq_sinusoid(phases, rates):
 @example(BOUND_SCANS[1])
 @example(BOUND_SCANS[2])
 def test_fit_matches_the_lstsq_reference(scan):
-    """The closed form agrees with the LAPACK fit it replaced.
+    """The closed form agrees with the LAPACK fit it replaced, on and off the bound.
 
-    Thresholds fixed beforehand.  Off the bound: a, v and v_err at rel
-    1e-12 (with pytest's absolute floor of 1e-12), and the fringe vector
-    v exp(i phi0) within 1e-12.  At the bound: v = 1 on both sides and SSR
-    at most the reference's times (1 + 1e-12).  The reference's own v_err
-    agrees with 50-digit arithmetic to about 5e-15 on such scans.
+    Thresholds fixed beforehand, those of ``assert_matches_reference``.
+    The reference's own v_err agrees with 50-digit arithmetic to about
+    5e-15 on such scans.
     """
     phases, counts, floor = scan
     for rates in (counts, counts - floor):
-        a, v, phi0, v_err = an._fit_sinusoid(phases, rates)
-        ref = lstsq_sinusoid(phases, rates)
-        if ref[1] == 1.0:
-            assert v == 1.0
-            assert fit_ssr(phases, rates, a, v, phi0) <= fit_ssr(phases, rates, *ref[:3]) * (1.0 + 1e-12)
-        else:
-            assert (a, v, v_err) == pytest.approx((ref[0], ref[1], ref[3]), rel=1e-12)
-            assert abs(v * np.exp(1j * phi0) - ref[1] * np.exp(1j * ref[2])) <= 1e-12
+        assert_matches_reference(an._fit_sinusoid(phases, rates), lstsq_sinusoid(phases, rates))
 
 
 def test_rank_rule_refuses_where_the_basis_is_rank_deficient():
@@ -945,7 +960,8 @@ def test_fit_calls_no_linear_algebra_library(monkeypatch):
     """The fit runs with numpy's LAPACK entry points and np.roots patched to fail.
 
     The free fit, each bound scan, a flat scan (v = 0) and a two-phase scan,
-    which must still be refused.  The fit's own code also holds no matrix
+    which must still be refused.  np.roots stays patched: the fit has no
+    polynomial to solve.  The fit's own code also holds no matrix
     product, which would call BLAS.
     """
     def refuse(*args, **kwargs):
@@ -957,14 +973,14 @@ def test_fit_calls_no_linear_algebra_library(monkeypatch):
     fit = an.fit_fringe(synthetic_fringe(0.87, phi0=0.7, accidental=5.0), accidental_rate_per_s=5.0)
     assert fit.v_net == pytest.approx(0.87, abs=1e-9)
     for phases, counts, floor in BOUND_SCANS:
-        assert an._fit_sinusoid(phases, counts - floor)[1] == 1.0
+        assert an._fit_sinusoid(phases, counts - floor)[1] in (0.0, 1.0)
         an._fit_sinusoid(phases, counts)
     assert an.fit_fringe(synthetic_fringe(0.0)).v_raw < 1e-9
     points = [an.FringePoint(p, 100.0 + i, 1.0) for i, p in enumerate((0.0, 0.0, 0.0, 2.0 * math.pi, 2.0 * math.pi))]
     with pytest.raises(an.InsufficientData, match="fewer than three distinct"):
         an.fit_fringe(points)
     banned = {"@", "linalg", "dot", "vdot", "matmul", "tensordot", "einsum", "roots"}
-    for function in (an._fit_sinusoid, an._gram, an._adjugate, an._stationarity, an._polish, an.fit_fringe):
+    for function in (an._fit_sinusoid, an._gram, an._adjugate, an.fit_fringe):
         source = textwrap.dedent(inspect.getsource(function))
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         used = {tok.string for tok in tokens if tok.type in (tokenize.OP, tokenize.NAME)}
