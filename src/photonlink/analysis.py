@@ -430,7 +430,8 @@ class FringeFit:
     Levels are rates in counts per second so that points of unequal
     duration combine consistently.  ``v_net`` comes from refitting after
     the accidental rate is subtracted from every point; uncertainties are
-    square roots of the fit covariance diagonal.
+    square roots of the fit covariance diagonal.  ``v_net`` is 0 on an
+    over-subtracted scan (mean level not positive), see ``fit_fringe``.
     """
 
     v_raw: Fraction
@@ -544,13 +545,16 @@ def fit_fringe(points, accidental_rate_per_s: float = 0.0) -> FringeFit:
     Needs at least five points spanning a full period at no fewer than
     three distinct phases modulo 2 pi (``_fit_sinusoid``'s rank rule).
     Each fit is ``_fit_sinusoid``'s linear least-squares solve in closed
-    form (3 x 3 normal equations by adjugate) with v clipped to [0, 1],
-    and no fringe (v = 0) where the rates sum to at most zero or the
-    fitted mean level is not positive; v_err is from the inverse of J^T J
-    at those values, as ``curve_fit`` reports it.  None of it calls LAPACK or BLAS, which a sweep would
-    otherwise page in for this one fit.  The net fit subtracts the flat
-    accidental rate from every point before refitting; with a zero
-    accidental rate the two fits are identical by construction.
+    form (3 x 3 normal equations by adjugate) with v clipped to [0, 1];
+    v_err is from the inverse of J^T J at those values, as ``curve_fit``
+    reports it.  A fit whose rates sum to at most zero or whose mean level
+    is not positive has no fringe (v = 0), so v can jump from 1 to 0 as
+    the level crosses zero: an over-subtracted net scan reports v_net = 0,
+    not a refusal, and fidelity and S, affine in v_net, read their worst
+    values.  None of it calls LAPACK or BLAS, which a sweep would
+    otherwise page in for this one fit.  The net fit subtracts the flat accidental rate from every point
+    before refitting; with a zero accidental rate the two fits are
+    identical by construction.
     """
     pts = list(points)
     if len(pts) < 5:

@@ -11,9 +11,10 @@ the physics and the fit: for each fault in FAULTS it copies ``src/``,
 fault's old text, which must occur exactly once in its file, with the new
 text, and runs tier-1 with ``-x`` and the pins deselected.  An unmodified
 copy runs first as the control.  The first failing test is credited as the
-fault's catcher only if it passes when run alone on an unmodified copy; a
-test that fails there too (a wall-clock ceiling on a loaded machine, say)
-failed for a reason of its own, so the fault is run again with that test
+fault's catcher only if, run alone, it fails again on the faulted copy and
+passes on an unmodified one.  Otherwise it failed for a reason of its own
+(a wall-clock ceiling missed under load in the full run, say, or a test
+that fails without the fault), so the fault is run again with that test
 deselected, and both results are printed.  The probe prints one line per
 run and exits 1 if the control fails, any fault survives (no value test
 catches it), or any fault's old text does not occur exactly once.  A fault
@@ -126,7 +127,7 @@ def run_tier1(fault: tuple | None, selection: list[str]) -> tuple[int, str, floa
 
 
 def probe(fault: tuple) -> bool:
-    """Whether a value test catches ``fault``: one that fails under it and passes alone on a clean copy."""
+    """Whether a value test catches ``fault``: one that fails alone under it and passes alone on a clean copy."""
     deselected: list[str] = []
     while True:
         code, first, seconds = run_tier1(fault, [f"--deselect={test}" for test in deselected])
@@ -134,13 +135,15 @@ def probe(fault: tuple) -> bool:
         if not (code == 1 and first):
             print(f"{fault[0]}: NOT caught{without} (pytest exit {code}) in {seconds:.1f} s", flush=True)
             return False
-        clean, _, clean_seconds = run_tier1(None, [first])
-        if clean == 0:
+        alone = run_tier1(fault, [first])[0]
+        clean = run_tier1(None, [first])[0]
+        if alone == 1 and clean == 0:
             print(f"{fault[0]}: caught{without} by {first} in {seconds:.1f} s", flush=True)
             return True
         print(
-            f"{fault[0]}: {first} failed{without} in {seconds:.1f} s, and alone on the clean copy too "
-            f"(exit {clean} in {clean_seconds:.1f} s): not the fault's catch; running again without it",
+            f"{fault[0]}: {first} failed{without} in {seconds:.1f} s, but alone it gives pytest exit "
+            f"{alone} under the fault and {clean} on the clean copy: not the fault's catch; "
+            "running again without it",
             flush=True,
         )
         deselected.append(first)

@@ -972,8 +972,8 @@ def test_fit_calls_no_linear_algebra_library(monkeypatch):
     monkeypatch.setattr(np, "roots", refuse)
     fit = an.fit_fringe(synthetic_fringe(0.87, phi0=0.7, accidental=5.0), accidental_rate_per_s=5.0)
     assert fit.v_net == pytest.approx(0.87, abs=1e-9)
-    for phases, counts, floor in BOUND_SCANS:
-        assert an._fit_sinusoid(phases, counts - floor)[1] in (0.0, 1.0)
+    assert [an._fit_sinusoid(p, c - f)[1] for p, c, f in BOUND_SCANS] == [1.0, 1.0, 0.0]
+    for phases, counts, _ in BOUND_SCANS:
         an._fit_sinusoid(phases, counts)
     assert an.fit_fringe(synthetic_fringe(0.0)).v_raw < 1e-9
     points = [an.FringePoint(p, 100.0 + i, 1.0) for i, p in enumerate((0.0, 0.0, 0.0, 2.0 * math.pi, 2.0 * math.pi))]
